@@ -34,8 +34,10 @@ from .kinetic import Dispersion, daubechies_F, daubechies_F_upper
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
+    gl_rule,
     grid_quadrature,
     integrate_1d,
+    newton_potential,
 )
 from .semiclassics import (
     CoherentSpec,
@@ -217,53 +219,41 @@ def make_partition(pp: PartitionParams) -> Partition:
 # mean-field constants (one-body reduction)
 
 
-def mean_field_constant_routes(cs: CoherentSpec, spec: QuadratureSpec | None = None):
-    """c(phi) = (1/2) iint phi(x) phi(y)/|x-y| for phi = g^2, by the radial
-    Newton route and by the momentum route 2 pi int |phihat|^2/p^2 d^3p."""
-    spec = spec or QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
+_MOMENTUM_CHUNK = 512  # momenta per block of the sine-transform matrix
+
+
+def mean_field_constant_routes(cs: CoherentSpec):
+    """c(phi) = (1/2) iint phi(x) phi(y)/|x-y| for phi = g^2 on the unit ball,
+    by the radial Newton route (1/2) int phi (phi * 1/|.|) and by the
+    momentum route 2 pi int |phihat|^2/p^2 d^3p."""
 
     def phi(r):
-        return float(np.atleast_1d(cs.g_profile(np.array([r])))[0]) ** 2
+        return np.asarray(cs.g_profile(r), dtype=float) ** 2
 
-    def inner_mass(u):
-        val, _ = integrate_1d(lambda v: phi(v) * v * v, 0.0, min(u, 1.0), spec)
-        return val
-
-    def outer_strip(u):
-        if u >= 1.0:
-            return 0.0
-        val, _ = integrate_1d(lambda v: phi(v) * v, u, 1.0, spec)
-        return val
-
-    newton, _ = integrate_1d(
-        lambda u: phi(u) * u * u * (inner_mass(u) / u + outer_strip(u)), 0.0, 1.0, spec
+    knots = np.linspace(0.0, 1.0, 16)
+    pot = newton_potential(phi, knots)
+    newton = 0.5 * (4.0 * math.pi) ** 2 * grid_quadrature(
+        lambda u: phi(u) * u * u * pot(u), knots
     )
-    newton *= 0.5 * (4.0 * math.pi) ** 2
 
-    def phihat(p):
-        if p < 1e-6:
-            val, _ = integrate_1d(lambda r: phi(r) * r * r, 0.0, 1.0, spec)
-        else:
-            val, _ = integrate_1d(
-                lambda r: phi(r) * r * math.sin(p * r) / p, 0.0, 1.0, spec
-            )
-        return math.sqrt(2.0 / math.pi) * val
-
-    # the bump transform decays super-algebraically; 400 is far past the
-    # level where |phihat|^2 falls below 1e-30
-    mom, _ = integrate_1d(
-        lambda p: phihat(p) ** 2,
-        0.0,
-        400.0,
-        QuadratureSpec(rel_tol=1e-11, abs_tol=1e-15, max_subdivisions=400),
-    )
-    mom *= 8.0 * math.pi**2
+    # phihat(p) = sqrt(2/pi) int_0^1 phi(r) r sin(p r)/p dr, by fixed rules in
+    # r and p; the bump transform decays super-algebraically, and 400 is far
+    # past the level where |phihat|^2 falls below 1e-30
+    r, w_r = gl_rule(np.linspace(0.0, 1.0, 65))
+    p, w_p = gl_rule(np.linspace(0.0, 400.0, 401))
+    phi_r = phi(r) * r * w_r
+    mom = 0.0
+    for start in range(0, p.size, _MOMENTUM_CHUNK):
+        pc = p[start:start + _MOMENTUM_CHUNK]
+        phihat = np.sin(np.outer(pc, r)) @ phi_r / pc
+        mom += np.dot(w_p[start:start + _MOMENTUM_CHUNK], phihat**2)
+    mom *= 8.0 * math.pi**2 * (2.0 / math.pi)
     return float(newton), float(mom)
 
 
-def mean_field_constant(cs: CoherentSpec, spec: QuadratureSpec | None = None) -> float:
+def mean_field_constant(cs: CoherentSpec) -> float:
     """c(phi) by the Newton route, cross-checked against the momentum route."""
-    newton, mom = mean_field_constant_routes(cs, spec)
+    newton, mom = mean_field_constant_routes(cs)
     if abs(mom - newton) > 1e-8 * abs(newton):
         raise PreconditionFailure(
             f"mean-field routes disagree: newton={newton!r}, momentum={mom!r}"

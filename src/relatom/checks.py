@@ -424,11 +424,9 @@ SUITES = {
     "bounds": check_bounds,
 }
 
-CLI_SUITES = ("specfun", "kinetic", "coherent", "identity", "bounds", "all")
-
-
 def suite_names():
-    return CLI_SUITES
+    """The ``verify`` choices: every module suite, plus 'all'."""
+    return (*SUITES, "all")
 
 
 def run_suite(name):
@@ -438,8 +436,8 @@ def run_suite(name):
         for key in SUITES:
             results.extend(run_suite_module(key))
         return results
-    if name not in CLI_SUITES:
-        raise DomainError(f"unknown suite {name!r}; choose from {CLI_SUITES}")
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; choose from {suite_names()}")
     return run_suite_module(name)
 
 

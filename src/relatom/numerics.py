@@ -11,6 +11,8 @@ Three layers:
   over an explicit knot sequence.  Adaptive extrapolation misbehaves on
   interpolants with hundreds of knots, so every integral whose integrand
   is built from a :class:`RadialFunction` goes through this instead.
+  :func:`newton_potential` builds the radial shell split M(r)/r + T(r)
+  on the same rule.
 * :func:`solve_ivp` -- embedded-pair explicit Runge-Kutta (DOP853) with
   dense output, wrapped so failures surface as :class:`StepFailure`.
 
@@ -36,8 +38,9 @@ __all__ = [
     "Trajectory",
     "integrate_1d",
     "integrate_radial_3d",
+    "gl_rule",
     "grid_quadrature",
-    "cumulative_grid_quadrature",
+    "newton_potential",
     "solve_ivp",
 ]
 
@@ -165,36 +168,90 @@ def integrate_radial_3d(f, spec: QuadratureSpec | None = None):
     return 4.0 * math.pi * value
 
 
-def grid_quadrature(f, knots):
-    """Composite 12-point Gauss-Legendre of the vectorized ``f`` over knot segments."""
+def gl_rule(knots):
+    """Nodes and weights of the composite 12-point Gauss-Legendre rule over the
+    knot segments, segment by segment (12 consecutive entries per segment)."""
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or knots.size < 2:
         raise DomainError("need at least two knots")
-    a = knots[:-1]
-    b = knots[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    half = 0.5 * (knots[1:] - knots[:-1])
     x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return x, w
+
+
+def grid_quadrature(f, knots):
+    """Composite 12-point Gauss-Legendre of the vectorized ``f`` over knot segments."""
+    x, w = gl_rule(knots)
     return float(np.dot(w, np.asarray(f(x), dtype=float)))
 
 
-def cumulative_grid_quadrature(f, knots):
-    """Per-knot cumulative integral of ``f`` from knots[0]; returns an array
-    aligned with ``knots`` (first entry 0)."""
+# entry (j, k) is w_j P_k(x_j): for values y at the nodes, (y @ _GL_MOMENTS)[k]
+# times (2k+1)/2 is the k-th Legendre coefficient of their 12-node interpolant
+_GL_MOMENTS = np.polynomial.legendre.legvander(_GL_NODES, 11) * _GL_WEIGHTS[:, None]
+_EVAL_CHUNK = 1024  # radii per block when evaluating a Newton potential
+
+
+def _partial_basis(s):
+    """(2k+1)/2 int_{-1}^s P_k for k = 0..11, one row per entry of ``s``;
+    exactly 0 at s = -1 and exactly (1, 0, ..., 0) at s = 1."""
+    P = np.polynomial.legendre.legvander(s, 12)
+    Q = np.empty((s.size, 12))
+    Q[:, 0] = 0.5 * (s + 1.0)
+    Q[:, 1:] = 0.5 * (P[:, 2:] - P[:, :-2])
+    return Q
+
+
+def newton_potential(f, knots, m_head=0.0, t_tail=0.0):
+    """Newton potential of a radial density: r -> M(r)/r + T(r), with
+
+        M(r) = m_head + int_{knots[0]}^r f(v) v^2 dv,
+        T(r) = int_r^{knots[-1]} f(v) v dv + t_tail,
+
+    so that 4 pi [M(r)/r + T(r)] is (f * 1/|.|)(r) by Newton's theorem.
+
+    ``f`` is evaluated once, at the nodes of the composite 12-point
+    Gauss-Legendre rule (:func:`gl_rule`).  At the knots M and T are the
+    cumulative rule sums; between knots they are the exact integrals of
+    each segment's 12-node interpolant.  The returned callable is
+    vectorized; beyond knots[-1] it returns M_total/r if ``t_tail == 0``
+    (no density past the grid) and raises :class:`DomainError` for every
+    other radius outside [knots[0], knots[-1]].
+    """
     knots = np.asarray(knots, dtype=float)
-    a = knots[:-1]
-    b = knots[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = half[:, None] * _GL_WEIGHTS[None, :]
-    vals = np.asarray(f(x), dtype=float).reshape(len(a), len(_GL_NODES))
-    seg = np.sum(w * vals, axis=1)
-    out = np.empty(knots.size)
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
-    return out
+    if knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0):
+        raise DomainError("knots must be strictly increasing, at least two")
+    x, _ = gl_rule(knots)
+    fx = np.asarray(f(x), dtype=float).reshape(-1, _GL_NODES.size)
+    x = x.reshape(fx.shape)
+    half = 0.5 * np.diff(knots)[:, None]
+    mom_m = half * ((fx * x * x) @ _GL_MOMENTS)
+    mom_t = half * ((fx * x) @ _GL_MOMENTS)
+    M = m_head + np.concatenate([[0.0], np.cumsum(mom_m[:, 0])])
+    T = t_tail + np.concatenate([np.cumsum(mom_t[::-1, 0])[::-1], [0.0]])
+    lo, hi = knots[0], knots[-1]
+
+    def potential(r):
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        if np.any(flat < lo) or (t_tail != 0.0 and np.any(flat > hi)):
+            raise DomainError(f"Newton potential evaluated outside its grid [{lo:g}, {hi:g}]")
+        out = np.empty_like(flat)
+        for start in range(0, flat.size, _EVAL_CHUNK):
+            rc = flat[start:start + _EVAL_CHUNK]
+            oc = out[start:start + _EVAL_CHUNK]
+            beyond = rc > hi
+            oc[beyond] = M[-1] / rc[beyond]
+            ri = rc[~beyond]
+            i = np.clip(np.searchsorted(knots, ri, side="right") - 1, 0, knots.size - 2)
+            Q = _partial_basis(2.0 * (ri - knots[i]) / (knots[i + 1] - knots[i]) - 1.0)
+            m = M[i] + np.einsum("nk,nk->n", Q, mom_m[i])
+            t = T[i] - np.einsum("nk,nk->n", Q, mom_t[i])
+            oc[~beyond] = m / ri + t
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+
+    return potential
 
 
 TAIL_ZERO = "zero"

@@ -32,8 +32,10 @@ from .kinetic import Dispersion, t_rel, t_rel_inverse, taylor_32_bound
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
+    gl_rule,
     grid_quadrature,
     integrate_1d,
+    newton_potential,
 )
 from .thomas_fermi import TFSolution, coulomb_potential, tf_energy
 
@@ -382,11 +384,11 @@ def _bump_norm_constant():
 
 @lru_cache(maxsize=1)
 def _bump_grad_sup():
-    c = _bump_norm_constant()
-    r = np.linspace(1e-9, 1.0 - 1e-9, 2_000_001)
-    w = 1.0 - r * r
-    g = c * np.exp(-1.0 / w) * 2.0 * r / (w * w)
-    return float(np.max(g))
+    """sup |g'(r)| = sup c e^{-1/w} 2r/w^2, w = 1 - r^2.  Setting the log
+    derivative 1/r - 2r/w^2 + 4r/w to zero gives 3w^2 - 6w + 2 = 0, whose
+    root in (0, 1) is w = 1 - 1/sqrt(3), at r = 3^{-1/4}."""
+    w = 1.0 - 1.0 / math.sqrt(3.0)
+    return _bump_norm_constant() * math.exp(-1.0 / w) * 2.0 * 3.0**-0.25 / (w * w)
 
 
 @dataclass(frozen=True)
@@ -461,54 +463,30 @@ def coherent_resolution_check(
 
 def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split"):
     """(1/|.| * g_alpha^2) as a callable, by one of two independent
-    quadrature routes: the Newton split formula, or the explicit angular
-    integral of the convolution."""
+    quadrature routes: the Newton split formula (vectorized, on the
+    support [0, alpha^s]), or the explicit angular integral of the
+    convolution (scalar radius)."""
     g_a, a_s = cs.g_scaled(alpha)
 
     def phi_a(r):
         return np.asarray(g_a(r), dtype=float) ** 2
 
-    qspec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-
     if route == "newton_split":
-        def conv(r):
-            r = float(r)
-            upper = min(r, a_s)
-            inner = 0.0
-            if upper > 0:
-                inner, _ = integrate_1d(
-                    lambda v: float(phi_a(np.array([v]))[0]) * v * v, 0.0, upper, qspec
-                )
-            outer = 0.0
-            if r < a_s:
-                outer, _ = integrate_1d(
-                    lambda v: float(phi_a(np.array([v]))[0]) * v, r, a_s, qspec
-                )
-            return 4.0 * math.pi * (inner / r + outer)
-
-        return conv
+        pot = newton_potential(phi_a, np.linspace(0.0, a_s, 65))
+        return lambda r: 4.0 * math.pi * pot(r)
 
     if route == "angular":
-        from .numerics import _GL_NODES, _GL_WEIGHTS
-
         # tensorized product rule; the cos-angle substitution c = 1 - s^2
         # regularizes the v ~ r coincidence limit, and the geometric s-grid
         # resolves the |r - v|-wide boundary layer it leaves behind
-        s_knots = np.concatenate([[0.0], np.geomspace(1e-9, math.sqrt(2.0), 120)])
-        sm = 0.5 * (s_knots[1:] + s_knots[:-1])
-        sh = 0.5 * (s_knots[1:] - s_knots[:-1])
-        s_nodes = (sm[:, None] + sh[:, None] * _GL_NODES[None, :]).ravel()
-        s_w = (sh[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        s_nodes, s_w = gl_rule(np.concatenate([[0.0], np.geomspace(1e-9, math.sqrt(2.0), 120)]))
 
         def conv(r):
             r = float(r)
             # the angular factor loses smoothness across v = r: put a knot there
             base = np.linspace(0.0, a_s, 65)
             v_knots = np.unique(np.concatenate([base, [r]])) if 0.0 < r < a_s else base
-            vm = 0.5 * (v_knots[1:] + v_knots[:-1])
-            vh = 0.5 * (v_knots[1:] - v_knots[:-1])
-            v_nodes = (vm[:, None] + vh[:, None] * _GL_NODES[None, :]).ravel()
-            v_w = (vh[:, None] * _GL_WEIGHTS[None, :]).ravel()
+            v_nodes, v_w = gl_rule(v_knots)
             phi_nodes = phi_a(v_nodes) * v_nodes * v_nodes * v_w
             d2 = (r - v_nodes)[:, None] ** 2 + 2.0 * r * v_nodes[:, None] * s_nodes[None, :] ** 2
             ang = 2.0 * np.dot(1.0 / np.sqrt(d2), s_nodes * s_w)

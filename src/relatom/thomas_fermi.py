@@ -42,8 +42,8 @@ from .errors import DomainError, ShootingFailure, ToleranceFailure
 from .numerics import (
     RadialFunction,
     Tail,
-    cumulative_grid_quadrature,
     grid_quadrature,
+    newton_potential,
     solve_ivp,
 )
 
@@ -85,7 +85,6 @@ class TFParams:
     lam: float
     Z: float
     gamma_kin: float = GAMMA_TF_PAPER
-    spin_q: int = 1
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -94,8 +93,6 @@ class TFParams:
             raise DomainError("Z must be positive")
         if not self.gamma_kin > 0:
             raise DomainError("gamma_kin must be positive")
-        if not self.spin_q >= 1:
-            raise DomainError("spin_q must be a positive integer")
 
     @property
     def N(self):
@@ -187,61 +184,45 @@ class _UniversalProfile:
     def _phi32_invsqrt(self, t):
         return self.phi(t) ** 1.5 / np.sqrt(t)
 
+    def _sommerfeld_tail(self, p, k):
+        """int_X^inf phi^p t^{3p-k-1} dt beyond the last grid point X, to first
+        order in the tail amplitude; 0 for ions (phi vanishes past the edge)."""
+        if self.x_edge is not None:
+            return 0.0
+        a = self.tail_amplitude
+        X = self.xi[-1]
+        return 144.0**p * (X**-k / k + p * a * X ** (-k - _S1) / (k + _S1))
+
     @cached_property
-    def _cumulatives(self):
-        xi = self.xi
-        head_inner = (2.0 / 3.0) * xi[0] ** 1.5  # phi ~ 1 below the series start
-        inner = head_inner + cumulative_grid_quadrature(self._phi32_sqrt, xi)
-        outer_rev = cumulative_grid_quadrature(self._phi32_invsqrt, xi)
-        outer = outer_rev[-1] - outer_rev
-        if self.x_edge is None:
-            # analytic continuation of both integrals over the Sommerfeld tail
-            a = self.tail_amplitude
-            X = xi[-1]
-            c = 144.0**1.5
-            tail_inner = c * (X**-3 / 3.0 + 1.5 * a * X ** (-3 - _S1) / (3.0 + _S1))
-            tail_outer = c * (X**-4 / 4.0 + 1.5 * a * X ** (-4 - _S1) / (4.0 + _S1))
-            inner_total = inner[-1] + tail_inner
-            outer = outer + tail_outer
-        else:
-            tail_inner = 0.0
-            inner_total = inner[-1]
-        return inner, outer, inner_total, head_inner
-
-    @property
-    def cum_inner(self):
-        """int_0^xi phi^{3/2} sqrt(t) dt on the grid (head included)."""
-        return self._cumulatives[0]
-
-    @property
-    def cum_outer(self):
-        """int_xi^inf phi^{3/2} / sqrt(t) dt on the grid (tail included)."""
-        return self._cumulatives[1]
+    def potential(self):
+        """xi -> M(xi)/xi + T(xi) with M = int_0^xi phi^{3/2} sqrt(t) dt and
+        T = int_xi^inf phi^{3/2}/sqrt(t) dt: the Newton potential of the
+        factored density phi^{3/2} t^{-3/2}, head and tail included."""
+        return newton_potential(
+            lambda t: self.phi(t) ** 1.5 * t**-1.5,
+            self.xi,
+            m_head=(2.0 / 3.0) * self.xi[0] ** 1.5,  # phi ~ 1 below the series start
+            t_tail=self._sommerfeld_tail(1.5, 4.0),
+        )
 
     @cached_property
     def mass(self):
         """int_0^inf phi^{3/2} sqrt(t) dt; equals min(lambda, 1) exactly."""
-        return self._cumulatives[2]
+        head = (2.0 / 3.0) * self.xi[0] ** 1.5
+        val = head + grid_quadrature(self._phi32_sqrt, self.xi)
+        return val + self._sommerfeld_tail(1.5, 3.0)
 
     @cached_property
     def I32(self):
         head = 2.0 * math.sqrt(self.xi[0])
         val = head + grid_quadrature(self._phi32_invsqrt, self.xi)
-        if self.x_edge is None:
-            a = self.tail_amplitude
-            X = self.xi[-1]
-            val += 144.0**1.5 * (X**-4 / 4.0 + 1.5 * a * X ** (-4 - _S1) / (4.0 + _S1))
-        return val
+        return val + self._sommerfeld_tail(1.5, 4.0)
 
     @cached_property
     def I52(self):
         head = 2.0 * math.sqrt(self.xi[0])
         val = head + grid_quadrature(lambda t: self.phi(t) ** 2.5 / np.sqrt(t), self.xi)
-        if self.x_edge is None:
-            a = self.tail_amplitude
-            X = self.xi[-1]
-            val += 144.0**2.5 * (X**-7 / 7.0 + 2.5 * a * X ** (-7 - _S1) / (7.0 + _S1))
-        return val
+        return val + self._sommerfeld_tail(2.5, 7.0)
 
 
 def _log_grid(lo, hi, per_decade=_PTS_PER_DECADE):
@@ -460,20 +441,10 @@ def _energy_terms(params, prof, mu):
     kinetic = 0.6 * X * prof.I52
     attraction = -X * prof.I32
     # repulsion = (1/2) int rho (rho * 1/|.|): in xi variables
-    Mi = PchipInterpolator(prof.xi, prof.cum_inner)
-    Oi = PchipInterpolator(prof.xi, prof.cum_outer)
-
-    def integrand(t):
-        return prof.phi(t) ** 1.5 * np.sqrt(t) * (Mi(t) / t + Oi(t))
-
-    rep = 0.5 * X * grid_quadrature(integrand, prof.xi)
-    if prof.x_edge is None:
-        # tail: phi^{3/2} sqrt(t) * (mass/t) with phi from the Sommerfeld form
-        a = prof.tail_amplitude
-        Xl = prof.xi[-1]
-        c = 144.0**1.5
-        tail = prof.mass * c * (Xl**-4 / 4.0 + 1.5 * a * Xl ** (-4 - _S1) / (4.0 + _S1))
-        rep += 0.5 * X * tail
+    pot = prof.potential
+    rep = 0.5 * X * grid_quadrature(lambda t: prof._phi32_sqrt(t) * pot(t), prof.xi)
+    # tail: phi^{3/2} sqrt(t) * (mass/t) with phi from the Sommerfeld form
+    rep += 0.5 * X * prof.mass * prof._sommerfeld_tail(1.5, 4.0)
     return {
         "kinetic": float(kinetic),
         "attraction": float(attraction),
@@ -509,6 +480,9 @@ def tf_functional(params: TFParams, rho: RadialFunction) -> float:
         raise DomainError("density head too singular for the functional")
     kin += v0 ** (5.0 / 3.0) * r0**3 / ((5.0 / 3.0) * he + 3.0)
     att += v0 * r0**2 / (he + 2.0)
+    pot = coulomb_potential(rho)
+    # head of the repulsion integral is O(r0^{he+3}) ~ 1e-12 relative: dropped
+    rep = grid_quadrature(lambda v: clamped(v) * pot(v) * v * v, grid)
     if rho.tail.kind == "power_law" and rho.tail.coefficient != 0.0:
         e = rho.tail.exponent
         R = grid[-1]
@@ -517,10 +491,10 @@ def tf_functional(params: TFParams, rho: RadialFunction) -> float:
         kin += rho.tail.coefficient ** (5.0 / 3.0) * R ** ((5.0 / 3.0) * e + 3.0) / (
             -(5.0 / 3.0) * e - 3.0
         )
-        att += rho.tail.coefficient * R ** (e + 2.0) / (-e - 2.0)
-    pot = coulomb_potential(rho)
-    # head of the repulsion integral is O(r0^{he+3}) ~ 1e-12 relative: dropped
-    rep = grid_quadrature(lambda v: clamped(v) * pot(v) * v * v, grid)
+        tail_moment = rho.tail.coefficient * R ** (e + 2.0) / (-e - 2.0)
+        att += tail_moment
+        # beyond the grid the potential is the far field pot(R) R / v
+        rep += pot(R) * R * tail_moment
     return float(
         0.6 * gamma * 4.0 * math.pi * kin
         - Z * 4.0 * math.pi * att
@@ -548,69 +522,27 @@ def tf_energy_slope_identity(sol: TFSolution) -> float:
 
 
 def coulomb_potential(rho: RadialFunction):
-    """(rho * 1/|.|) as a vectorized callable, built from the RadialFunction
-    by composite quadrature: 4 pi [ M(r)/r + T(r) ] with
-    M(r) = int_0^r rho v^2 dv and T(r) = int_r^inf rho v dv.
+    """(rho * 1/|.|) as a vectorized callable on the grid span of ``rho``:
+    4 pi [ M(r)/r + T(r) ] with M(r) = int_0^r rho v^2 dv and
+    T(r) = int_r^inf rho v dv, by :func:`numerics.newton_potential`.
 
     Head and tail pieces use the RadialFunction's own extrapolation models.
+    Below the grid, and beyond it unless the tail is zero, the potential
+    raises DomainError.
     """
     grid = rho.grid
     head_exp = rho._head_exp
     if head_exp <= -3.0:
         raise DomainError("density head steeper than v^-3: M(r) diverges")
     m_head = rho.values[0] * grid[0] ** 3 / (head_exp + 3.0)
-    M = m_head + cumulative_grid_quadrature(lambda v: rho(v) * v * v, grid)
-    rev = cumulative_grid_quadrature(lambda v: rho(v) * v, grid)
-    T = rev[-1] - rev
+    t_tail = 0.0
     if rho.tail.kind == "power_law":
         e = rho.tail.exponent
         if e >= -2.0:
             raise DomainError("density tail shallower than v^-2: T(r) diverges")
-        T = T + rho.tail.coefficient * grid[-1] ** (e + 2.0) / (-e - 2.0)
-        m_tail_coeff = rho.tail.coefficient
-        m_tail_exp = e
-    else:
-        m_tail_coeff = 0.0
-        m_tail_exp = 0.0
-    Mi = PchipInterpolator(grid, M)
-    Ti = PchipInterpolator(grid, T)
-    m_total = float(M[-1])
-
-    def potential(r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        inside = (r >= grid[0]) & (r <= grid[-1])
-        out[inside] = Mi(r[inside]) / r[inside] + Ti(r[inside])
-        below = r < grid[0]
-        if np.any(below):
-            rb = r[below]
-            mb = rho.values[0] * (rb / grid[0]) ** head_exp * rb**3 / (head_exp + 3.0)
-            out[below] = mb / rb + T[0] + _head_strip(rho, head_exp, rb, grid[0])
-        beyond = r > grid[-1]
-        if np.any(beyond):
-            rb = r[beyond]
-            if m_tail_coeff:
-                e = m_tail_exp
-                m_extra = m_tail_coeff * (rb ** (e + 3.0) - grid[-1] ** (e + 3.0)) / (e + 3.0)
-                t_extra = m_tail_coeff * rb ** (e + 2.0) / (-e - 2.0)
-                out[beyond] = (m_total + m_extra) / rb + t_extra
-            else:
-                out[beyond] = m_total / rb
-        out *= 4.0 * math.pi
-        return float(out[0]) if scalar else out
-
-    return potential
-
-
-def _head_strip(rho, head_exp, rb, r0):
-    """int_rb^r0 rho v dv for the power-law head."""
-    c = rho.values[0] / r0**head_exp
-    p = head_exp + 2.0
-    if abs(p) < 1e-12:
-        return c * np.log(r0 / rb)
-    return c * (r0**p - rb**p) / p
+        t_tail = rho.tail.coefficient * grid[-1] ** (e + 2.0) / (-e - 2.0)
+    pot = newton_potential(rho, grid, m_head, t_tail)
+    return lambda r: 4.0 * math.pi * pot(r)
 
 
 def tf_equation_residual(sol: TFSolution) -> float:
@@ -627,9 +559,7 @@ def tf_equation_residual(sol: TFSolution) -> float:
     Z = sol.params.Z
     b = sol.b
     xi = prof.xi
-    Mi = PchipInterpolator(xi, prof.cum_inner)
-    Oi = PchipInterpolator(xi, prof.cum_outer)
-    pot = (Z / b) * (Mi(xi) / xi + Oi(xi))
+    pot = (Z / b) * prof.potential(xi)
     lhs = sol.params.gamma_kin * sol.rho.values ** (2.0 / 3.0)
     rhs = np.maximum(Z / (b * xi) - pot - sol.mu, 0.0)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
@@ -671,7 +601,6 @@ def solution_to_json(sol: TFSolution) -> str:
             "lambda": sol.params.lam,
             "Z": sol.params.Z,
             "gamma_kin": sol.params.gamma_kin,
-            "spin_q": sol.params.spin_q,
         },
         "slope0": sol.slope0,
         "mu": sol.mu,
@@ -687,7 +616,8 @@ def solution_to_json(sol: TFSolution) -> str:
 def solution_from_json(text: str) -> TFSolution:
     doc = json.loads(text)
     p = doc["params"]
-    params = TFParams(lam=p["lambda"], Z=p["Z"], gamma_kin=p["gamma_kin"], spin_q=p["spin_q"])
+    # files written before the spin_q field was dropped still carry it: ignored
+    params = TFParams(lam=p["lambda"], Z=p["Z"], gamma_kin=p["gamma_kin"])
     xi = np.asarray(doc["grid"], dtype=float)
     phi_vals = np.asarray(doc["phi"], dtype=float)
     rho_vals = np.asarray(doc["rho"], dtype=float)

@@ -63,6 +63,12 @@ class TestVerify:
         assert "identity chain ratio" in out
         assert "2 sqrt2/3" in out
 
+    @pytest.mark.parametrize("suite", ["numerics", "thomas_fermi"])
+    def test_every_module_suite_is_reachable(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0
+        assert f"{suite}." in out
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from relatom.errors import DomainError, StepFailure
 from relatom.numerics import (
@@ -11,6 +12,7 @@ from relatom.numerics import (
     grid_quadrature,
     integrate_1d,
     integrate_radial_3d,
+    newton_potential,
     solve_ivp,
 )
 
@@ -164,3 +166,44 @@ class TestRadialFunction:
         composite = grid_quadrature(lambda v: np.exp(-v) * v * v, grid)
         adaptive, _ = integrate_1d(lambda v: math.exp(-v) * v * v, 1e-3, 20.0)
         assert abs(composite - adaptive) < 1e-12
+
+
+class TestNewtonPotential:
+    @staticmethod
+    def probe(knots, beyond):
+        # every knot, every segment midpoint, and radii past the last knot
+        mids = 0.5 * (knots[1:] + knots[:-1])
+        return np.concatenate([knots[knots > 0], mids, beyond])
+
+    def test_uniform_ball(self):
+        rho0 = 2.5
+        knots = np.array([0.0, 0.2, 0.55, 1.0])
+        pot = newton_potential(lambda v: np.full_like(v, rho0), knots)
+        r = self.probe(knots, np.array([1.5, 40.0]))
+        exact = np.where(r <= 1.0, rho0 * (0.5 - r * r / 6.0), rho0 / (3.0 * r))
+        assert np.max(np.abs(pot(r) - exact)) < 1e-15
+        assert isinstance(pot(0.3), float)
+
+    def test_truncated_gaussian(self):
+        # e^{-v^2}: M/r + T = sqrt(pi) erf(r)/(4r); T carries the tail e^{-R^2}/2
+        R = 6.0
+        knots = np.geomspace(1e-3, R, 40)
+        m_head = knots[0] ** 3 / 3.0   # e^{-v^2} = 1 to 1e-6 below the first knot
+        pot = newton_potential(lambda v: np.exp(-v * v), knots, m_head=m_head,
+                               t_tail=math.exp(-R * R) / 2.0)
+        r = self.probe(knots, np.array([]))
+        exact = math.sqrt(math.pi) * erf(r) / (4.0 * r)
+        assert np.max(np.abs(pot(r) / exact - 1.0)) < 1e-12
+
+    def test_domain(self):
+        knots = np.linspace(0.5, 2.0, 5)
+        tail_free = newton_potential(lambda v: np.ones_like(v), knots)
+        with pytest.raises(DomainError):
+            tail_free(0.4)
+        m_total = (2.0**3 - 0.5**3) / 3.0
+        assert abs(tail_free(3.0) - m_total / 3.0) < 1e-15
+        with_tail = newton_potential(lambda v: np.ones_like(v), knots, t_tail=0.1)
+        with pytest.raises(DomainError):
+            with_tail(np.array([1.0, 2.5]))
+        with pytest.raises(DomainError):
+            newton_potential(lambda v: v, np.array([1.0, 0.5]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
@@ -259,6 +260,20 @@ class TestCoherent:
         vals = [sc.coherent_kinetic_error_bound(cs, a) * a ** (1.0 / 3.0)
                 for a in (1e-2, 1e-3, 1e-4)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
+
+    def test_grad_sup_is_the_supremum(self, reference_bump):
+        # |g'(r)| = c e^{-1/w} 2r/w^2, w = 1 - r^2: the closed-form sup sits at
+        # or above every dense sample and agrees with a bounded maximiser
+        c = sc._bump_norm_constant()
+        r = np.linspace(1e-9, 1.0 - 1e-9, 2_000_001)
+        w = 1.0 - r * r
+        sampled = float(np.max(c * np.exp(-1.0 / w) * 2.0 * r / (w * w)))
+        assert reference_bump.grad_sup >= sampled
+        best = minimize_scalar(
+            lambda x: -c * math.exp(-1.0 / (1.0 - x * x)) * 2.0 * x / (1.0 - x * x) ** 2,
+            bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12},
+        )
+        assert abs(reference_bump.grad_sup + best.fun) < 1e-15 * reference_bump.grad_sup
 
     def test_newton_smearing(self, reference_bump):
         alpha, s = 0.1, 0.55

@@ -194,6 +194,14 @@ class TestSerialization:
         e0 = tf.tf_energy(neutral_solution)
         assert abs(tf.tf_energy(restored) - e0) < 1e-9 * abs(e0)
 
+    def test_loads_files_with_spin_q(self, ion_solution):
+        # files written before TFParams dropped spin_q carry the key
+        doc = json.loads(tf.solution_to_json(ion_solution))
+        doc["params"]["spin_q"] = 1
+        restored = tf.solution_from_json(json.dumps(doc))
+        assert restored.params == ion_solution.params
+        assert restored.energy_terms == ion_solution.energy_terms
+
     def test_json_is_plain(self, neutral_solution):
         doc = json.loads(tf.solution_to_json(neutral_solution))
         assert set(doc) == {
