@@ -27,7 +27,8 @@ class StepFailure(RelatomError):
 
 
 class ShootingFailure(RelatomError):
-    """No bisection bracket could be established for the shooting parameter."""
+    """A shooting parameter was not found: no sign-changing bracket, no
+    convergence inside it, or no usable shot at the root."""
 
 
 class ToleranceFailure(RelatomError):

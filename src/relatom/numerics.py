@@ -359,12 +359,13 @@ class Trajectory:
         return self.ys[:, -1]
 
 
-def solve_ivp(rhs, y0, x0, x1, tol=1e-10, events=None, max_step=np.inf, method="RK45"):
+def solve_ivp(rhs, y0, x0, x1, tol=1e-10, events=None, method="RK45"):
     """Integrate y' = rhs(x, y) from x0 to x1 with an embedded-pair RK method.
 
     The default pair keeps the end-point error proportional to ``tol``
     across the whole useful range; DOP853 is available for callers that
-    integrate at very tight tolerances.  Raises :class:`StepFailure` on
+    integrate at very tight tolerances.  The step size is limited by the
+    embedded error estimate alone.  Raises :class:`StepFailure` on
     blow-up, reporting the last good abscissa.
     """
     if not x1 > x0 and not x1 < x0:
@@ -378,7 +379,6 @@ def solve_ivp(rhs, y0, x0, x1, tol=1e-10, events=None, max_step=np.inf, method="
         atol=tol * 1e-2,
         dense_output=True,
         events=events,
-        max_step=max_step,
     )
     if sol.status == -1:
         raise StepFailure(

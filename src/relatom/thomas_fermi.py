@@ -15,13 +15,18 @@ and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 (lambda < 1).  The chemical potential is mu = Z (1-lambda) / (b x0) for
 ions and 0 otherwise.
 
-Shooting is bisection on slope0 = phi'(0).  For the neutral branch the
-outward trajectory is matched, at xi = 20, against an inward integration
-launched from xi = 1000 on the two-term decaying Sommerfeld manifold
-phi = 144 xi^-3 (1 + a eta + c2 (a eta)^2), eta = xi^(-s1); outward
-shooting alone cannot carry the profile far enough for 1e-6 mass
-accuracy because the growing perturbation mode amplifies the last
-bisection digit.
+Shooting is on slope0 = phi'(0), with scipy's bracketing root-finders.
+For ions, Brent's method solves for the edge flux -x0 phi'(x0) = 1 - lambda;
+a shot that never reaches phi = 0 counts as flux 0, the flux's limit at the
+critical (neutral) slope, so the miss is continuous.  The neutral slope
+separates shots that hit zero from shots that turn upward: a discrete
+classification, so it is bisected.  The neutral outward trajectory is then
+matched, at xi = 20, against an inward integration launched from xi = 1000
+on the two-term decaying Sommerfeld manifold
+phi = 144 xi^-3 (1 + a eta + c2 (a eta)^2), eta = xi^(-s1), whose
+amplitude a Brent's method finds; outward shooting alone cannot carry the
+profile far enough for 1e-6 mass accuracy because the growing perturbation
+mode amplifies the last digit of slope0.
 
 The ODE is started at xi = 1e-8 from the series
 phi = 1 + B xi + (4/3) xi^{3/2} + (2B/5) xi^{5/2} + xi^3/3 to sidestep
@@ -37,6 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import bisect, brentq
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
 from .numerics import (
@@ -75,6 +81,7 @@ _XI_FAR = 1000.0       # launch point of the inward neutral integration
 _XI_MATCH = 20.0       # outward/inward matching radius
 _ODE_TOL = 1e-12
 _PTS_PER_DECADE = 120
+_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol scipy's root-finders accept
 
 
 @dataclass(frozen=True)
@@ -125,22 +132,26 @@ def _tail_phi(a, xi):
     return phi, dphi
 
 
-def _shoot_out(B, x_end):
+def _shoot(B, x_end):
+    """Outward shot with slope0 = B, stopped where phi hits zero
+    (``t_events[0]``) or turns upward (``t_events[1]``)."""
     hit = lambda x, y: y[0]
-    hit.terminal = True
-    hit.direction = -1
+    hit.terminal, hit.direction = True, -1
     turn = lambda x, y: y[1]
-    turn.terminal = True
-    turn.direction = 1
-    traj = solve_ivp(
+    turn.terminal, turn.direction = True, 1
+    return solve_ivp(
         _rhs, _series_init(B, _XI0), _XI0, x_end, tol=_ODE_TOL, events=(hit, turn),
         method="DOP853",
     )
-    if traj.t_events[0].size:
-        return -1, traj
-    if traj.t_events[1].size:
-        return +1, traj
-    return 0, traj
+
+
+def _root(find, f, lo, hi, what):
+    """Root of f on [lo, hi] by a scipy bracketing method (brentq or bisect);
+    a bracket without a sign change, or no convergence, is a ShootingFailure."""
+    try:
+        return find(f, lo, hi, xtol=1e-16, rtol=_RTOL)
+    except (ValueError, RuntimeError) as exc:
+        raise ShootingFailure(f"{what} in [{lo}, {hi}]: {exc}") from None
 
 
 def _shoot_in(a):
@@ -238,46 +249,18 @@ def _solve_universal(lam_key: float) -> _UniversalProfile:
 
 
 def _solve_neutral():
-    lo, hi = -1.7, -1.5
-    s_lo, _ = _shoot_out(lo, 150.0)
-    s_hi, _ = _shoot_out(hi, 150.0)
-    if not (s_lo == -1 and s_hi == +1):
-        raise ShootingFailure(
-            f"neutral bracket invalid: classify({lo})={s_lo}, classify({hi})={s_hi}"
-        )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        s, _ = _shoot_out(mid, 150.0)
-        if s == -1:
-            lo = mid
-        elif s == +1:
-            hi = mid
-        else:  # no event fired: trajectory indistinguishable from critical
-            lo = hi = mid
-            break
-        if hi - lo < 1e-16 * abs(lo):
-            break
-    slope0 = 0.5 * (lo + hi)
-    out = solve_ivp(_rhs, _series_init(slope0, _XI0), _XI0, _XI_MATCH, tol=_ODE_TOL, method="DOP853")
+    def classify(B):
+        hit, turn = _shoot(B, 150.0).t_events
+        return -1.0 if hit.size else 1.0 if turn.size else 0.0
+
+    slope0 = _root(bisect, classify, -1.7, -1.5, "neutral slope")
+    out = _shoot(slope0, _XI_MATCH)
     target = float(out.dense(_XI_MATCH)[0])
 
     def inner_miss(a):
         return float(_shoot_in(a).dense(_XI_MATCH)[0]) - target
 
-    lo_a, hi_a = -40.0, -1.0
-    f_lo = inner_miss(lo_a)
-    f_hi = inner_miss(hi_a)
-    if f_lo * f_hi > 0:
-        raise ShootingFailure("tail-amplitude bracket invalid for the neutral branch")
-    for _ in range(80):
-        mid = 0.5 * (lo_a + hi_a)
-        if inner_miss(mid) * f_lo > 0:
-            lo_a = mid
-        else:
-            hi_a = mid
-        if hi_a - lo_a < 1e-14:
-            break
-    a = 0.5 * (lo_a + hi_a)
+    a = _root(brentq, inner_miss, -40.0, -1.0, "neutral tail amplitude")
     inward = _shoot_in(a)
 
     xi = _log_grid(_XI0, _XI_FAR)
@@ -296,47 +279,26 @@ def _solve_neutral():
     )
 
 
-def _shoot_ion(B):
-    hit = lambda x, y: y[0]
-    hit.terminal = True
-    hit.direction = -1
-    turn = lambda x, y: y[1]
-    turn.terminal = True
-    turn.direction = 1
-    traj = solve_ivp(
-        _rhs, _series_init(B, _XI0), _XI0, 2000.0, tol=_ODE_TOL, events=(hit, turn),
-        method="DOP853",
-    )
+def _edge(traj):
+    """(x_e, phi'(x_e)) where the shot hit zero, or None if it never did."""
     if not traj.t_events[0].size:
-        return None  # turned upward (or ran out): the neutral side of the bracket
+        return None
     x_e = float(traj.t_events[0][0])
-    dphi_e = float(traj.dense(x_e)[1])
-    return x_e, dphi_e, traj
+    return x_e, float(traj.dense(x_e)[1])
 
 
 def _solve_ion(lam):
-    target = 1.0 - lam
+    def flux_miss(B):
+        # no hit: edge flux 0, its limit at the critical slope, so the miss is continuous
+        x_e, dphi_e = _edge(_shoot(B, 2000.0)) or (0.0, 0.0)
+        return -x_e * dphi_e - (1.0 - lam)
 
-    def edge_flux(B):
-        r = _shoot_ion(B)
-        if r is None:
-            return 0.0  # never hits zero: effectively the neutral side
-        x_e, dphi_e, _ = r
-        return -x_e * dphi_e
-
-    lo, hi = -60.0, -1.58
-    if not (edge_flux(lo) > target and edge_flux(hi) < target):
-        raise ShootingFailure(f"ion bracket invalid for lambda = {lam}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if edge_flux(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * abs(lo):
-            break
-    slope0 = 0.5 * (lo + hi)
-    x_e, dphi_e, traj = _shoot_ion(slope0)
+    slope0 = _root(brentq, flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
+    traj = _shoot(slope0, 2000.0)
+    edge = _edge(traj)
+    if edge is None:
+        raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")
+    x_e, dphi_e = edge
 
     base = _log_grid(_XI0, x_e * (1.0 - 1e-3))
     cluster = x_e * (1.0 - np.geomspace(1e-3, 1e-12, 28)[1:])

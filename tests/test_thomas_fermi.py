@@ -13,6 +13,8 @@ from relatom.numerics import RadialFunction, grid_quadrature
 # 54 bisections, Sommerfeld classification window x <= 50)
 SLOPE0_ORACLE = -1.5880710
 
+ION_LAMBDAS = (1e-3, 0.01, 0.5, 0.9, 0.99)
+
 
 def rho_mass(rho: RadialFunction):
     head = rho.values[0] * rho.grid[0] ** 3 / (rho._head_exp + 3.0)
@@ -38,16 +40,33 @@ class TestSolve:
             tf.tf_energy(neutral_solution)
         )
 
-    def test_ion_mass_and_mu(self, ion_solution):
-        assert ion_solution.mu > 0.0
-        assert abs(rho_mass(ion_solution.rho) - 0.5) < 1e-6 * 0.5
-        assert abs(ion_solution.electron_count - 0.5) < 1e-6 * 0.5
+    @pytest.mark.parametrize("lam", ION_LAMBDAS)
+    def test_ion_mass_and_mu(self, lam):
+        sol = tf.solve(tf.TFParams(lam=lam, Z=1.0))
+        assert sol.mu > 0.0
+        assert abs(rho_mass(sol.rho) - lam) < 1e-6 * lam
+        assert abs(sol.electron_count - lam) < 1e-6 * lam
 
-    def test_ion_edge_flux(self, ion_solution):
+    @pytest.mark.parametrize("lam", ION_LAMBDAS)
+    def test_ion_edge_flux(self, lam):
         # -x0 phi'(x0) = 1 - lambda defines the free boundary
-        x0 = ion_solution.edge_radius
-        prof = ion_solution.profile
-        assert abs(-x0 * prof.edge_slope - 0.5) < 1e-9
+        sol = tf.solve(tf.TFParams(lam=lam, Z=1.0))
+        x0 = sol.edge_radius
+        assert abs(-x0 * sol.profile.edge_slope - (1.0 - lam)) < 1e-9
+
+    @pytest.mark.parametrize("lam, max_shots", ((0.5, 30), (1.0, 70)))
+    def test_shot_budget(self, monkeypatch, lam, max_shots):
+        # the root-finders need far fewer IVP shots than fixed 80-step bisection
+        shots = []
+        real = tf.solve_ivp
+
+        def counting(*args, **kwargs):
+            shots.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tf, "solve_ivp", counting)
+        tf._solve_universal.__wrapped__(lam)
+        assert len(shots) <= max_shots
 
     def test_residual_contract(self, neutral_solution, ion_solution):
         assert tf.tf_equation_residual(neutral_solution) <= 1e-7
