@@ -74,7 +74,6 @@ def cmd_tf_solve(args, argv):
     params = tf.TFParams(lam=args.lam, Z=args.Z, gamma_kin=args.gamma)
     try:
         sol = tf.solve(params, tol=args.tol)
-        ref = tf.solve(tf.TFParams(lam=args.lam, Z=1.0, gamma_kin=args.gamma), tol=args.tol)
     except RelatomError as exc:
         print(f"tf-solve failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
@@ -82,7 +81,8 @@ def cmd_tf_solve(args, argv):
     print(f"slope0 = {float(sol.slope0)!r}")
     print(f"mu = {float(sol.mu)!r}")
     print(f"E_TF({args.lam:g}, {args.Z:g}) = {energy!r}")
-    print(f"C_TF({args.lam:g}) = {-float(tf.tf_energy(ref))!r}")
+    # E = (Z^2/b) e(lambda) with b ~ Z^{-1/3}: exactly -C_TF(lambda) Z^{7/3}
+    print(f"C_TF({args.lam:g}) = {-energy / args.Z ** (7.0 / 3.0)!r}")
     if args.out:
         _write_with_sidecar(args.out, tf.solution_to_json(sol), argv)
         print(f"wrote {args.out}")

@@ -13,17 +13,28 @@ Three layers:
   is built from a :class:`RadialFunction` goes through this instead.
   :func:`newton_potential` builds the radial shell split M(r)/r + T(r)
   on the same rule.
-* :func:`solve_ivp` -- embedded-pair explicit Runge-Kutta (DOP853) with
-  dense output, wrapped so failures surface as :class:`StepFailure`.
+* ODEs.  :func:`solve_ivp` -- scipy's embedded-pair explicit Runge-Kutta
+  (RK45) with dense output, the checked general integrator.
+  :func:`shoot` -- Hairer's compiled DOP853 through ``scipy.integrate.ode``,
+  one integrator per ``(rhs, tol)`` reused shot after shot, for shooting
+  loops that need many cheap shots: each accepted step is recorded, a
+  ``stop`` condition ends the shot after the first step where it holds,
+  and values at requested radii are re-integrated from the recorded step
+  start just before each radius.  Both surface failures as
+  :class:`StepFailure`.
 
-All operations are pure; :class:`RadialFunction` and :class:`Trajectory`
-are immutable after construction.
+All operations are pure (:func:`shoot` reuses its integrator, but each
+shot starts from a reset state); :class:`RadialFunction`,
+:class:`Trajectory` and :class:`Shot` are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -34,6 +45,7 @@ from .errors import DomainError, NonConvergence, StepFailure
 __all__ = [
     "QuadratureSpec",
     "RadialFunction",
+    "Shot",
     "Tail",
     "Trajectory",
     "integrate_1d",
@@ -41,6 +53,7 @@ __all__ = [
     "gl_rule",
     "grid_quadrature",
     "newton_potential",
+    "shoot",
     "solve_ivp",
 ]
 
@@ -76,8 +89,6 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 def _quad(f, a, b, spec, points=None):
-    import warnings
-
     with warnings.catch_warnings():
         # roundoff-limited convergence is adjudicated below via the error
         # estimate; QUADPACK's warning would only duplicate that signal
@@ -344,8 +355,6 @@ class Trajectory:
     ts: np.ndarray
     ys: np.ndarray
     dense: object
-    t_events: tuple = ()
-    y_events: tuple = ()
 
     def __call__(self, x):
         return self.dense(x)
@@ -359,14 +368,13 @@ class Trajectory:
         return self.ys[:, -1]
 
 
-def solve_ivp(rhs, y0, x0, x1, tol=1e-10, events=None, method="RK45"):
-    """Integrate y' = rhs(x, y) from x0 to x1 with an embedded-pair RK method.
+def solve_ivp(rhs, y0, x0, x1, tol=1e-10):
+    """Integrate y' = rhs(x, y) from x0 to x1 with scipy's RK45 pair.
 
-    The default pair keeps the end-point error proportional to ``tol``
-    across the whole useful range; DOP853 is available for callers that
-    integrate at very tight tolerances.  The step size is limited by the
-    embedded error estimate alone.  Raises :class:`StepFailure` on
-    blow-up, reporting the last good abscissa.
+    The pair keeps the end-point error proportional to ``tol`` across the
+    whole useful range; the step size is limited by the embedded error
+    estimate alone.  Raises :class:`StepFailure` on blow-up, reporting the
+    last good abscissa.
     """
     if not x1 > x0 and not x1 < x0:
         raise DomainError("x0 and x1 must differ")
@@ -374,21 +382,104 @@ def solve_ivp(rhs, y0, x0, x1, tol=1e-10, events=None, method="RK45"):
         rhs,
         (x0, x1),
         np.atleast_1d(np.asarray(y0, dtype=float)),
-        method=method,
         rtol=tol,
         atol=tol * 1e-2,
         dense_output=True,
-        events=events,
     )
     if sol.status == -1:
         raise StepFailure(
             f"integration failed at x = {sol.t[-1]!r}: {sol.message}",
             last_x=float(sol.t[-1]),
         )
-    return Trajectory(
-        ts=sol.t,
-        ys=sol.y,
-        dense=sol.sol,
-        t_events=tuple(sol.t_events) if sol.t_events is not None else (),
-        y_events=tuple(sol.y_events) if sol.y_events is not None else (),
-    )
+    return Trajectory(ts=sol.t, ys=sol.y, dense=sol.sol)
+
+
+# accepted steps per shot before DOP853 gives up; scipy's default of 500 is
+# near the longest TF shot (about 200 steps), and solve_ivp has no limit
+_MAX_STEPS = 100_000
+
+
+class Shot(NamedTuple):
+    """End of one :func:`shoot`: where it ended, the state there, and the
+    values at the requested radii (one row per radius; None without ``at``)."""
+
+    x_end: float
+    y_end: tuple
+    values: np.ndarray | None
+
+
+class _Dop853:
+    """One compiled DOP853 integrator for a fixed (rhs, tol), reused shot
+    after shot: scipy leaks a little memory for every ``ode`` built with a
+    ``solout``.  Its ``solout`` records every accepted step as plain floats."""
+
+    def __init__(self, rhs, tol):
+        self.ode = scipy.integrate.ode(rhs).set_integrator(
+            "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_MAX_STEPS
+        )
+        self.ode.set_solout(self._record)
+        self.steps, self.stop = [], None
+
+    def _record(self, x, y):
+        y = tuple(y.tolist())
+        self.steps.append((x, y))
+        return -1 if self.stop is not None and self.stop(x, y) else 0
+
+    def run(self, y0, x0, x1, stop=None):
+        """The accepted steps (x, y) from x0 to x1, or to the first step end
+        where ``stop(x, y)`` holds; the first entry is (x0, y0)."""
+        self.steps, self.stop = [], stop
+        ode = self.ode
+        ode.set_initial_value(y0, x0)
+        with warnings.catch_warnings():
+            # a failure is reported below, from the return code
+            warnings.simplefilter("ignore", UserWarning)
+            ode.integrate(x1)
+        if not ode.successful():
+            raise StepFailure(
+                f"integration failed at x = {ode.t!r}: return code {ode.get_return_code()}",
+                last_x=float(ode.t),
+            )
+        return self.steps
+
+
+@lru_cache(maxsize=8)
+def _dop853(rhs, tol):
+    return _Dop853(rhs, tol)
+
+
+def shoot(rhs, y0, x0, x1, tol=1e-10, stop=None, at=None):
+    """One shot of y' = rhs(x, y) from x0 towards x1 with compiled DOP853.
+
+    The shot ends at x1, or after the first accepted step whose end
+    (x, y) satisfies ``stop(x, y)`` (y a tuple of floats).  ``at`` lists
+    radii inside the shot's span, in either order; each value is
+    re-integrated from the last accepted step start at or before that
+    radius (in the direction of the shot), so it lies on the shot's own
+    trajectory to within ``tol`` and leaves the end state untouched.
+
+    Tolerances are those of :func:`solve_ivp`: ``rtol = tol``,
+    ``atol = tol * 1e-2``.  The integrator is built once per
+    ``(rhs, tol)`` and reused, so neither ``rhs``, ``stop`` nor a second
+    thread may shoot with the same pair during a shot.  Raises
+    :class:`StepFailure` on blow-up or step-size underflow, reporting the
+    abscissa reached.
+    """
+    if not x1 > x0 and not x1 < x0:
+        raise DomainError("x0 and x1 must differ")
+    dop = _dop853(rhs, tol)
+    steps = dop.run(y0, x0, x1, stop)
+    x_end, y_end = steps[-1]
+    if at is None:
+        return Shot(x_end, y_end, None)
+    at = np.asarray(at, dtype=float)
+    sign = 1.0 if x1 > x0 else -1.0
+    starts = sign * np.array([x for x, _ in steps])
+    where = sign * at
+    if np.any(where < starts[0]) or np.any(where > starts[-1]):
+        raise DomainError(f"shot radii must lie between {x0!r} and {x_end!r}")
+    values = np.empty((at.size, len(y_end)))
+    for i, k in enumerate(np.searchsorted(starts, where, side="right") - 1):
+        xk, yk = steps[k]
+        values[i] = yk if xk == at[i] else dop.run(yk, xk, float(at[i]))[-1][1]
+    return Shot(x_end, y_end, values)

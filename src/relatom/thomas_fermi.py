@@ -16,17 +16,29 @@ and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 ions and 0 otherwise.
 
 Shooting is on slope0 = phi'(0), with scipy's bracketing root-finders.
-For ions, Brent's method solves for the edge flux -x0 phi'(x0) = 1 - lambda;
-a shot that never reaches phi = 0 counts as flux 0, the flux's limit at the
+Every shot is one :func:`numerics.shoot`: compiled DOP853 whose outward
+shots stop after the first accepted step where phi has hit zero or
+turned upward.  For ions, Brent's method solves for the edge flux
+-x0 phi'(x0) = 1 - lambda.  The edge comes from the stop step's end:
+the clamped right-hand side vanishes for phi < 0, so phi is linear past
+its zero and x0 = x - phi/phi' with phi'(x0) = phi' holds exactly.  A shot
+that never reaches phi = 0 counts as flux 0, the flux's limit at the
 critical (neutral) slope, so the miss is continuous.  The neutral slope
 separates shots that hit zero from shots that turn upward: a discrete
-classification, so it is bisected.  The neutral outward trajectory is then
-matched, at xi = 20, against an inward integration launched from xi = 1000
-on the two-term decaying Sommerfeld manifold
-phi = 144 xi^-3 (1 + a eta + c2 (a eta)^2), eta = xi^(-s1), whose
-amplitude a Brent's method finds; outward shooting alone cannot carry the
-profile far enough for 1e-6 mass accuracy because the growing perturbation
-mode amplifies the last digit of slope0.
+classification, read from the signs at the stop step, so it is bisected.
+The neutral outward trajectory is then matched, at xi = 20, against an
+inward integration launched from xi = 1000 on the two-term decaying
+Sommerfeld manifold phi = 144 xi^-3 (1 + a eta + c2 (a eta)^2),
+eta = xi^(-s1), whose amplitude a Brent's method finds from the inward
+shot's end value; outward shooting alone cannot carry the profile far
+enough for 1e-6 mass accuracy because the growing perturbation mode
+amplifies the last digit of slope0.
+
+The profile's grid values come from the final shots themselves, each
+re-integrated from the accepted step start just before its radius, so
+they lie on exactly the trajectories the root-finders converged on.
+:func:`solve` refuses a profile whose mass misses min(lambda, 1) by more
+than 1e-6 relative.
 
 The ODE is started at xi = 1e-8 from the series
 phi = 1 + B xi + (4/3) xi^{3/2} + (2B/5) xi^{5/2} + xi^3/3 to sidestep
@@ -50,7 +62,7 @@ from .numerics import (
     Tail,
     grid_quadrature,
     newton_potential,
-    solve_ivp,
+    shoot,
 )
 
 __all__ = [
@@ -80,6 +92,7 @@ _XI0 = 1e-8            # series start
 _XI_FAR = 1000.0       # launch point of the inward neutral integration
 _XI_MATCH = 20.0       # outward/inward matching radius
 _ODE_TOL = 1e-12
+_MASS_TOL = 1e-6       # |int phi^{3/2} sqrt(t) / min(lambda, 1) - 1| that solve() accepts
 _PTS_PER_DECADE = 120
 _RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol scipy's root-finders accept
 
@@ -118,8 +131,10 @@ def _series_init(B, x0):
 
 
 def _rhs(x, y):
-    phi = y[0] if y[0] > 0.0 else 0.0
-    return (y[1], phi**1.5 / math.sqrt(x))
+    phi, dphi = y.tolist()  # plain floats: the compiled integrator calls this every stage
+    if phi < 0.0:
+        phi = 0.0
+    return (dphi, phi**1.5 / math.sqrt(x))
 
 
 def _tail_phi(a, xi):
@@ -132,17 +147,30 @@ def _tail_phi(a, xi):
     return phi, dphi
 
 
-def _shoot(B, x_end):
-    """Outward shot with slope0 = B, stopped where phi hits zero
-    (``t_events[0]``) or turns upward (``t_events[1]``)."""
-    hit = lambda x, y: y[0]
-    hit.terminal, hit.direction = True, -1
-    turn = lambda x, y: y[1]
-    turn.terminal, turn.direction = True, 1
-    return solve_ivp(
-        _rhs, _series_init(B, _XI0), _XI0, x_end, tol=_ODE_TOL, events=(hit, turn),
-        method="DOP853",
-    )
+def _escapes(x, y):
+    """Stop condition of an outward shot: phi has hit zero or turned upward."""
+    return y[0] <= 0.0 or y[1] > 0.0
+
+
+def _shoot(B, x_end, at=None):
+    """Outward shot with slope0 = B, stopped after the step where phi hits
+    zero or turns upward."""
+    return shoot(_rhs, _series_init(B, _XI0), _XI0, x_end, _ODE_TOL, stop=_escapes, at=at)
+
+
+def _shoot_in(a, at=None):
+    """Inward shot from the Sommerfeld manifold at _XI_FAR down to _XI_MATCH."""
+    return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL, at=at)
+
+
+def _edge(shot):
+    """(x_e, phi'(x_e)) where the shot hit zero, or None if it never did.
+    The clamped RHS vanishes for phi < 0, so past the zero phi is linear and
+    the step end continues back to it exactly."""
+    x, (phi, dphi) = shot.x_end, shot.y_end
+    if phi > 0.0:
+        return None
+    return x - phi / dphi, dphi
 
 
 def _root(find, f, lo, hi, what):
@@ -152,11 +180,6 @@ def _root(find, f, lo, hi, what):
         return find(f, lo, hi, xtol=1e-16, rtol=_RTOL)
     except (ValueError, RuntimeError) as exc:
         raise ShootingFailure(f"{what} in [{lo}, {hi}]: {exc}") from None
-
-
-def _shoot_in(a):
-    phi0, dphi0 = _tail_phi(a, _XI_FAR)
-    return solve_ivp(_rhs, (phi0, dphi0), _XI_FAR, _XI_MATCH, tol=_ODE_TOL, method="DOP853")
 
 
 @dataclass(frozen=True)
@@ -250,24 +273,22 @@ def _solve_universal(lam_key: float) -> _UniversalProfile:
 
 def _solve_neutral():
     def classify(B):
-        hit, turn = _shoot(B, 150.0).t_events
-        return -1.0 if hit.size else 1.0 if turn.size else 0.0
+        phi, dphi = _shoot(B, 150.0).y_end
+        return -1.0 if phi <= 0.0 else 1.0 if dphi > 0.0 else 0.0
 
     slope0 = _root(bisect, classify, -1.7, -1.5, "neutral slope")
-    out = _shoot(slope0, _XI_MATCH)
-    target = float(out.dense(_XI_MATCH)[0])
+    xi = _log_grid(_XI0, _XI_FAR)
+    near = xi <= _XI_MATCH
+    out = _shoot(slope0, _XI_MATCH, at=xi[near])
+    target = out.y_end[0]
 
     def inner_miss(a):
-        return float(_shoot_in(a).dense(_XI_MATCH)[0]) - target
+        return _shoot_in(a).y_end[0] - target
 
     a = _root(brentq, inner_miss, -40.0, -1.0, "neutral tail amplitude")
-    inward = _shoot_in(a)
-
-    xi = _log_grid(_XI0, _XI_FAR)
     phi_vals = np.empty_like(xi)
-    near = xi <= _XI_MATCH
-    phi_vals[near] = [out.dense(x)[0] for x in xi[near]]
-    phi_vals[~near] = [inward.dense(x)[0] for x in xi[~near]]
+    phi_vals[near] = out.values[:, 0]
+    phi_vals[~near] = _shoot_in(a, at=xi[~near]).values[:, 0]
     return _UniversalProfile(
         lam_eff=1.0,
         slope0=slope0,
@@ -279,14 +300,6 @@ def _solve_neutral():
     )
 
 
-def _edge(traj):
-    """(x_e, phi'(x_e)) where the shot hit zero, or None if it never did."""
-    if not traj.t_events[0].size:
-        return None
-    x_e = float(traj.t_events[0][0])
-    return x_e, float(traj.dense(x_e)[1])
-
-
 def _solve_ion(lam):
     def flux_miss(B):
         # no hit: edge flux 0, its limit at the critical slope, so the miss is continuous
@@ -294,8 +307,7 @@ def _solve_ion(lam):
         return -x_e * dphi_e - (1.0 - lam)
 
     slope0 = _root(brentq, flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
-    traj = _shoot(slope0, 2000.0)
-    edge = _edge(traj)
+    edge = _edge(_shoot(slope0, 2000.0))
     if edge is None:
         raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")
     x_e, dphi_e = edge
@@ -303,8 +315,8 @@ def _solve_ion(lam):
     base = _log_grid(_XI0, x_e * (1.0 - 1e-3))
     cluster = x_e * (1.0 - np.geomspace(1e-3, 1e-12, 28)[1:])
     xi = np.concatenate([base, cluster, [x_e]])
-    phi_vals = np.array([max(float(traj.dense(min(x, x_e))[0]), 0.0) for x in xi])
-    phi_vals[-1] = 0.0
+    phi_vals = np.zeros_like(xi)
+    phi_vals[:-1] = np.maximum(_shoot(slope0, 2000.0, at=xi[:-1]).values[:, 0], 0.0)
     return _UniversalProfile(
         lam_eff=lam,
         slope0=slope0,
@@ -346,10 +358,17 @@ class TFSolution:
 
 def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     """Solve the TF minimisation; the returned solution satisfies
-    tf_equation_residual(sol) <= tol (ToleranceFailure otherwise)."""
+    tf_equation_residual(sol) <= tol and carries the mass Z min(lambda, 1)
+    to _MASS_TOL relative (ToleranceFailure otherwise)."""
     if not (1e-12 < tol < 1e-3):
         raise DomainError("tol must lie in (1e-12, 1e-3)")
     prof = _solve_universal(round(min(params.lam, 1.0), 12))
+    mass_error = prof.mass / prof.lam_eff - 1.0
+    if not abs(mass_error) <= _MASS_TOL:
+        raise ToleranceFailure(
+            f"TF mass error {mass_error:.3e} misses {_MASS_TOL:g} at lambda = {prof.lam_eff!r}",
+            residual=abs(mass_error),
+        )
     b = params.length_scale
     Z = params.Z
     gamma = params.gamma_kin

@@ -38,10 +38,16 @@ class TestTfSolve:
         assert (tmp_path / "sol.json.meta.json").exists()
 
     def test_ion_prints_positive_mu(self, capsys):
+        from relatom import thomas_fermi as tf
+
         code, out, _ = run(capsys, "tf-solve", "--lambda", "0.5", "--Z", "10")
         assert code == 0
         mu = float(out.split("mu = ")[1].splitlines()[0])
         assert mu > 0.0
+        # C_TF(lambda) = -E(lambda, Z)/Z^{7/3} is the Z = 1 energy
+        c_tf = float(out.split("C_TF(0.5) = ")[1].splitlines()[0])
+        e1 = tf.tf_energy(tf.solve(tf.TFParams(lam=0.5, Z=1.0)))
+        assert abs(c_tf / -e1 - 1.0) < 1e-13
 
     def test_missing_lambda_is_usage_error(self, capsys):
         code, _, err = run(capsys, "tf-solve", "--Z", "1")

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,7 +14,22 @@ from relatom.numerics import (
     integrate_1d,
     integrate_radial_3d,
     newton_potential,
+    shoot,
     solve_ivp,
+)
+
+
+def _end_by_solve_ivp(rhs, y0, x0, x1, tol):
+    return solve_ivp(rhs, y0, x0, x1, tol=tol).y_end
+
+
+def _end_by_shoot(rhs, y0, x0, x1, tol):
+    return shoot(rhs, y0, x0, x1, tol=tol).y_end
+
+
+# the checked RK45 wrapper and the compiled DOP853 shots face the same oracles
+END_STATE = pytest.mark.parametrize(
+    "end_state", (_end_by_solve_ivp, _end_by_shoot), ids=("solve_ivp", "shoot")
 )
 
 
@@ -90,24 +106,23 @@ def test_solve_ivp_linear_solution():
         assert abs(tr(x)[0] - x) < 1e-10
 
 
-def test_solve_ivp_tf_equation_vs_fixed_step_oracle():
-    # phi'' = phi^{3/2}/sqrt(x) from x = 1e-6 with a series start, against a
-    # fixed-step fourth-order oracle in the regularizing variable u = sqrt(x)
-    B = -1.588071
+_TF_B = -1.588071
+_TF_X0 = 1e-6
+_TF_Y0 = (1.0 + _TF_B * _TF_X0 + (4.0 / 3.0) * _TF_X0**1.5, _TF_B + 2.0 * math.sqrt(_TF_X0))
 
-    def rhs(x, y):
-        return (y[1], max(y[0], 0.0) ** 1.5 / math.sqrt(x))
 
-    x0 = 1e-6
-    y0 = (1.0 + B * x0 + (4.0 / 3.0) * x0**1.5, B + 2.0 * math.sqrt(x0))
-    tr = solve_ivp(rhs, y0, x0, 10.0, tol=1e-11)
+def _tf_rhs(x, y):
+    return (y[1], max(y[0], 0.0) ** 1.5 / math.sqrt(x))
 
-    # oracle: classic RK4, 10^6 fixed steps, in u = sqrt(x):
-    # dphi/du = 2 u z, dz/du = 2 phi^{3/2}
+
+@lru_cache(maxsize=1)
+def _tf_rk4_oracle():
+    """phi(10) by classic RK4, 10^6 fixed steps, in the regularizing
+    variable u = sqrt(x): dphi/du = 2 u z, dz/du = 2 phi^{3/2}."""
     n = 1_000_000
-    u0, u1 = math.sqrt(x0), math.sqrt(10.0)
+    u0, u1 = math.sqrt(_TF_X0), math.sqrt(10.0)
     h = (u1 - u0) / n
-    phi, z = y0
+    phi, z = _TF_Y0
 
     def f(u, phi, z):
         return 2.0 * u * z, 2.0 * max(phi, 0.0) ** 1.5
@@ -121,14 +136,55 @@ def test_solve_ivp_tf_equation_vs_fixed_step_oracle():
         phi += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         z += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         u += h
-    assert abs(tr(10.0)[0] - phi) < 1e-7
+    return phi
 
 
-def test_solve_ivp_blowup_reports_abscissa():
+@END_STATE
+def test_solve_ivp_tf_equation_vs_fixed_step_oracle(end_state):
+    # phi'' = phi^{3/2}/sqrt(x) from x = 1e-6 with a series start, against a
+    # fixed-step fourth-order oracle in the regularizing variable u = sqrt(x)
+    phi10 = end_state(_tf_rhs, _TF_Y0, _TF_X0, 10.0, 1e-11)[0]
+    assert abs(phi10 - _tf_rk4_oracle()) < 1e-7
+
+
+@END_STATE
+def test_solve_ivp_blowup_reports_abscissa(end_state):
     with pytest.raises(StepFailure) as info:
-        solve_ivp(lambda x, y: (y[0] ** 2,), (1.0,), 0.0, 2.0, tol=1e-8)
+        end_state(lambda x, y: (y[0] ** 2,), (1.0,), 0.0, 2.0, 1e-8)
     assert info.value.last_x is not None
     assert 0.9 < info.value.last_x <= 2.0
+
+
+@pytest.mark.parametrize("x0, x1", ((_TF_X0, 10.0), (10.0, 0.01)), ids=("outward", "inward"))
+def test_shoot_at_values_lie_on_the_shot(x0, x1):
+    # radii in any order, one of them the start; values re-integrated from
+    # step starts leave the end state alone and agree with direct shots
+    tol = 1e-11
+    y0 = _TF_Y0 if x0 < x1 else (0.05, -0.02)
+    radii = np.array([x0 + 0.9 * (x1 - x0), x0, x0 + 1e-3 * (x1 - x0), x0 + 0.37 * (x1 - x0)])
+    plain = shoot(_tf_rhs, y0, x0, x1, tol=tol)
+    with_at = shoot(_tf_rhs, y0, x0, x1, tol=tol, at=radii)
+    assert with_at.x_end == plain.x_end == x1
+    assert with_at.y_end == plain.y_end
+    assert plain.values is None
+    assert with_at.values.shape == (radii.size, 2)
+    assert tuple(with_at.values[1]) == tuple(y0)
+    for r, got in zip(radii, with_at.values):
+        if r == x0:
+            continue
+        direct = shoot(_tf_rhs, y0, x0, r, tol=tol).y_end
+        assert np.all(np.abs(got - direct) <= 10.0 * tol * np.maximum(np.abs(direct), 1.0))
+
+
+def test_shoot_stop_ends_after_the_first_step_past_the_condition():
+    # y = exp(x): the shot ends at the first step end with y >= 2, not at x1
+    shot = shoot(lambda x, y: (y[0],), (1.0,), 0.0, 5.0, tol=1e-10,
+                 stop=lambda x, y: y[0] >= 2.0)
+    assert math.log(2.0) <= shot.x_end < 5.0
+    assert abs(shot.y_end[0] - math.exp(shot.x_end)) < 1e-9 * shot.y_end[0]
+    with pytest.raises(DomainError):
+        shoot(lambda x, y: (y[0],), (1.0,), 0.0, 5.0, tol=1e-10,
+              stop=lambda x, y: y[0] >= 2.0, at=[4.0])
 
 
 def test_quadrature_spec_validation():

@@ -56,17 +56,27 @@ class TestSolve:
 
     @pytest.mark.parametrize("lam, max_shots", ((0.5, 30), (1.0, 70)))
     def test_shot_budget(self, monkeypatch, lam, max_shots):
-        # the root-finders need far fewer IVP shots than fixed 80-step bisection
+        # the root-finders need far fewer compiled shots than fixed 80-step bisection
         shots = []
-        real = tf.solve_ivp
+        real = tf.shoot
 
         def counting(*args, **kwargs):
             shots.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tf, "solve_ivp", counting)
+        monkeypatch.setattr(tf, "shoot", counting)
         tf._solve_universal.__wrapped__(lam)
-        assert len(shots) <= max_shots
+        assert 0 < len(shots) <= max_shots
+
+    @pytest.mark.parametrize("lam", (0.5, 1.0))
+    def test_mass_postcondition_is_enforced(self, monkeypatch, lam):
+        # a profile 2e-6 too high carries 3e-6 too much mass; the TF residual
+        # (about 2e-6) still meets tol = 1e-4, so only the mass gate can refuse it
+        prof = tf._solve_universal(lam)
+        bad = dataclasses.replace(prof, phi_values=prof.phi_values * (1.0 + 2e-6))
+        monkeypatch.setattr(tf, "_solve_universal", lambda key: bad)
+        with pytest.raises(ToleranceFailure, match="mass error"):
+            tf.solve(tf.TFParams(lam=lam, Z=1.0), tol=1e-4)
 
     def test_residual_contract(self, neutral_solution, ion_solution):
         assert tf.tf_equation_residual(neutral_solution) <= 1e-7
