@@ -176,10 +176,10 @@ class Partition:
     def sum_of_squares(self, radius):
         return self.chi1(radius) ** 2 + self.chi2(radius) ** 2 + self.chi3(radius) ** 2
 
-    def grad_sup(self, region, j, samples=200_000):
+    def grad_sup(self, region, j):
         """sup over the region of |d chi_j / d radius|, by dense central
-        differences across the two ramp zones."""
-        key = (region, j, samples)
+        differences (200,000 samples per zone) across the two ramp zones."""
+        key = (region, j)
         if key in self._grad_cache:
             return self._grad_cache[key]
         pp = self.params
@@ -199,7 +199,7 @@ class Partition:
         best = 0.0
         fn = (self.chi1, self.chi2, self.chi3)[j - 1]
         for lo, hi in zones:
-            x = np.linspace(lo, hi, samples)
+            x = np.linspace(lo, hi, 200_000)
             h = 1e-7 * (hi - lo)
             grad = (fn(x + h) - fn(x - h)) / (2.0 * h)
             best = max(best, float(np.max(np.abs(grad))))
@@ -332,20 +332,18 @@ def daubechies_eigenvalue_sum_bound(
     disp: Dispersion,
     V: RadialFunction,
     q_spin: int,
-    spec: QuadratureSpec | None = None,
-    f_form: str = "quadrature",
+    f_form: str = "exact",
     support: tuple | None = None,
 ) -> float:
     """-q 0.163 int F(|V(x)|) d^3x by radial quadrature.
 
-    ``f_form="quadrature"`` composes the exact F (itself a quadrature);
+    ``f_form="exact"`` composes the exact F (a closed form);
     ``"taylor_upper"`` uses the closed-form majorant instead, which is the
     route the intermediary-zone computation takes.  ``support=(lo, hi)``
     restricts the integral to a shell, for potentials (like the chi_2-zone
     Coulomb) whose inner cutoff the RadialFunction extrapolation cannot
     encode.
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
     if V.tail.kind == "power_law" and support is None:
         # F(s) ~ s^{5/2} at small s: the radial integrand goes like
         # u^{5 e/2 + 2}, integrable only for tail exponent e < -6/5
@@ -353,18 +351,16 @@ def daubechies_eigenvalue_sum_bound(
             raise DivergentIntegral(
                 "int F(|V|) diverges: V must be compactly supported or cut off"
             )
-    if f_form == "quadrature":
-        def F(s):
-            return daubechies_F(disp, s, spec)
+    # F(s) ~ s^k at large s: k = 4 for the exact F, 9/2 for the majorant
+    if f_form == "exact":
+        F, k = daubechies_F, 4.0
     elif f_form == "taylor_upper":
-        def F(s):
-            return daubechies_F_upper(disp, s)
+        F, k = daubechies_F_upper, 4.5
     else:
         raise DomainError(f"unknown f_form {f_form!r}")
 
     def integrand(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return np.array([F(abs(V(float(x)))) * x * x for x in u])
+        return F(disp, np.abs(V(u))) * u * u
 
     if support is not None:
         lo, hi = support
@@ -373,10 +369,14 @@ def daubechies_eigenvalue_sum_bound(
         value = grid_quadrature(integrand, knots)
         return -q_spin * DAUBECHIES_CONSTANT * 4.0 * math.pi * value
 
+    # a growing head V ~ u^h makes the integrand ~ u^{k h + 2} at the origin
+    h = V._head_exp
+    if h < 0.0 and k * h + 2.0 <= -1.0:
+        raise DivergentIntegral("int F(|V|) diverges: V too singular at the origin")
     value = grid_quadrature(integrand, V.grid)
     if V.tail.kind == "power_law" and V.tail.coefficient != 0.0:
         tail, _ = integrate_1d(
-            lambda u: float(integrand(np.array([u]))[0]),
+            integrand,
             V.r_max,
             math.inf,
             QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, semi_infinite_transform="algebraic_map"),
@@ -384,7 +384,7 @@ def daubechies_eigenvalue_sum_bound(
         value += tail
     # head below the first grid point: V extrapolates by its head power law
     head, _ = integrate_1d(
-        lambda u: float(integrand(np.array([u]))[0]),
+        integrand,
         0.0,
         V.r_min,
         QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=200),
@@ -486,7 +486,7 @@ def lemma_decay_envelope(pp: PartitionParams, gamma_sep: float, log: bool = Fals
     return log_value if log else math.exp(log_value)
 
 
-def kernel_offdiag_numeric(pp: PartitionParams, a_out: float, b_in: float, spec=None):
+def kernel_offdiag_numeric(pp: PartitionParams, a_out: float, b_in: float):
     """Brute-force Cauchy-Schwarz route for the decay lemma:
 
     ||chi_-||_2 (alpha gamma)^-2 / (4 pi^2)
@@ -497,7 +497,7 @@ def kernel_offdiag_numeric(pp: PartitionParams, a_out: float, b_in: float, spec=
     gamma = 1.0 - b_in / a_out
     if gamma <= 0.0:
         raise DomainError("need b_in < a_out (gamma = 1 - b_in/a_out > 0)")
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=400)
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=400)
     a = pp.alpha
     # z = gamma u / alpha scales the kernel to O(1) decay length:
     # int_{lo}^inf K2(gamma u/a)^2 u^-2 du = (gamma/a) int_{z0}^inf K2(z)^2 z^-2 dz

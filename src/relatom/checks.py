@@ -165,7 +165,7 @@ def check_kinetic():
 
     d = Dispersion(0.5)
     s_grid = np.linspace(0.0, 4.0, 21)
-    F = np.array([daubechies_F(d, s) for s in s_grid])
+    F = daubechies_F(d, s_grid)
     mono = np.all(np.diff(F) > 0)
     convex = np.all(np.diff(F, 2) > -1e-12)
     out.append(_bound("daubechies_F monotone+convex", 0.0 if (mono and convex) else 1.0, 0.0))
@@ -179,7 +179,27 @@ def check_kinetic():
         if daubechies_F(d, s) > daubechies_F_upper(d, s) * (1 + 1e-12):
             viol += 1
     out.append(_bound("daubechies_F <= upper bound (100 random)", viol, 0.0))
+
+    def F_by_quadrature(d, s):
+        c = 2.0 / d.alpha
+        return integrate_1d(lambda t: (t * t + c * t) ** 1.5, 0.0, s, _ORACLE_SPEC)[0]
+
+    out.append(_bound("daubechies_F closed form vs quadrature",
+                      _worst_oracle_gap(daubechies_F, F_by_quadrature), 1e-12))
     return out
+
+
+# abs_tol = 0: the relative tolerance binds at the smallest arguments too
+_ORACLE_SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+
+
+def _worst_oracle_gap(closed, oracle):
+    """Largest relative gap of ``closed(disp, x)`` against ``oracle(disp, x)``
+    at alpha in {1, 0.1, 1e-3, 1e-6}, x log-spaced on [1e-8, 10/alpha]; a NaN
+    anywhere propagates, so the check fails."""
+    return float(np.max([abs(closed(d, x) / oracle(d, x) - 1.0)
+                         for d in map(Dispersion, (1.0, 0.1, 1e-3, 1e-6))
+                         for x in np.geomspace(1e-8, 10.0 / d.alpha, 8)]))
 
 
 def check_thomas_fermi():
@@ -271,6 +291,14 @@ def check_coherent():
             nonrel = sc.momentum_integral_nonrel(v) * a**-1.5
             worst = max(worst, rel - nonrel)
     out.append(_bound("rel momentum integral <= scaled nonrel (signed)", worst, 1e-10))
+
+    def rel_by_quadrature(d, v):
+        value, _ = integrate_1d(lambda u: (t_rel(d, u) - v) * u * u,
+                                0.0, t_rel_inverse(d, v), _ORACLE_SPEC)
+        return 4.0 * math.pi * value
+
+    out.append(_bound("rel momentum integral closed form vs quadrature",
+                      _worst_oracle_gap(sc.momentum_integral_rel, rel_by_quadrature), 1e-12))
     return out
 
 

@@ -4,6 +4,8 @@ Units follow the scaled Hamiltonian H = alpha * H_rel throughout: the
 non-relativistic comparison operator is alpha p^2 / 2, the quartic lower
 bound is alpha p^2/2 - alpha^3 p^4/8, and the Daubechies F-function is
 built from T^-1(t) = sqrt(t^2 + 2t/alpha).
+F is a Gauss 2F1 closed form, which unlike the elementary asinh form does
+not cancel at small s; its quadrature definition is an oracle in ``checks``.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import DomainError
-from .numerics import QuadratureSpec, integrate_1d
 
 __all__ = [
     "Dispersion",
@@ -82,18 +84,20 @@ def taylor_32_bound(x):
     return float(out) if out.ndim == 0 else out
 
 
-def daubechies_F(disp: Dispersion, s, spec: QuadratureSpec | None = None):
-    """F(s) = int_0^s (t^2 + 2t/alpha)^{3/2} dt by quadrature."""
-    s = float(s)
-    if s < 0:
+def daubechies_F(disp: Dispersion, s):
+    """F(s) = int_0^s (t^2 + 2t/alpha)^{3/2} dt, vectorized over s >= 0.
+
+    With c = 2/alpha and t = c y this is c^4 int_0^x (y^2 + y)^{3/2} dy,
+    x = s/c, which is c^4 (2/5) x^{5/2} 2F1(-3/2, 5/2; 7/2; -x).
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
         raise DomainError("s must be >= 0")
-    if s == 0.0:
-        return 0.0
     c = 2.0 / disp.alpha
-    value, _ = integrate_1d(
-        lambda t: (t * t + c * t) ** 1.5, 0.0, s, spec or QuadratureSpec(rel_tol=1e-12)
-    )
-    return value
+    x = s / c
+    # np.power, not **: a numpy scalar's ** takes another pow than the array loop
+    out = c**4 * 0.4 * np.power(x, 2.5) * hyp2f1(-1.5, 2.5, 3.5, -x)
+    return float(out) if out.ndim == 0 else out
 
 
 def daubechies_F_upper(disp: Dispersion, s):

@@ -88,7 +88,7 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _quad(f, a, b, spec, points=None):
+def _quad(f, a, b, spec):
     with warnings.catch_warnings():
         # roundoff-limited convergence is adjudicated below via the error
         # estimate; QUADPACK's warning would only duplicate that signal
@@ -101,7 +101,6 @@ def _quad(f, a, b, spec, points=None):
             epsrel=spec.rel_tol,
             limit=max(spec.max_subdivisions, 10),
             full_output=1,
-            points=points,
         )
     if rest:  # QUADPACK appended an error message
         # Roundoff-limited convergence is tolerated when the reported
@@ -115,7 +114,7 @@ def _quad(f, a, b, spec, points=None):
     return value, abserr
 
 
-def integrate_1d(f, a, b, spec: QuadratureSpec | None = None, singular_exponent=None):
+def integrate_1d(f, a, b, spec: QuadratureSpec | None = None):
     """Integrate ``f`` on (a, b), b possibly infinite.
 
     Parameters
@@ -125,9 +124,6 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None, singular_exponent=
     a, b : float
         Interval endpoints; ``b = inf`` selects the semi-infinite maps.
     spec : QuadratureSpec, optional
-    singular_exponent : float, optional
-        Hint that ``f ~ (x - a)^(-p)`` near the finite left endpoint with
-        0 < p < 1; a power substitution removes the singularity.
 
     Returns
     -------
@@ -140,11 +136,6 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None, singular_exponent=
     if math.isinf(b):
         if math.isinf(a):
             raise DomainError("doubly infinite intervals are not supported")
-        if singular_exponent is not None:
-            raise DomainError(
-                "singularity hints apply to finite intervals; split the "
-                "integral at a finite point first"
-            )
         if spec.semi_infinite_transform == EXP_DECAY_MAP:
             # x = a - log(1-u), dx = du/(1-u)
             def g(u):
@@ -156,19 +147,6 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None, singular_exponent=
                 return f(a + u / w) / (w * w)
 
         return _quad(g, 0.0, 1.0, spec)
-
-    if singular_exponent is not None:
-        p = float(singular_exponent)
-        if not 0.0 < p < 1.0:
-            raise DomainError("singular_exponent hint must lie in (0, 1)")
-        m = max(2.0, math.ceil(1.0 / (1.0 - p)))
-        # x = a + u^m maps the endpoint singularity to a bounded integrand
-        top = (b - a) ** (1.0 / m)
-
-        def g(u):
-            return f(a + u**m) * m * u ** (m - 1.0)
-
-        return _quad(g, 0.0, top, spec)
 
     return _quad(f, a, b, spec)
 

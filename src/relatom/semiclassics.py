@@ -5,7 +5,7 @@ Sign convention: the negative part [f]_- means min(f, 0) throughout, so
 phase-space sums of [T(p) - v]_- are returned as signed energies <= 0.
 The momentum integral over the classically allowed region with the
 non-relativistic dispersion p^2/2 has the closed form
--(16 sqrt(2) pi / 15) v^{5/2}; the relativistic one is quadrature.
+-(16 sqrt(2) pi / 15) v^{5/2}; the relativistic one is a 2F1 closed form.
 
 The self-consistency constant: the end-of-chain identity
 
@@ -26,9 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.special import hyp2f1
 
 from .errors import DivergentIntegral, DomainError, PreconditionFailure
-from .kinetic import Dispersion, t_rel, t_rel_inverse, taylor_32_bound
+from .kinetic import Dispersion, taylor_32_bound
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
@@ -85,22 +86,21 @@ def momentum_integral_nonrel(v):
     return float(out) if out.ndim == 0 else out
 
 
-def momentum_integral_rel(disp: Dispersion, v, spec: QuadratureSpec | None = None):
-    """int_{T(p) < v} (T(p) - v) d^3p = 4 pi int_0^P (T(u) - v) u^2 du with
-    P = sqrt(v^2 + 2v/alpha); signed, <= 0."""
-    v = float(v)
-    if v < 0:
+def momentum_integral_rel(disp: Dispersion, v):
+    """int_{T(p) < v} (T(p) - v) d^3p, signed (<= 0), vectorized over v >= 0.
+
+    By parts, 4 pi int_0^P (T(u) - v) u^2 du = -(4 pi/3) int_0^P T'(u) u^3 du
+    with P = T^-1(v); in X = alpha P = sqrt(alpha v (alpha v + 2)) this is
+    -(4 pi/15) alpha^-4 X^5 2F1(1/2, 5/2; 7/2; -X^2).
+    """
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0):
         raise DomainError("v must be >= 0")
-    if v == 0.0:
-        return 0.0
-    P = t_rel_inverse(disp, v)
-    value, _ = integrate_1d(
-        lambda u: (t_rel(disp, u) - v) * u * u,
-        0.0,
-        P,
-        spec or QuadratureSpec(rel_tol=1e-11),
-    )
-    return 4.0 * math.pi * value
+    av = disp.alpha * v
+    X2 = av * (av + 2.0)
+    # np.power, not **: see daubechies_F
+    out = -4.0 * math.pi / 15.0 * np.power(X2, 2.5) * hyp2f1(0.5, 2.5, 3.5, -X2) / disp.alpha**4
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,10 @@ def phase_space_energy(
 ) -> PhaseSpaceResult:
     """-(1/(2 pi)^3) iint_{|q| > q_min} [T(p) - ([V(q)]-mu_shift)]_- d^3p d^3q.
 
-    ``disp=None`` selects the non-relativistic dispersion p^2/2 (closed-form
-    inner integral); otherwise the relativistic inner integral is nested
-    quadrature.  The relativistic path with a Coulomb-singular V requires
-    q_min > 0 (hyper-relativistic collapse otherwise).
+    ``disp=None`` selects the non-relativistic dispersion p^2/2; either
+    inner momentum integral is a closed form, so one vectorized integrand
+    serves grid, head and tail.  The relativistic path with a
+    Coulomb-singular V requires q_min > 0 (hyper-relativistic collapse).
     """
     spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
     if q_min < 0:
@@ -135,21 +135,18 @@ def phase_space_energy(
         return np.maximum(np.asarray(V(u), dtype=float) - mu_shift, 0.0)
 
     if disp is None:
-        def inner(u):
-            return -NONREL_52_COEFF * w_of(u) ** 2.5
+        def integrand(u):
+            return -NONREL_52_COEFF * w_of(u) ** 2.5 * u * u
     else:
-        def inner(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            return np.array(
-                [momentum_integral_rel(disp, float(w), spec) for w in w_of(u)]
-            )
+        def integrand(u):
+            return momentum_integral_rel(disp, w_of(u)) * u * u
 
     grid = V.grid[V.grid > q_min]
     if grid.size < 2:
         raise DomainError("q_min leaves fewer than two grid points")
     if q_min > 0.0 and q_min < grid[0]:
         grid = np.concatenate([[q_min], grid])
-    value = grid_quadrature(lambda u: inner(u) * u * u, grid)
+    value = grid_quadrature(integrand, grid)
     err = abs(value) * spec.rel_tol * 10.0
 
     # head: below the first grid point V follows its power-law head
@@ -174,7 +171,7 @@ def phase_space_energy(
                         "potential; use q_min > 0"
                     )
                 head, herr = integrate_1d(
-                    lambda u: float(inner(np.array([u]))[0]) * u * u,
+                    integrand,
                     0.0,
                     grid[0],
                     QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200),
@@ -186,16 +183,12 @@ def phase_space_energy(
     if V.tail.kind == "power_law" and V.tail.coefficient != 0.0:
         tail_pow = 2.5 * V.tail.exponent + 2.0
         R = grid[-1]
-
-        def tail_integrand(u):
-            return float(np.atleast_1d(inner(u))[0]) * u * u
-
         if mu_shift > 0.0:
             # the allowed region ends where the tail crosses mu_shift
             u_star = (mu_shift / V.tail.coefficient) ** (1.0 / V.tail.exponent)
             if u_star > R:
                 tail, terr = integrate_1d(
-                    tail_integrand, R, u_star,
+                    integrand, R, u_star,
                     QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200),
                 )
                 err += terr
@@ -212,7 +205,7 @@ def phase_space_energy(
                 )
             else:
                 tail, terr = integrate_1d(
-                    tail_integrand,
+                    integrand,
                     R,
                     math.inf,
                     QuadratureSpec(
@@ -264,7 +257,6 @@ def domain_change_error(
     sol: TFSolution,
     disp: Dispersion,
     t_exponent: float,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Upper bound for the momentum-domain swap {T(p) < a V} -> {a p^2/2 < a V}:
 
@@ -311,7 +303,7 @@ def domain_change_error(
     return (4.0 * math.pi) ** 2 * delta ** (1.0 / 3.0) * alpha ** (2.0 / 3.0) * value
 
 
-def tf_identity_chain(sol: TFSolution, spec: QuadratureSpec | None = None) -> dict:
+def tf_identity_chain(sol: TFSolution) -> dict:
     """Both sides of the chain connecting the full-domain non-relativistic
     phase-space sum to the TF energy.
 
@@ -444,12 +436,10 @@ class CoherentSpec:
         return total
 
 
-def coherent_resolution_check(
-    f, cs: CoherentSpec, alpha: float, spec: QuadratureSpec | None = None
-) -> dict:
+def coherent_resolution_check(f, cs: CoherentSpec, alpha: float) -> dict:
     """Resolution of identity: (f, f) against the Parseval-route evaluation
     (f, (1 * g_alpha^2) f), both by radial quadrature."""
-    spec = spec or QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
     cs.check_normalization()
     g_a, a_s = cs.g_scaled(alpha)
     lhs, _ = integrate_1d(lambda r: f(r) ** 2 * r * r, 0.0, math.inf, spec)
@@ -497,9 +487,7 @@ def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split")
     raise DomainError(f"unknown convolution route {route!r}")
 
 
-def coherent_potential_check(
-    f, cs: CoherentSpec, alpha: float, spec: QuadratureSpec | None = None, r_max=12.0
-) -> dict:
+def coherent_potential_check(f, cs: CoherentSpec, alpha: float) -> dict:
     """(f, (1/|q| * g_alpha^2) f) by the two independent convolution routes.
 
     Each smeared potential is sampled on a log radial grid dense enough for
@@ -507,7 +495,7 @@ def coherent_potential_check(
     keeps the triple-quadrature cost bounded.
     """
     _, a_s = cs.g_scaled(alpha)
-    knots = np.geomspace(min(1e-4, 0.01 * a_s), max(r_max, 3.0 * a_s), 260)
+    knots = np.geomspace(min(1e-4, 0.01 * a_s), max(12.0, 3.0 * a_s), 260)
     out = {}
     for key, route in (("route_newton", "newton_split"), ("route_angular", "angular")):
         conv = smeared_coulomb(cs, alpha, route)

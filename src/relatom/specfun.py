@@ -151,7 +151,8 @@ def heat_kernel(t, d, alpha):
     return t / (a * a * 2.0 * math.pi**2) * k2(math.sqrt(s2) / a) / s2
 
 
-def heat_kernel_normalization(t, alpha, spec: QuadratureSpec | None = None):
+def heat_kernel_normalization(t, alpha):
     """int heat_kernel(t, |x|, alpha) d^3x, to be compared with e^{-t/alpha}."""
-    spec = spec or QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
-    return integrate_radial_3d(lambda u: heat_kernel(t, u, alpha), spec)
+    return integrate_radial_3d(
+        lambda u: heat_kernel(t, u, alpha), QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
+    )

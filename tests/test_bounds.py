@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from relatom import bounds as bd
@@ -13,7 +14,7 @@ from relatom.errors import (
     DomainError,
     PreconditionFailure,
 )
-from relatom.kinetic import Dispersion
+from relatom.kinetic import Dispersion, daubechies_F
 from relatom.numerics import RadialFunction
 
 
@@ -194,6 +195,41 @@ class TestDaubechiesSum:
         V_coulomb = RadialFunction(grid, 1.0 / grid, Tail.power_law(-1.0, 1.0))
         with pytest.raises(DivergentIntegral):
             bd.daubechies_eigenvalue_sum_bound(Dispersion(0.1), V_coulomb, 2)
+
+    @pytest.mark.parametrize("h", (-1.0, -0.9, -0.8))
+    def test_singular_head_rejected(self, h):
+        # F(s) ~ s^4 at large s: the head integrand u^{4h+2} is not integrable
+        grid = np.geomspace(0.1, 10.0, 50)
+        V = RadialFunction(grid, grid**h)
+        with pytest.raises(DivergentIntegral):
+            bd.daubechies_eigenvalue_sum_bound(Dispersion(0.1), V, 2)
+
+    def test_integrable_head_is_finite(self):
+        grid = np.geomspace(0.1, 10.0, 50)
+        V = RadialFunction(grid, grid**-0.74)
+        value = bd.daubechies_eigenvalue_sum_bound(Dispersion(0.1), V, 2)
+        assert -math.inf < value < 0.0
+
+    def test_closed_forms_make_no_quad_calls(self, monkeypatch):
+        calls = []
+        real = scipy.integrate.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting)
+        pp = make_pp()
+        d = Dispersion(pp.alpha)
+        grid = np.geomspace(pp.inner_scale, pp.outer_scale, 400)
+        V = RadialFunction(grid, (4.0 / math.pi) / grid)
+        daubechies_F(d, V.values)
+        sc.momentum_integral_rel(d, V.values)
+        bd.daubechies_eigenvalue_sum_bound(d, V, 2, support=(pp.inner_scale, pp.outer_scale))
+        assert calls == []
+        # the counter does see quadrature where it still runs
+        bd.kernel_offdiag_numeric(pp, 2.0, 1.1)
+        assert len(calls) >= 1
 
 
 class TestIntermediaryZone:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from relatom.kinetic import (
     Dispersion,
@@ -85,6 +86,19 @@ class TestDaubechiesF:
         oracle = float(np.mean((t * t + 2.0 * t) ** 1.5))
         assert abs(daubechies_F(Dispersion(1.0), 1.0) - oracle) < 1e-8
 
+    @pytest.mark.parametrize("alpha,s", ((1.984e-3, 2.141e-8), (1e-6, 1e-3), (1e-6, 1e7)))
+    def test_closed_form_against_quadrature(self, alpha, s):
+        # the defining integral with no absolute floor, so that the relative
+        # tolerance binds where F itself is tiny
+        c = 2.0 / alpha
+        oracle, _ = quad(lambda t: (t * t + c * t) ** 1.5, 0.0, s, epsabs=0.0, epsrel=1e-13)
+        assert abs(daubechies_F(Dispersion(alpha), s) / oracle - 1.0) < 1e-12
+
+    def test_array_call_matches_scalar_calls(self):
+        d = Dispersion(0.05)
+        s = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 40)])
+        assert np.array_equal(daubechies_F(d, s), [daubechies_F(d, x) for x in s])
+
     def test_upper_formula_instantiation(self):
         expected = 2.0**1.5 * (0.4 + 3.0 / 14.0 + 1.0 / 48.0)
         assert abs(daubechies_F_upper(Dispersion(1.0), 1.0) - expected) < 1e-14
@@ -105,5 +119,7 @@ class TestDaubechiesF:
     def test_domain(self):
         with pytest.raises(DomainError):
             daubechies_F(Dispersion(1.0), -1.0)
+        with pytest.raises(DomainError):
+            daubechies_F(Dispersion(1.0), np.array([1.0, -1e-3]))
         with pytest.raises(DomainError):
             Dispersion(0.0)

@@ -40,9 +40,7 @@ def test_exponential_integral():
 
 
 def test_endpoint_singular_power_law():
-    value, _ = integrate_1d(lambda x: x**-0.5, 0.0, 1.0, singular_exponent=0.5)
-    assert abs(value - 2.0) < 1e-10
-    # QAGS also copes without the hint; the hint must not change the answer
+    # QAGS extrapolation copes with an integrable endpoint singularity
     plain, _ = integrate_1d(lambda x: x**-0.5, 0.0, 1.0)
     assert abs(plain - 2.0) < 1e-10
 

@@ -37,6 +37,24 @@ class TestMomentumIntegrals:
         oracle = 4 * math.pi * float(np.sum((np.sqrt(u * u + 1) - 2.0) * u * u)) * P / n
         assert abs(sc.momentum_integral_rel(d, 1.0) - oracle) < 1e-8
 
+    @pytest.mark.parametrize("alpha,v", ((0.0677, 3665.0), (1e-6, 1e-3), (1e-6, 1e7)))
+    def test_rel_against_quadrature(self, alpha, v):
+        # the defining integral with no absolute floor
+        d = Dispersion(alpha)
+        P = math.sqrt(v * v + 2.0 * v / alpha)
+        oracle, _ = quad(lambda u: (t_rel(d, u) - v) * u * u, 0.0, P, epsabs=0.0, epsrel=1e-13)
+        assert abs(sc.momentum_integral_rel(d, v) / (4 * math.pi * oracle) - 1.0) < 1e-12
+
+    def test_rel_array_call_matches_scalar_calls(self):
+        d = Dispersion(0.05)
+        v = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 40)])
+        assert np.array_equal(sc.momentum_integral_rel(d, v),
+                              [sc.momentum_integral_rel(d, x) for x in v])
+
+    def test_rel_domain(self):
+        with pytest.raises(DomainError):
+            sc.momentum_integral_rel(Dispersion(1.0), np.array([1.0, -1e-3]))
+
     def test_small_coupling_reduction(self):
         alpha = 1e-3
         v = alpha * 1.0
