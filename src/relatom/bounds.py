@@ -17,7 +17,6 @@ term.  N is always lambda delta / alpha.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,6 +37,7 @@ from .numerics import (
     grid_quadrature,
     integrate_1d,
     newton_potential,
+    radial_fourier,
 )
 from .semiclassics import (
     CoherentSpec,
@@ -219,13 +219,10 @@ def make_partition(pp: PartitionParams) -> Partition:
 # mean-field constants (one-body reduction)
 
 
-_MOMENTUM_CHUNK = 512  # momenta per block of the sine-transform matrix
-
-
 def mean_field_constant_routes(cs: CoherentSpec):
     """c(phi) = (1/2) iint phi(x) phi(y)/|x-y| for phi = g^2 on the unit ball,
     by the radial Newton route (1/2) int phi (phi * 1/|.|) and by the
-    momentum route 2 pi int |phihat|^2/p^2 d^3p."""
+    momentum route (1/2) (2 pi)^-3 int |phihat|^2 4 pi/p^2 d^3p."""
 
     def phi(r):
         return np.asarray(cs.g_profile(r), dtype=float) ** 2
@@ -236,18 +233,12 @@ def mean_field_constant_routes(cs: CoherentSpec):
         lambda u: phi(u) * u * u * pot(u), knots
     )
 
-    # phihat(p) = sqrt(2/pi) int_0^1 phi(r) r sin(p r)/p dr, by fixed rules in
-    # r and p; the bump transform decays super-algebraically, and 400 is far
-    # past the level where |phihat|^2 falls below 1e-30
-    r, w_r = gl_rule(np.linspace(0.0, 1.0, 65))
+    # (1/2) (2 pi)^-3 (4 pi)^2 int |phihat|^2 dp = (1/pi) int |phihat|^2 dp on
+    # a fixed p-rule; the bump transform decays super-algebraically, and 400
+    # is far past the level where |phihat|^2 falls below 1e-30
     p, w_p = gl_rule(np.linspace(0.0, 400.0, 401))
-    phi_r = phi(r) * r * w_r
-    mom = 0.0
-    for start in range(0, p.size, _MOMENTUM_CHUNK):
-        pc = p[start:start + _MOMENTUM_CHUNK]
-        phihat = np.sin(np.outer(pc, r)) @ phi_r / pc
-        mom += np.dot(w_p[start:start + _MOMENTUM_CHUNK], phihat**2)
-    mom *= 8.0 * math.pi**2 * (2.0 / math.pi)
+    phihat = radial_fourier(phi, np.linspace(0.0, 1.0, 65), p)
+    mom = np.dot(w_p, phihat**2) / math.pi
     return float(newton), float(mom)
 
 
@@ -661,12 +652,15 @@ def assemble_error_budget(
 
     gamma_sep = 1.0 - (1.0 + pp.beta) / 2.0
     lemma_val = lemma_decay_envelope(pp, gamma_sep)
-    lemma_exp = _local_exponent(
-        lambda a: lemma_decay_envelope(
+
+    def log_envelope(a):
+        return lemma_decay_envelope(
             PartitionParams(pp.r, pp.t, pp.s, pp.beta, a), gamma_sep, log=True
-        ),
-        alpha,
-        already_log=True,
+        )
+
+    # local slope d log envelope / d log alpha: the secant from alpha/2 to alpha
+    lemma_exp = (log_envelope(alpha) - log_envelope(0.5 * alpha)) / (
+        math.log(alpha) - math.log(0.5 * alpha)
     )
     terms.append(
         BudgetTerm(
@@ -727,11 +721,6 @@ def assemble_error_budget(
                 budget=budget,
             )
     return budget
-
-
-def _local_exponent(log_value_of_alpha, alpha, already_log=False):
-    f = log_value_of_alpha if already_log else (lambda a: math.log(log_value_of_alpha(a)))
-    return (f(alpha) - f(0.5 * alpha)) / (math.log(alpha) - math.log(0.5 * alpha))
 
 
 @lru_cache(maxsize=1)

@@ -265,7 +265,7 @@ def check_coherent():
     out.append(
         _bound(
             "smeared-Coulomb routes relative gap",
-            abs(pc["route_angular"] / pc["route_newton"] - 1.0),
+            abs(pc["route_momentum"] / pc["route_newton"] - 1.0),
             1e-8,
         )
     )

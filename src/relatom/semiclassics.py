@@ -21,11 +21,10 @@ exposed rather than silently reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import hyp2f1
 
 from .errors import DivergentIntegral, DomainError, PreconditionFailure
@@ -37,6 +36,7 @@ from .numerics import (
     grid_quadrature,
     integrate_1d,
     newton_potential,
+    radial_fourier,
 )
 from .thomas_fermi import TFSolution, coulomb_potential, tf_energy
 
@@ -421,7 +421,7 @@ class CoherentSpec:
 
         return g_a, a_s
 
-    def check_normalization(self, tol=1e-10):
+    def check_normalization(self):
         val, _ = integrate_1d(
             lambda r: float(self.g_profile(np.array([r]))[0]) ** 2 * r * r,
             0.0,
@@ -429,7 +429,7 @@ class CoherentSpec:
             QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15),
         )
         total = 4.0 * math.pi * val
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-10:
             raise PreconditionFailure(
                 f"coherent profile not normalised: int g^2 = {total!r}"
             )
@@ -452,35 +452,35 @@ def coherent_resolution_check(f, cs: CoherentSpec, alpha: float) -> dict:
 
 
 def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split"):
-    """(1/|.| * g_alpha^2) as a callable, by one of two independent
-    quadrature routes: the Newton split formula (vectorized, on the
-    support [0, alpha^s]), or the explicit angular integral of the
-    convolution (scalar radius)."""
+    """(1/|.| * g_alpha^2) as a vectorized callable, by one of two independent
+    routes: the Newton shell split on the support [0, alpha^s], or the
+    inverse radial Fourier transform of 4 pi phihat/p^2 (phihat that of
+    g_alpha^2), which never uses Newton's theorem and sets its p-rule by
+    the largest radius of each call."""
     g_a, a_s = cs.g_scaled(alpha)
 
     def phi_a(r):
         return np.asarray(g_a(r), dtype=float) ** 2
 
+    support = np.linspace(0.0, a_s, 65)
     if route == "newton_split":
-        pot = newton_potential(phi_a, np.linspace(0.0, a_s, 65))
+        pot = newton_potential(phi_a, support)
         return lambda r: 4.0 * math.pi * pot(r)
 
-    if route == "angular":
-        # tensorized product rule; the cos-angle substitution c = 1 - s^2
-        # regularizes the v ~ r coincidence limit, and the geometric s-grid
-        # resolves the |r - v|-wide boundary layer it leaves behind
-        s_nodes, s_w = gl_rule(np.concatenate([[0.0], np.geomspace(1e-9, math.sqrt(2.0), 120)]))
+    if route == "momentum":
+
+        def coulomb_hat(p):
+            return 4.0 * math.pi * radial_fourier(phi_a, support, p) / (p * p)
 
         def conv(r):
-            r = float(r)
-            # the angular factor loses smoothness across v = r: put a knot there
-            base = np.linspace(0.0, a_s, 65)
-            v_knots = np.unique(np.concatenate([base, [r]])) if 0.0 < r < a_s else base
-            v_nodes, v_w = gl_rule(v_knots)
-            phi_nodes = phi_a(v_nodes) * v_nodes * v_nodes * v_w
-            d2 = (r - v_nodes)[:, None] ** 2 + 2.0 * r * v_nodes[:, None] * s_nodes[None, :] ** 2
-            ang = 2.0 * np.dot(1.0 / np.sqrt(d2), s_nodes * s_w)
-            return 2.0 * math.pi * float(np.dot(phi_nodes, ang))
+            # phihat decays super-algebraically on the scale 1/alpha^s (see
+            # bounds.mean_field_constant_routes); p-segments of width 6/R put
+            # about 12 nodes on each period of sin(p r) for every r <= R, and
+            # R >= 3 alpha^s keeps phihat itself resolved
+            p_max = 400.0 / a_s
+            R = max(float(np.max(np.abs(r))), 3.0 * a_s)
+            p_knots = np.linspace(0.0, p_max, math.ceil(p_max * R / 6.0) + 1)
+            return radial_fourier(coulomb_hat, p_knots, r) / (2.0 * math.pi) ** 3
 
         return conv
 
@@ -488,28 +488,16 @@ def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split")
 
 
 def coherent_potential_check(f, cs: CoherentSpec, alpha: float) -> dict:
-    """(f, (1/|q| * g_alpha^2) f) by the two independent convolution routes.
-
-    Each smeared potential is sampled on a log radial grid dense enough for
-    1e-9 interpolation accuracy, then integrated against f^2 r^2; sampling
-    keeps the triple-quadrature cost bounded.
-    """
+    """(f, (1/|q| * g_alpha^2) f) by the two independent convolution routes,
+    both evaluated at the nodes of one radial rule on [0, max(12, 3 alpha^s)]."""
     _, a_s = cs.g_scaled(alpha)
-    knots = np.geomspace(min(1e-4, 0.01 * a_s), max(12.0, 3.0 * a_s), 260)
-    out = {}
-    for key, route in (("route_newton", "newton_split"), ("route_angular", "angular")):
-        conv = smeared_coulomb(cs, alpha, route)
-        samples = np.array([conv(r) for r in knots])
-        interp = PchipInterpolator(knots, samples)
-
-        def integrand(r):
-            return np.asarray([f(x) for x in np.atleast_1d(r)]) ** 2 * interp(r) * r * r
-
-        val = grid_quadrature(integrand, knots)
-        # head: conv is flat near 0, f^2 r^2 integrable
-        val += samples[0] * f(0.5 * knots[0]) ** 2 * knots[0] ** 3 / 3.0
-        out[key] = 4.0 * math.pi * val
-    return out
+    top = max(12.0, 3.0 * a_s)
+    r, w = gl_rule(np.concatenate([[0.0], np.geomspace(min(1e-4, 0.01 * a_s), top, 65)]))
+    weight = 4.0 * math.pi * np.array([f(x) for x in r]) ** 2 * r * r * w
+    return {
+        key: float(np.dot(weight, smeared_coulomb(cs, alpha, route)(r)))
+        for key, route in (("route_newton", "newton_split"), ("route_momentum", "momentum"))
+    }
 
 
 def coherent_kinetic_error_bound(cs: CoherentSpec, alpha: float) -> float:
@@ -525,11 +513,5 @@ def newton_smearing_check(alpha, s_exponent, cs: CoherentSpec, radius) -> float:
     quadrature accuracy) for R outside the smearing support."""
     if radius <= 0:
         raise DomainError("radius must be positive")
-    cs2 = cs if cs.s_exponent == s_exponent else CoherentSpec(
-        s_exponent=s_exponent,
-        g_profile=cs.g_profile,
-        grad_sup=cs.grad_sup,
-        support_volume=cs.support_volume,
-    )
-    conv = smeared_coulomb(cs2, alpha, "newton_split")
+    conv = smeared_coulomb(replace(cs, s_exponent=s_exponent), alpha, "newton_split")
     return abs(1.0 / radius - conv(radius))

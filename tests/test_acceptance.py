@@ -145,6 +145,7 @@ def test_criterion_07_identity_chain():
 
 
 def test_criterion_08_coherent_states():
+    t0 = time.perf_counter()
     cs = sc.CoherentSpec.reference(0.5)
     worst_res = 0.0
     worst_pot = 0.0
@@ -154,18 +155,20 @@ def test_criterion_08_coherent_states():
         rr = sc.coherent_resolution_check(f, cs, 0.1)
         worst_res = max(worst_res, abs(rr["identity_rhs"] / rr["identity_lhs"] - 1.0))
         pp = sc.coherent_potential_check(f, cs, 0.3)
-        worst_pot = max(worst_pot, abs(pp["route_angular"] / pp["route_newton"] - 1.0))
+        worst_pot = max(worst_pot, abs(pp["route_momentum"] / pp["route_newton"] - 1.0))
     cs6 = sc.CoherentSpec.reference(0.6)
     alphas = np.geomspace(1e-4, 1e-2, 6)
     slope = np.polyfit(
         np.log(alphas), np.log([sc.coherent_kinetic_error_bound(cs6, a) for a in alphas]), 1
     )[0]
     slope_err = abs(slope - (1.0 - 2.0 * 0.6))
+    dt = time.perf_counter() - t0
     report(
         "08 coherent-state identities",
-        worst_res < 1e-8 and worst_pot < 1e-8 and slope_err < 1e-3,
+        worst_res < 1e-8 and worst_pot < 1e-8 and slope_err < 1e-3 and dt < 10.0,
         f"resolution gap = {worst_res:.2e}, smearing gap = {worst_pot:.2e} "
-        f"(tol=1e-8), alpha-exponent fit err = {slope_err:.1e} (tol=1e-3)",
+        f"(tol=1e-8), alpha-exponent fit err = {slope_err:.1e} (tol=1e-3), "
+        f"runtime={dt:.1f}s < 10s",
     )
 
 

@@ -204,6 +204,13 @@ class TestDaubechiesSum:
         with pytest.raises(DivergentIntegral):
             bd.daubechies_eigenvalue_sum_bound(Dispersion(0.1), V, 2)
 
+    def test_negative_singular_head_rejected(self):
+        # F acts on |V|: a negative head is as singular as a positive one
+        grid = np.geomspace(1e-3, 10.0, 200)
+        V = RadialFunction(grid, -(grid**-0.9))
+        with pytest.raises(DivergentIntegral):
+            bd.daubechies_eigenvalue_sum_bound(Dispersion(1e-2), V, 2)
+
     def test_integrable_head_is_finite(self):
         grid = np.geomspace(0.1, 10.0, 50)
         V = RadialFunction(grid, grid**-0.74)

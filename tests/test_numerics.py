@@ -14,6 +14,7 @@ from relatom.numerics import (
     integrate_1d,
     integrate_radial_3d,
     newton_potential,
+    radial_fourier,
     shoot,
     solve_ivp,
 )
@@ -205,6 +206,14 @@ class TestRadialFunction:
         zero_tail = RadialFunction(grid, grid**-2.0)
         assert zero_tail(100.0) == 0.0
 
+    def test_negative_head_extrapolates_its_power_law(self):
+        grid = np.geomspace(0.1, 10.0, 50)
+        rf = RadialFunction(grid, -1.0 / grid)
+        assert abs(rf(0.01) + 100.0) < 1e-9
+        # samples of opposite sign give no power law: the head stays constant
+        mixed = RadialFunction(grid, np.where(grid < 0.11, 1.0, -1.0))
+        assert mixed(0.01) == 1.0
+
     def test_validation(self):
         with pytest.raises(DomainError):
             RadialFunction(np.array([1.0]), np.array([1.0]))
@@ -261,3 +270,29 @@ class TestNewtonPotential:
             with_tail(np.array([1.0, 2.5]))
         with pytest.raises(DomainError):
             newton_potential(lambda v: v, np.array([1.0, 0.5]))
+
+
+class TestRadialFourier:
+    def test_gaussian_closed_form(self):
+        # e^{-v^2} -> pi^{3/2} e^{-p^2/4}, including the k = 0 mass
+        p = np.linspace(0.0, 5.0, 51)
+        hat = radial_fourier(lambda v: np.exp(-v * v), np.linspace(0.0, 8.0, 65), p)
+        exact = math.pi**1.5 * np.exp(-p * p / 4.0)
+        assert np.max(np.abs(hat / exact - 1.0)) < 1e-12
+        assert isinstance(radial_fourier(lambda v: np.exp(-v * v), [0.0, 8.0], 1.0), float)
+
+    def test_round_trip_on_a_compact_bump(self):
+        def bump(v):
+            out = np.zeros_like(v)
+            inside = v < 1.0
+            out[inside] = np.exp(-1.0 / (1.0 - v[inside] ** 2))
+            return out
+
+        # the transform decays like e^{-sqrt(p)}: at p = 400 its tail still
+        # moves the inverse by 2e-10, so the p-rule runs to 800
+        v_knots = np.linspace(0.0, 1.0, 129)
+        r = np.linspace(0.05, 1.5, 30)
+        back = radial_fourier(
+            lambda p: radial_fourier(bump, v_knots, p), np.linspace(0.0, 800.0, 801), r
+        ) / (2.0 * math.pi) ** 3
+        assert np.max(np.abs(back - bump(r))) < 1e-12

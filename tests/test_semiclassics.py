@@ -250,9 +250,21 @@ class TestCoherent:
         res = sc.coherent_resolution_check(gaussian(width), reference_bump, 0.1)
         assert abs(res["identity_rhs"] / res["identity_lhs"] - 1.0) < 1e-8
 
-    def test_potential_smearing_two_routes(self, reference_bump):
-        res = sc.coherent_potential_check(gaussian(1.0), reference_bump, 0.3)
-        assert abs(res["route_angular"] / res["route_newton"] - 1.0) < 1e-8
+    def test_potential_smearing_two_routes(self):
+        # quad_ref: nested scipy quad of the Newton split at epsrel 1.2e-14
+        for s, quad_ref in ((0.5, 1.0999646432199786), (0.55, 1.1030998391269518)):
+            res = sc.coherent_potential_check(gaussian(1.0), sc.CoherentSpec.reference(s), 0.3)
+            assert abs(res["route_momentum"] / res["route_newton"] - 1.0) < 1e-8
+            assert abs(res["route_newton"] - quad_ref) < 1e-12
+
+    def test_smeared_coulomb_routes_agree_pointwise(self, reference_bump):
+        # inside, across and far outside the support alpha^s = 0.52
+        r = np.array([1e-3, 0.1, 0.3, 0.5, 0.6, 1.0, 3.0, 20.0])
+        newton = sc.smeared_coulomb(reference_bump, 0.3)(r)
+        momentum = sc.smeared_coulomb(reference_bump, 0.3, "momentum")(r)
+        assert np.max(np.abs(momentum / newton - 1.0)) < 1e-12
+        with pytest.raises(DomainError):
+            sc.smeared_coulomb(reference_bump, 0.3, "angular")
 
     def test_degenerate_profile_rejected(self):
         bad = sc.CoherentSpec(
