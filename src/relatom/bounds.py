@@ -4,9 +4,9 @@ bound with its intermediary-zone closed form, mean-field constants, and
 the assembled error budget.
 
 Every "C" that the source estimates leave implicit is assembled here from
-the constructed partition's measured gradient sups and the explicit
-numeric factors (4.4827, 0.163, 3/2, 128 pi^2, ...); no constant is ever
-invented as a bare number.
+the constructed partition's gradient sups (maximised analytic ramp
+slopes) and the explicit numeric factors (4.4827, 0.163, 3/2, 128 pi^2,
+...); no constant is ever invented as a bare number.
 
 The budget convention: term values are magnitudes of energy corrections
 in the scaled (H = alpha H_rel) units, each tagged with its alpha-scaling
@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import (
     BudgetViolation,
@@ -141,12 +142,33 @@ def _smooth_step(u):
     return out
 
 
+@lru_cache(maxsize=256)
+def _ramp_grad_sup(beta, u_lo, u_hi, rising):
+    """sup over u in [u_lo, u_hi] of |d theta / d xi| for one ramp, where
+    xi = 1 - beta + 2 beta u and theta = sin (rising) or cos (falling) of
+    pi S(u)/2.  With S'(u) = S (1 - S) (1/u^2 + 1/(1-u)^2) the slope is
+    (pi/2) |cos or sin(pi S/2)| S'(u) / (2 beta), unimodal on (0, 1), so a
+    bounded scalar maximisation plus the two end points finds the sup."""
+    trig = math.cos if rising else math.sin
+
+    def slope(u):
+        if not 0.0 < u < 1.0:
+            return 0.0
+        S = float(_smooth_step(u))
+        dS = S * (1.0 - S) * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2)
+        return 0.25 * math.pi / beta * trig(0.5 * math.pi * S) * dS
+
+    best = minimize_scalar(
+        lambda u: -slope(u), bounds=(u_lo, u_hi), method="bounded", options={"xatol": 1e-12}
+    )
+    return max(-best.fun, slope(u_lo), slope(u_hi))
+
+
 @dataclass(frozen=True)
 class Partition:
     """Radial partition of unity chi_1^2 + chi_2^2 + chi_3^2 = 1."""
 
     params: PartitionParams
-    _grad_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _sigma(self, xi):
         beta = self.params.beta
@@ -177,33 +199,30 @@ class Partition:
         return self.chi1(radius) ** 2 + self.chi2(radius) ** 2 + self.chi3(radius) ** 2
 
     def grad_sup(self, region, j):
-        """sup over the region of |d chi_j / d radius|, by dense central
-        differences (200,000 samples per zone) across the two ramp zones."""
-        key = (region, j)
-        if key in self._grad_cache:
-            return self._grad_cache[key]
+        """sup over the region of |d chi_j / d radius|.
+
+        On each of its ramps chi_j is theta(radius/scale), the other factor
+        of chi_2 being 1 there because the ramps are disjoint.  So the sup is
+        the scale-free ``_ramp_grad_sup`` over the part of the ramp that the
+        region's split 2 alpha^r leaves, divided by the ramp's scale."""
         pp = self.params
-        split = 2.0 * pp.inner_scale
-        zones = []
-        for scale in (pp.inner_scale, pp.outer_scale):
-            lo = (1.0 - pp.beta) * scale
-            hi = (1.0 + pp.beta) * scale
-            if region == REGION_INNER:
-                lo, hi = lo, min(hi, split)
-            elif region == REGION_OUTER:
-                lo, hi = max(lo, split), hi
-            else:
-                raise DomainError(f"unknown region {region!r}")
-            if lo < hi:
-                zones.append((lo, hi))
+        pp.check_support_ordering()
+        if region not in (REGION_INNER, REGION_OUTER) or j not in (1, 2, 3):
+            raise DomainError(f"unknown region {region!r} or index j = {j!r}")
+        ramps = {
+            1: ((pp.inner_scale, False),),
+            2: ((pp.inner_scale, True), (pp.outer_scale, False)),
+            3: ((pp.outer_scale, True),),
+        }[j]
         best = 0.0
-        fn = (self.chi1, self.chi2, self.chi3)[j - 1]
-        for lo, hi in zones:
-            x = np.linspace(lo, hi, 200_000)
-            h = 1e-7 * (hi - lo)
-            grad = (fn(x + h) - fn(x - h)) / (2.0 * h)
-            best = max(best, float(np.max(np.abs(grad))))
-        self._grad_cache[key] = best
+        for scale, rising in ramps:
+            u_split = (2.0 * pp.inner_scale / scale - (1.0 - pp.beta)) / (2.0 * pp.beta)
+            if region == REGION_INNER:
+                u_lo, u_hi = 0.0, min(1.0, u_split)
+            else:
+                u_lo, u_hi = max(0.0, u_split), 1.0
+            if u_lo < u_hi:
+                best = max(best, _ramp_grad_sup(pp.beta, u_lo, u_hi, rising) / scale)
         return best
 
 
@@ -219,37 +238,34 @@ def make_partition(pp: PartitionParams) -> Partition:
 # mean-field constants (one-body reduction)
 
 
-def mean_field_constant_routes(cs: CoherentSpec):
-    """c(phi) = (1/2) iint phi(x) phi(y)/|x-y| for phi = g^2 on the unit ball,
-    by the radial Newton route (1/2) int phi (phi * 1/|.|) and by the
-    momentum route (1/2) (2 pi)^-3 int |phihat|^2 4 pi/p^2 d^3p."""
-
+def _density(cs: CoherentSpec):
     def phi(r):
         return np.asarray(cs.g_profile(r), dtype=float) ** 2
 
+    return phi
+
+
+def mean_field_constant(cs: CoherentSpec) -> float:
+    """c(phi) = (1/2) iint phi(x) phi(y)/|x-y| for phi = g^2 on the unit ball,
+    by the radial Newton route (1/2) int phi (phi * 1/|.|)."""
+    phi = _density(cs)
     knots = np.linspace(0.0, 1.0, 16)
     pot = newton_potential(phi, knots)
-    newton = 0.5 * (4.0 * math.pi) ** 2 * grid_quadrature(
-        lambda u: phi(u) * u * u * pot(u), knots
+    return float(
+        0.5 * (4.0 * math.pi) ** 2 * grid_quadrature(lambda u: phi(u) * u * u * pot(u), knots)
     )
 
+
+def mean_field_constant_routes(cs: CoherentSpec):
+    """c(phi) by the Newton route and by the momentum route
+    (1/2) (2 pi)^-3 int |phihat|^2 4 pi/p^2 d^3p, the oracle of the checks."""
     # (1/2) (2 pi)^-3 (4 pi)^2 int |phihat|^2 dp = (1/pi) int |phihat|^2 dp on
     # a fixed p-rule; the bump transform decays super-algebraically, and 400
     # is far past the level where |phihat|^2 falls below 1e-30
     p, w_p = gl_rule(np.linspace(0.0, 400.0, 401))
-    phihat = radial_fourier(phi, np.linspace(0.0, 1.0, 65), p)
+    phihat = radial_fourier(_density(cs), np.linspace(0.0, 1.0, 65), p)
     mom = np.dot(w_p, phihat**2) / math.pi
-    return float(newton), float(mom)
-
-
-def mean_field_constant(cs: CoherentSpec) -> float:
-    """c(phi) by the Newton route, cross-checked against the momentum route."""
-    newton, mom = mean_field_constant_routes(cs)
-    if abs(mom - newton) > 1e-8 * abs(newton):
-        raise PreconditionFailure(
-            f"mean-field routes disagree: newton={newton!r}, momentum={mom!r}"
-        )
-    return newton
+    return mean_field_constant(cs), float(mom)
 
 
 def mean_field_error(lam, delta, alpha, s_exponent, c_phi) -> float:
@@ -277,7 +293,7 @@ class InnerZoneBound:
     value: float
     alpha_exponent: float
     alpha_threshold: float      # largest alpha at which dropping C alpha^{1-2r} is valid
-    drop_constant: float        # C = (3/2)(c_1 + c_2) from the measured gradients
+    drop_constant: float        # C = (3/2)(c_1 + c_2) from the gradient sups
 
 
 def inner_zone_bound(pp: PartitionParams, q_spin: int, enforce_threshold: bool = False):
@@ -286,7 +302,7 @@ def inner_zone_bound(pp: PartitionParams, q_spin: int, enforce_threshold: bool =
 
     The bound drops a C alpha^{1-2r} localisation term against alpha^{-1},
     valid only for alpha below an explicit threshold assembled from the
-    partition's measured gradients; the threshold is always reported, and
+    partition's gradient sups; the threshold is always reported, and
     enforcement is opt-in (desk-scale alphas sit far above it).
     """
     part = make_partition(pp)
@@ -511,7 +527,7 @@ _GRADIENT_TERMS = {
 
 
 def localisation_gradient_bound(pp: PartitionParams, region: str, j: int) -> float:
-    """(3/2) c_j alpha per unit ||f chi||^2, with c_j the measured
+    """(3/2) c_j alpha per unit ||f chi||^2, with c_j the
     sup|grad chi_j|^2 over the region; only the four nonzero
     (region, j) combinations are admitted."""
     if (region, j) not in _GRADIENT_TERMS:

@@ -431,8 +431,7 @@ def _ball_mean_field_constant():
     cs_ball = sc.CoherentSpec(
         s_exponent=0.5, g_profile=g_ball, grad_sup=0.0, support_volume=4.0 * math.pi / 3.0
     )
-    newton, _ = bd.mean_field_constant_routes(cs_ball)
-    return newton
+    return bd.mean_field_constant(cs_ball)
 
 
 def _chi2_zone_potential(pp, delta):

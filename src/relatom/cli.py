@@ -20,11 +20,9 @@ Data files are byte-deterministic for identical flags; run metadata
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -157,14 +155,15 @@ def cmd_budget(args, argv):
     return EXIT_OK
 
 
-def _asymptotics_row(job):
-    """One Z-row of the flagship sweep; module-level for process pools."""
-    (Z, delta, lam, r, t, s, beta) = job
-    alpha = delta / Z
+def _asymptotics_row(Z, cfg):
+    """One Z-row of the flagship sweep.  Rows share the cached universal
+    profile of lambda and the cached c(phi), so only the first pays for them."""
+    alpha = cfg["delta"] / Z
     try:
-        sol = tf.solve(tf.TFParams(lam=lam, Z=Z), tol=1e-4)
-        pp = bd.PartitionParams(r=r, t=t, s=s, beta=beta, alpha=alpha)
-        cs = sc.CoherentSpec.reference(s)
+        sol = tf.solve(tf.TFParams(lam=cfg["lambda"], Z=Z), tol=1e-4)
+        pp = bd.PartitionParams(r=cfg["r"], t=cfg["t"], s=cfg["s"], beta=cfg["beta"],
+                                alpha=alpha)
+        cs = sc.CoherentSpec.reference(cfg["s"])
         budget = bd.assemble_error_budget(pp, sol, Dispersion(alpha), cs)
         e_ref = tf.tf_energy(sol)                  # = -C_TF(lam) Z^{7/3}
         e_lower = e_ref - budget.total / alpha     # H_rel units
@@ -199,17 +198,6 @@ ASYMPTOTICS_COLUMNS = (
 )
 
 
-def _worker_count(n_jobs):
-    env = os.environ.get("SEMICLASSIC_THREADS", "0")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def cmd_asymptotics(args, argv):
     cfg = dict(DEFAULT_PARTITION)
     cfg.update({"delta": DEFAULT_DELTA, "lambda": 1.0, "z_values": [10.0, 100.0, 1000.0, 10000.0]})
@@ -225,20 +213,15 @@ def cmd_asymptotics(args, argv):
             cfg[key] = flag
     if args.Z:
         cfg["z_values"] = args.Z
-    if cfg["delta"] > 2.0 / math.pi + 1e-12:
-        print("delta must be <= 2/pi", file=sys.stderr)
+    if not 0.0 < cfg["delta"] <= 2.0 / math.pi + 1e-12:
+        print("delta must lie in (0, 2/pi]", file=sys.stderr)
+        return EXIT_USAGE
+    z_values = [float(Z) for Z in cfg["z_values"]]
+    if not all(math.isfinite(Z) and Z > 0.0 for Z in z_values):
+        print("every Z must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
 
-    jobs = [
-        (float(Z), cfg["delta"], cfg["lambda"], cfg["r"], cfg["t"], cfg["s"], cfg["beta"])
-        for Z in cfg["z_values"]
-    ]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_asymptotics_row, jobs))
-    else:
-        rows = [_asymptotics_row(j) for j in jobs]
+    rows = [_asymptotics_row(Z, cfg) for Z in z_values]
 
     buf = io.StringIO()
     buf.write(",".join(ASYMPTOTICS_COLUMNS) + "\n")
@@ -294,8 +277,8 @@ def build_parser():
     p = sub.add_parser(
         "asymptotics",
         help="the flagship Z-sweep",
-        epilog="rows are computed concurrently; SEMICLASSIC_THREADS caps the "
-               "worker count (0 or unset = auto, 1 = serial)",
+        epilog="rows run in one process and share one universal profile and one "
+               "c(phi); --delta must lie in (0, 2/pi] and every --Z be positive",
     )
     p.add_argument("--Z", type=float, nargs="+", default=None, help="Z values")
     p.add_argument("--delta", type=float, default=None)

@@ -235,8 +235,7 @@ def test_criterion_10_error_budget():
     )
 
 
-def test_criterion_11_flagship_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMICLASSIC_THREADS", "1")
+def test_criterion_11_flagship_sweep(tmp_path):
     t0 = time.perf_counter()
     path = tmp_path / "sweep.csv"
     code = cli.main(["asymptotics", "--Z", "10", "100", "1000", "10000",

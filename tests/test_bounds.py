@@ -22,6 +22,28 @@ def make_pp(alpha=1e-3, r=0.95, t=0.5, s=0.55, beta=0.1):
     return bd.PartitionParams(r=r, t=t, s=s, beta=beta, alpha=alpha)
 
 
+def fd_grad_sup(part, region, j):
+    """Oracle for Partition.grad_sup: dense central differences (200,000
+    samples per zone) across the two ramp zones, clipped at 2 alpha^r."""
+    pp = part.params
+    split = 2.0 * pp.inner_scale
+    best = 0.0
+    fn = (part.chi1, part.chi2, part.chi3)[j - 1]
+    for scale in (pp.inner_scale, pp.outer_scale):
+        lo = (1.0 - pp.beta) * scale
+        hi = (1.0 + pp.beta) * scale
+        if region == "inner":
+            hi = min(hi, split)
+        else:
+            lo = max(lo, split)
+        if lo < hi:
+            x = np.linspace(lo, hi, 200_000)
+            h = 1e-7 * (hi - lo)
+            grad = (fn(x + h) - fn(x - h)) / (2.0 * h)
+            best = max(best, float(np.max(np.abs(grad))))
+    return best
+
+
 class TestPartition:
     def test_sum_of_squares(self):
         rng = np.random.default_rng(1)
@@ -51,7 +73,26 @@ class TestPartition:
         expected = {"1-": 0.95, "2-": 0.95, "2+": 0.5, "3+": 0.5}
         for key, exp in expected.items():
             got = math.log(sups[1e-3][key] / sups[1e-2][key]) / math.log(10.0)
-            assert abs(got - exp) < 1e-4, key
+            assert abs(got - exp) < 1e-10, key
+
+    def test_grad_sup_against_finite_differences(self):
+        # alpha = 0.2: the split 2 alpha^r clips the outer ramp; alpha = 0.3:
+        # the split lies past the outer ramp, so the outer sups are exactly 0
+        zones = [make_pp(alpha=0.2), make_pp(alpha=0.3)]
+        rng = np.random.default_rng(7)
+        while len(zones) < 8:
+            pp = make_pp(alpha=10.0 ** rng.uniform(-5.0, -0.3), r=rng.uniform(0.9, 0.99),
+                         t=rng.uniform(0.35, 0.6), beta=rng.uniform(0.05, 0.45))
+            if (1.0 + pp.beta) * pp.inner_scale < (1.0 - pp.beta) * pp.outer_scale:
+                zones.append(pp)
+        for pp in zones:
+            part = bd.make_partition(pp)
+            for region, j in (("inner", 1), ("inner", 2), ("outer", 2), ("outer", 3)):
+                oracle = fd_grad_sup(part, region, j)
+                got = part.grad_sup(region, j)
+                assert abs(got - oracle) <= 1e-7 * oracle, (pp, region, j)
+        part = bd.make_partition(make_pp(alpha=0.3))
+        assert part.grad_sup("outer", 2) == part.grad_sup("outer", 3) == 0.0
 
     def test_support_ordering_guard(self):
         with pytest.raises(DomainError):
@@ -73,6 +114,7 @@ class TestMeanField:
     def test_dual_routes_and_value(self, reference_bump):
         newton, mom = bd.mean_field_constant_routes(reference_bump)
         assert abs(mom / newton - 1.0) < 1e-8
+        assert bd.mean_field_constant(reference_bump) == newton
         # frozen dev oracle (mpmath-checked Newton-route quadrature)
         assert abs(newton - 0.9224234359) < 1e-8
 
@@ -82,8 +124,7 @@ class TestMeanField:
         )
         cs = sc.CoherentSpec(s_exponent=0.5, g_profile=g_ball, grad_sup=0.0,
                              support_volume=4.0 * math.pi / 3.0)
-        newton, _ = bd.mean_field_constant_routes(cs)
-        assert abs(newton - 0.6) < 1e-8
+        assert abs(bd.mean_field_constant(cs) - 0.6) < 1e-8
 
     def test_scale_invariance(self, reference_bump):
         # c(phi_a) * a = c(phi), phi_a = a^-3 phi(x/a): direct quadrature of

@@ -1,16 +1,11 @@
 import json
 import math
-import os
 
 import pytest
 
+from relatom import bounds as bd
 from relatom import cli
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    # keep the sweep in-process so the cached universal solve is reused
-    monkeypatch.setenv("SEMICLASSIC_THREADS", "1")
+from relatom import thomas_fermi as tf
 
 
 def run(capsys, *argv):
@@ -186,12 +181,32 @@ class TestAsymptotics:
         assert rows[1].endswith(",failed:ShootingFailure")
         assert "nan" in rows[1]
 
-    def test_parallel_matches_serial_bytes(self, capsys, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        code, _, _ = run(capsys, "asymptotics", "--Z", "10", "25", "--csv", str(serial))
+    @pytest.mark.parametrize("flags", (
+        ("--delta", "0"),
+        ("--delta", "-0.3"),
+        ("--delta", "nan"),
+        ("--Z", "10", "0"),
+        ("--Z", "-5"),
+        ("--Z", "inf"),
+    ))
+    def test_bad_delta_or_z_is_usage_error(self, capsys, tmp_path, flags):
+        path = tmp_path / "never.csv"
+        argv = ("asymptotics",) + (() if "--Z" in flags else ("--Z", "10")) + flags
+        code, _, err = run(capsys, *argv, "--csv", str(path))
+        assert code == 1
+        assert "must" in err
+        assert not path.exists()
+
+    def test_rows_share_one_profile_and_one_c_phi(self, capsys, tmp_path):
+        tf._solve_universal.cache_clear()
+        bd._reference_c_phi.cache_clear()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        code, _, _ = run(capsys, "asymptotics", "--Z", "10", "25", "400",
+                         "--lambda", "0.7", "--csv", str(first))
         assert code == 0
-        monkeypatch.setenv("SEMICLASSIC_THREADS", "2")
-        parallel = tmp_path / "parallel.csv"
-        code, _, _ = run(capsys, "asymptotics", "--Z", "10", "25", "--csv", str(parallel))
+        assert tf._solve_universal.cache_info().misses == 1
+        assert bd._reference_c_phi.cache_info().misses == 1
+        code, _, _ = run(capsys, "asymptotics", "--Z", "10", "25", "400",
+                         "--lambda", "0.7", "--csv", str(second))
         assert code == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+        assert first.read_bytes() == second.read_bytes()
