@@ -499,7 +499,8 @@ def kernel_offdiag_numeric(pp: PartitionParams, a_out: float, b_in: float):
     ||chi_-||_2 (alpha gamma)^-2 / (4 pi^2)
         ( int_{|x| > a_out alpha^r} (K2(gamma |x|/alpha)/|x|^2)^2 d^3x )^{1/2},
 
-    gamma = 1 - b_in/a_out; uses the exact K2 by quadrature.
+    gamma = 1 - b_in/a_out; the exact K2 (``specfun.k2``) under an adaptive
+    outer quadrature.
     """
     gamma = 1.0 - b_in / a_out
     if gamma <= 0.0:

@@ -32,7 +32,7 @@ from . import bounds as bd
 from . import checks
 from . import semiclassics as sc
 from . import thomas_fermi as tf
-from .errors import BudgetViolation, RelatomError
+from .errors import BudgetViolation, DomainError, RelatomError
 from .kinetic import Dispersion
 
 EXIT_OK = 0
@@ -198,27 +198,55 @@ ASYMPTOTICS_COLUMNS = (
 )
 
 
+def _number(value, key):
+    """A JSON config value as float; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def cmd_asymptotics(args, argv):
     cfg = dict(DEFAULT_PARTITION)
     cfg.update({"delta": DEFAULT_DELTA, "lambda": 1.0, "z_values": [10.0, 100.0, 1000.0, 10000.0]})
     if args.config:
         try:
-            cfg.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
-        except OSError as exc:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(loaded, dict):
+            print("config: must be a flat JSON object", file=sys.stderr)
+            return EXIT_USAGE
+        cfg.update(loaded)
     for key, flag in (("delta", args.delta), ("lambda", args.lam), ("r", args.r),
                       ("t", args.t), ("s", args.s), ("beta", args.beta)):
         if flag is not None:
             cfg[key] = flag
     if args.Z:
         cfg["z_values"] = args.Z
+    try:
+        for key in ("delta", "lambda", "r", "t", "s", "beta"):
+            cfg[key] = _number(cfg[key], key)
+        if not isinstance(cfg["z_values"], list) or not cfg["z_values"]:
+            raise ValueError(f"z_values must be a non-empty list, got {cfg['z_values']!r}")
+        z_values = [_number(Z, "every Z") for Z in cfg["z_values"]]
+    except ValueError as exc:
+        print(f"config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not 0.0 < cfg["delta"] <= 2.0 / math.pi + 1e-12:
         print("delta must lie in (0, 2/pi]", file=sys.stderr)
         return EXIT_USAGE
-    z_values = [float(Z) for Z in cfg["z_values"]]
     if not all(math.isfinite(Z) and Z > 0.0 for Z in z_values):
         print("every Z must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        # the row constructors' own range checks, run once before any row
+        tf.TFParams(lam=cfg["lambda"], Z=z_values[0])
+        bd.PartitionParams(r=cfg["r"], t=cfg["t"], s=cfg["s"], beta=cfg["beta"],
+                           alpha=cfg["delta"] / z_values[0])
+        sc.CoherentSpec.reference(cfg["s"])
+    except DomainError as exc:
+        print(f"invalid sweep parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     rows = [_asymptotics_row(Z, cfg) for Z in z_values]
@@ -278,7 +306,9 @@ def build_parser():
         "asymptotics",
         help="the flagship Z-sweep",
         epilog="rows run in one process and share one universal profile and one "
-               "c(phi); --delta must lie in (0, 2/pi] and every --Z be positive",
+               "c(phi); --delta must lie in (0, 2/pi], every --Z be positive, "
+               "--lambda positive, 0 < --t < --r < 1, --s in (1/3, 2/3) and "
+               "--beta in (0, 1/2)",
     )
     p.add_argument("--Z", type=float, nargs="+", default=None, help="Z values")
     p.add_argument("--delta", type=float, default=None)

@@ -107,8 +107,8 @@ class TFParams:
     gamma_kin: float = GAMMA_TF_PAPER
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise DomainError("lambda must be positive and finite")
         if not self.Z > 0:
             raise DomainError("Z must be positive")
         if not self.gamma_kin > 0:

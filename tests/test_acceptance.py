@@ -61,6 +61,7 @@ def test_criterion_02_k2_envelope():
 
 
 def test_criterion_03_heat_kernel_normalization():
+    t0 = time.perf_counter()
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         for alpha in (0.5, 1.0):
@@ -68,10 +69,11 @@ def test_criterion_03_heat_kernel_normalization():
                 worst,
                 abs(sf.heat_kernel_normalization(t, alpha) - math.exp(-t / alpha)),
             )
+    dt = time.perf_counter() - t0
     report(
         "03 heat-kernel normalization",
-        worst < 1e-8,
-        f"max |int HK - exp(-t/alpha)| = {worst:.2e}, tol=1e-8",
+        worst < 1e-8 and dt < 0.5,
+        f"max |int HK - exp(-t/alpha)| = {worst:.2e}, tol=1e-8, runtime={dt:.2f}s < 0.5s",
     )
 
 

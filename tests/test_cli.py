@@ -197,6 +197,50 @@ class TestAsymptotics:
         assert "must" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("config", (
+        {"z_values": ["ten"]},
+        {"z_values": 10},
+        {"z_values": []},
+        {"delta": "0.5"},
+        {"lambda": True},
+        [["delta", 0.5]],
+    ))
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        path = tmp_path / "never.csv"
+        code, _, err = run(capsys, "asymptotics", "--config", str(cfg), "--csv", str(path))
+        assert code == 1
+        assert "config" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", (
+        ("--lambda", "-1"),
+        ("--lambda", "0"),
+        ("--lambda", "inf"),
+        ("--r", "2"),
+        ("--r", "0.4"),
+        ("--t", "0"),
+        ("--s", "0.9"),
+        ("--s", "nan"),
+        ("--beta", "0.5"),
+        ("--beta", "0"),
+    ))
+    def test_bad_sweep_parameter_is_usage_error(self, capsys, tmp_path, flags):
+        path = tmp_path / "never.csv"
+        code, out, err = run(capsys, "asymptotics", "--Z", "10", *flags, "--csv", str(path))
+        assert code == 1
+        assert "invalid sweep parameters" in err
+        assert not path.exists()
+        assert out == ""
+
+    def test_bad_sweep_parameter_from_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z_values": [10.0], "r": 2.0}))
+        code, _, err = run(capsys, "asymptotics", "--config", str(cfg))
+        assert code == 1
+        assert "t < r < 1" in err
+
     def test_rows_share_one_profile_and_one_c_phi(self, capsys, tmp_path):
         tf._solve_universal.cache_clear()
         bd._reference_c_phi.cache_clear()

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kv
 
+from relatom import numerics
 from relatom.errors import DomainError
 from relatom.numerics import QuadratureSpec, integrate_1d, integrate_radial_3d
 from relatom.specfun import (
+    SERIES_CUTOFF,
     K2Method,
     heat_kernel,
     heat_kernel_normalization,
@@ -15,7 +18,7 @@ from relatom.specfun import (
     localisation_kernel,
 )
 
-# frozen from the defining-integral quadrature at rel_tol 1e-12 (dev oracle)
+# frozen from the adaptive defining-integral quadrature at rel_tol 1e-12
 K2_AT_1 = 1.6248388986351775
 K2_AT_10 = 2.1509817006932769e-5
 
@@ -31,10 +34,35 @@ class TestK2:
             assert abs(t * t * k2(t) - 2.0) < 0.01 * 2.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            k2(0.0)
-        with pytest.raises(DomainError):
-            k2(-1.0)
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                k2(t)
+
+    def test_infinity(self):
+        assert k2(math.inf) == 0.0
+
+    def test_against_scipy_kv(self):
+        # both sides of the series cutoff, then log-spaced up to 690, where
+        # scipy's kv itself drifts to about 5e-14 relative
+        t = np.concatenate([SERIES_CUTOFF * np.array([1 - 1e-9, 1 + 1e-9]),
+                            np.geomspace(SERIES_CUTOFF, 690.0, 256)])
+        ours = np.array([k2(x) for x in t])
+        assert np.max(np.abs(ours / kv(2, t) - 1.0)) < 1e-13
+
+    def test_default_runs_no_adaptive_quadrature(self, monkeypatch):
+        calls = []
+        real_quad = numerics._quad
+
+        def counting(*args):
+            calls.append(args)
+            return real_quad(*args)
+
+        monkeypatch.setattr(numerics, "_quad", counting)
+        for t in np.geomspace(SERIES_CUTOFF, 690.0, 32):
+            k2(t)
+        assert not calls
+        k2(1.0, K2Method.GAMMA_REWRITE)  # the oracle route still counts
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("t", np.geomspace(0.05, 50.0, 16))
     def test_methods_agree(self, t):
