@@ -82,10 +82,11 @@ REGION_OUTER = "outer"
 class PartitionParams:
     """Localisation exponents (r, t, s, beta) at coupling alpha.
 
-    Range checks are deliberately deferred to the operations that need
-    them (``validate``/``make_partition``): out-of-range exponents must
-    flow through budget assembly so they surface as BudgetViolation, not
-    as a constructor error.
+    The constructor checks only the orderings every zone needs
+    (0 < t < r < 1, t < s).  The other range checks are deliberately
+    deferred to the operations that need them (``validate``/
+    ``make_partition``): out-of-range exponents must flow through budget
+    assembly so they surface as BudgetViolation, not as a constructor error.
     """
 
     r: float
@@ -101,6 +102,8 @@ class PartitionParams:
             raise DomainError("beta must lie in (0, 1/2)")
         if not (0.0 < self.t < self.r < 1.0):
             raise DomainError("need 0 < t < r < 1")
+        if not self.t < self.s:
+            raise DomainError(f"need t < s, got t = {self.t}, s = {self.s}")
 
     def validate(self):
         """Full exponent ordering r > 8/9 > 2/3 > s > t > 1/3 plus the

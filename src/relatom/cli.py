@@ -307,7 +307,7 @@ def build_parser():
         help="the flagship Z-sweep",
         epilog="rows run in one process and share one universal profile and one "
                "c(phi); --delta must lie in (0, 2/pi], every --Z be positive, "
-               "--lambda positive, 0 < --t < --r < 1, --s in (1/3, 2/3) and "
+               "--lambda positive, 0 < --t < --r < 1, --t < --s, --s in (1/3, 2/3) and "
                "--beta in (0, 1/2)",
     )
     p.add_argument("--Z", type=float, nargs="+", default=None, help="Z values")

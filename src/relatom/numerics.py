@@ -18,10 +18,10 @@ Three layers:
   (RK45) with dense output, the checked general integrator.
   :func:`shoot` -- Hairer's compiled DOP853 through ``scipy.integrate.ode``,
   one integrator per ``(rhs, tol)`` reused shot after shot, for shooting
-  loops that need many cheap shots: each accepted step is recorded, a
-  ``stop`` condition ends the shot after the first step where it holds,
-  and values at requested radii are re-integrated from the recorded step
-  start just before each radius.  Both surface failures as
+  loops that need many cheap shots: a ``stop`` condition ends the shot
+  after the first accepted step where it holds, and the shot returns
+  every accepted step, so a caller can read values between them off the
+  step ends without integrating again.  Both surface failures as
   :class:`StepFailure`.
 
 All operations are pure (:func:`shoot` reuses its integrator, but each
@@ -403,12 +403,12 @@ _MAX_STEPS = 100_000
 
 
 class Shot(NamedTuple):
-    """End of one :func:`shoot`: where it ended, the state there, and the
-    values at the requested radii (one row per radius; None without ``at``)."""
+    """End of one :func:`shoot`: where it ended, the state there, and every
+    accepted step (x, y) in the direction of the shot, (x0, y0) first."""
 
     x_end: float
     y_end: tuple
-    values: np.ndarray | None
+    steps: tuple
 
 
 class _Dop853:
@@ -451,15 +451,14 @@ def _dop853(rhs, tol):
     return _Dop853(rhs, tol)
 
 
-def shoot(rhs, y0, x0, x1, tol=1e-10, stop=None, at=None):
+def shoot(rhs, y0, x0, x1, tol=1e-10, stop=None):
     """One shot of y' = rhs(x, y) from x0 towards x1 with compiled DOP853.
 
     The shot ends at x1, or after the first accepted step whose end
-    (x, y) satisfies ``stop(x, y)`` (y a tuple of floats).  ``at`` lists
-    radii inside the shot's span, in either order; each value is
-    re-integrated from the last accepted step start at or before that
-    radius (in the direction of the shot), so it lies on the shot's own
-    trajectory to within ``tol`` and leaves the end state untouched.
+    (x, y) satisfies ``stop(x, y)`` (y a tuple of floats).  The returned
+    :class:`Shot` lists every accepted step end, so values between them
+    can be interpolated from the step ends (with the derivatives the ODE
+    gives there) or re-integrated from the step start before them.
 
     Tolerances are those of :func:`solve_ivp`: ``rtol = tol``,
     ``atol = tol * 1e-2``.  The integrator is built once per
@@ -470,19 +469,6 @@ def shoot(rhs, y0, x0, x1, tol=1e-10, stop=None, at=None):
     """
     if not x1 > x0 and not x1 < x0:
         raise DomainError("x0 and x1 must differ")
-    dop = _dop853(rhs, tol)
-    steps = dop.run(y0, x0, x1, stop)
+    steps = tuple(_dop853(rhs, tol).run(y0, x0, x1, stop))
     x_end, y_end = steps[-1]
-    if at is None:
-        return Shot(x_end, y_end, None)
-    at = np.asarray(at, dtype=float)
-    sign = 1.0 if x1 > x0 else -1.0
-    starts = sign * np.array([x for x, _ in steps])
-    where = sign * at
-    if np.any(where < starts[0]) or np.any(where > starts[-1]):
-        raise DomainError(f"shot radii must lie between {x0!r} and {x_end!r}")
-    values = np.empty((at.size, len(y_end)))
-    for i, k in enumerate(np.searchsorted(starts, where, side="right") - 1):
-        xk, yk = steps[k]
-        values[i] = yk if xk == at[i] else dop.run(yk, xk, float(at[i]))[-1][1]
-    return Shot(x_end, y_end, values)
+    return Shot(x_end, y_end, steps)

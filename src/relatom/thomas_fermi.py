@@ -34,9 +34,15 @@ shot's end value; outward shooting alone cannot carry the profile far
 enough for 1e-6 mass accuracy because the growing perturbation mode
 amplifies the last digit of slope0.
 
-The profile's grid values come from the final shots themselves, each
-re-integrated from the accepted step start just before its radius, so
-they lie on exactly the trajectories the root-finders converged on.
+The profile's grid values come from the final shots themselves, so they
+lie on the trajectories the root-finders converged on.  Each accepted
+step of a shot gets one septic Hermite interpolant: phi and phi' at both
+step ends are recorded, phi'' = phi^{3/2}/sqrt(xi) and
+phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi) follow from the
+ODE, and all steps are evaluated as one Bernstein-form piecewise
+polynomial.  An ion's last step straddles the edge, where phi is not
+smooth (its fourth derivative diverges); the radii inside it are read off
+one more shot, from that step's start to the last of them.
 :func:`solve` refuses a profile whose mass misses min(lambda, 1) by more
 than 1e-6 relative.
 
@@ -53,7 +59,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import BPoly, PchipInterpolator
 from scipy.optimize import bisect, brentq
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
@@ -109,8 +115,8 @@ class TFParams:
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise DomainError("lambda must be positive and finite")
-        if not self.Z > 0:
-            raise DomainError("Z must be positive")
+        if not 0 < self.Z < math.inf:
+            raise DomainError("Z must be positive and finite")
         if not self.gamma_kin > 0:
             raise DomainError("gamma_kin must be positive")
 
@@ -152,15 +158,52 @@ def _escapes(x, y):
     return y[0] <= 0.0 or y[1] > 0.0
 
 
-def _shoot(B, x_end, at=None):
+def _shoot(B, x_end):
     """Outward shot with slope0 = B, stopped after the step where phi hits
     zero or turns upward."""
-    return shoot(_rhs, _series_init(B, _XI0), _XI0, x_end, _ODE_TOL, stop=_escapes, at=at)
+    return shoot(_rhs, _series_init(B, _XI0), _XI0, x_end, _ODE_TOL, stop=_escapes)
 
 
-def _shoot_in(a, at=None):
+def _shoot_in(a):
     """Inward shot from the Sommerfeld manifold at _XI_FAR down to _XI_MATCH."""
-    return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL, at=at)
+    return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL)
+
+
+def _readout(shot, xi):
+    """phi at the ascending radii ``xi`` inside the shot's span, on the
+    shot's own trajectory: each accepted step is one septic Hermite
+    interpolant of phi, phi' and the ODE's phi'', phi''' at its two ends,
+    all evaluated as one piecewise polynomial in Bernstein form."""
+    steps = shot.steps
+    if shot.y_end[0] <= 0.0:
+        # the last step straddles the edge, where phi is not smooth: radii
+        # inside it are read off one shot from its start to the last radius
+        x_start, y_start = steps[-2]
+        steps = steps[:-1]
+        if xi[-1] > x_start:
+            steps += shoot(_rhs, y_start, x_start, xi[-1], _ODE_TOL).steps[1:]
+    x = np.array([step[0] for step in steps])
+    y = np.array([step[1] for step in steps])
+    if x[0] > x[-1]:
+        x, y = x[::-1], y[::-1]
+    if not x[0] <= xi[0] <= xi[-1] <= x[-1]:
+        raise ShootingFailure(f"shot from {shot.steps[0][0]!r} to {shot.x_end!r} misses the grid")
+    phi, dphi = y[:, 0], y[:, 1]
+    clamped = np.maximum(phi, 0.0)  # as in _rhs
+    d2 = clamped**1.5 / np.sqrt(x)
+    d3 = 1.5 * np.sqrt(clamped) * dphi / np.sqrt(x) - d2 / (2.0 * x)
+    # degree-7 Bernstein coefficients from the derivatives at both step ends
+    h = np.diff(x)
+    c = np.empty((8, h.size))
+    c[0] = phi[:-1]
+    c[1] = c[0] + h * dphi[:-1] / 7.0
+    c[2] = 2.0 * c[1] - c[0] + h**2 * d2[:-1] / 42.0
+    c[3] = 3.0 * (c[2] - c[1]) + c[0] + h**3 * d3[:-1] / 210.0
+    c[7] = phi[1:]
+    c[6] = c[7] - h * dphi[1:] / 7.0
+    c[5] = 2.0 * c[6] - c[7] + h**2 * d2[1:] / 42.0
+    c[4] = 3.0 * (c[5] - c[6]) + c[7] - h**3 * d3[1:] / 210.0
+    return BPoly(c, x)(xi)
 
 
 def _edge(shot):
@@ -258,6 +301,12 @@ class _UniversalProfile:
         val = head + grid_quadrature(lambda t: self.phi(t) ** 2.5 / np.sqrt(t), self.xi)
         return val + self._sommerfeld_tail(2.5, 7.0)
 
+    @cached_property
+    def repulsion(self):
+        """int phi^{3/2} sqrt(t) P(t) dt over the grid, P the Newton
+        ``potential``: (Z^2/b)/2 times it is the repulsion inside the grid."""
+        return grid_quadrature(lambda t: self._phi32_sqrt(t) * self.potential(t), self.xi)
+
 
 def _log_grid(lo, hi, per_decade=_PTS_PER_DECADE):
     n = max(int(per_decade * math.log10(hi / lo)) + 1, 32)
@@ -279,7 +328,7 @@ def _solve_neutral():
     slope0 = _root(bisect, classify, -1.7, -1.5, "neutral slope")
     xi = _log_grid(_XI0, _XI_FAR)
     near = xi <= _XI_MATCH
-    out = _shoot(slope0, _XI_MATCH, at=xi[near])
+    out = _shoot(slope0, _XI_MATCH)
     target = out.y_end[0]
 
     def inner_miss(a):
@@ -287,8 +336,8 @@ def _solve_neutral():
 
     a = _root(brentq, inner_miss, -40.0, -1.0, "neutral tail amplitude")
     phi_vals = np.empty_like(xi)
-    phi_vals[near] = out.values[:, 0]
-    phi_vals[~near] = _shoot_in(a, at=xi[~near]).values[:, 0]
+    phi_vals[near] = _readout(out, xi[near])
+    phi_vals[~near] = _readout(_shoot_in(a), xi[~near])
     return _UniversalProfile(
         lam_eff=1.0,
         slope0=slope0,
@@ -307,7 +356,8 @@ def _solve_ion(lam):
         return -x_e * dphi_e - (1.0 - lam)
 
     slope0 = _root(brentq, flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
-    edge = _edge(_shoot(slope0, 2000.0))
+    shot = _shoot(slope0, 2000.0)
+    edge = _edge(shot)
     if edge is None:
         raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")
     x_e, dphi_e = edge
@@ -316,7 +366,7 @@ def _solve_ion(lam):
     cluster = x_e * (1.0 - np.geomspace(1e-3, 1e-12, 28)[1:])
     xi = np.concatenate([base, cluster, [x_e]])
     phi_vals = np.zeros_like(xi)
-    phi_vals[:-1] = np.maximum(_shoot(slope0, 2000.0, at=xi[:-1]).values[:, 0], 0.0)
+    phi_vals[:-1] = np.maximum(_readout(shot, xi[:-1]), 0.0)
     return _UniversalProfile(
         lam_eff=lam,
         slope0=slope0,
@@ -396,7 +446,7 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     )
     rho_rf = RadialFunction(r, rho_vals, rho_tail)
 
-    energy_terms = _energy_terms(params, prof, mu)
+    energy_terms = _energy_terms(params, prof)
     sol = TFSolution(
         params=params,
         slope0=prof.slope0,
@@ -415,15 +465,16 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     return sol
 
 
-def _energy_terms(params, prof, mu):
+def _energy_terms(params, prof):
+    """The three TF energy terms: the profile's Z-independent integrals
+    scaled by X = Z^2/b."""
     Z = params.Z
     b = params.length_scale
     X = Z * Z / b
     kinetic = 0.6 * X * prof.I52
     attraction = -X * prof.I32
     # repulsion = (1/2) int rho (rho * 1/|.|): in xi variables
-    pot = prof.potential
-    rep = 0.5 * X * grid_quadrature(lambda t: prof._phi32_sqrt(t) * pot(t), prof.xi)
+    rep = 0.5 * X * prof.repulsion
     # tail: phi^{3/2} sqrt(t) * (mass/t) with phi from the Sommerfeld form
     rep += 0.5 * X * prof.mass * prof._sommerfeld_tail(1.5, 4.0)
     return {

@@ -81,8 +81,10 @@ class TestPartition:
         zones = [make_pp(alpha=0.2), make_pp(alpha=0.3)]
         rng = np.random.default_rng(7)
         while len(zones) < 8:
-            pp = make_pp(alpha=10.0 ** rng.uniform(-5.0, -0.3), r=rng.uniform(0.9, 0.99),
-                         t=rng.uniform(0.35, 0.6), beta=rng.uniform(0.05, 0.45))
+            alpha, r = 10.0 ** rng.uniform(-5.0, -0.3), rng.uniform(0.9, 0.99)
+            t = rng.uniform(0.35, 0.6)
+            pp = make_pp(alpha=alpha, r=r, t=t, s=rng.uniform(t, 0.65),
+                         beta=rng.uniform(0.05, 0.45))
             if (1.0 + pp.beta) * pp.inner_scale < (1.0 - pp.beta) * pp.outer_scale:
                 zones.append(pp)
         for pp in zones:

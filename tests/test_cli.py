@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -43,6 +44,13 @@ class TestTfSolve:
         c_tf = float(out.split("C_TF(0.5) = ")[1].splitlines()[0])
         e1 = tf.tf_energy(tf.solve(tf.TFParams(lam=0.5, Z=1.0)))
         assert abs(c_tf / -e1 - 1.0) < 1e-13
+
+    def test_infinite_charge_is_refused(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "tf-solve", "--lambda", "1", "--Z", "inf")
+        assert code == 2
+        assert "Z must be positive and finite" in err
 
     def test_missing_lambda_is_usage_error(self, capsys):
         code, _, err = run(capsys, "tf-solve", "--Z", "1")
@@ -105,6 +113,11 @@ class TestBudget:
         assert code == 4
         assert "inner_zone" in err
         assert path.exists()  # the budget is still written, violation flagged
+
+    def test_t_not_below_s_is_refused(self, capsys):
+        code, _, err = run(capsys, "budget", "--alpha", "1e-3", "--t", "0.6", "--s", "0.55")
+        assert code == 2
+        assert "t < s" in err
 
     def test_json_output(self, capsys, tmp_path):
         path = tmp_path / "b.json"
@@ -225,6 +238,7 @@ class TestAsymptotics:
         ("--s", "nan"),
         ("--beta", "0.5"),
         ("--beta", "0"),
+        ("--t", "0.6"),                 # t >= s = 0.55
     ))
     def test_bad_sweep_parameter_is_usage_error(self, capsys, tmp_path, flags):
         path = tmp_path / "never.csv"

@@ -155,24 +155,21 @@ def test_solve_ivp_blowup_reports_abscissa(end_state):
 
 
 @pytest.mark.parametrize("x0, x1", ((_TF_X0, 10.0), (10.0, 0.01)), ids=("outward", "inward"))
-def test_shoot_at_values_lie_on_the_shot(x0, x1):
-    # radii in any order, one of them the start; values re-integrated from
-    # step starts leave the end state alone and agree with direct shots
+def test_shoot_records_its_accepted_steps(x0, x1):
+    # steps run from (x0, y0) to the end state in the direction of the shot,
+    # and each step end agrees with a direct shot to its abscissa
     tol = 1e-11
     y0 = _TF_Y0 if x0 < x1 else (0.05, -0.02)
-    radii = np.array([x0 + 0.9 * (x1 - x0), x0, x0 + 1e-3 * (x1 - x0), x0 + 0.37 * (x1 - x0)])
-    plain = shoot(_tf_rhs, y0, x0, x1, tol=tol)
-    with_at = shoot(_tf_rhs, y0, x0, x1, tol=tol, at=radii)
-    assert with_at.x_end == plain.x_end == x1
-    assert with_at.y_end == plain.y_end
-    assert plain.values is None
-    assert with_at.values.shape == (radii.size, 2)
-    assert tuple(with_at.values[1]) == tuple(y0)
-    for r, got in zip(radii, with_at.values):
-        if r == x0:
-            continue
-        direct = shoot(_tf_rhs, y0, x0, r, tol=tol).y_end
-        assert np.all(np.abs(got - direct) <= 10.0 * tol * np.maximum(np.abs(direct), 1.0))
+    shot = shoot(_tf_rhs, y0, x0, x1, tol=tol)
+    xs = np.array([x for x, _ in shot.steps])
+    assert shot.x_end == x1
+    assert shot.steps[0] == (x0, tuple(y0))
+    assert shot.steps[-1] == (shot.x_end, shot.y_end)
+    assert np.all(np.diff(xs) * (x1 - x0) > 0)
+    for x, y in shot.steps[1:-1:len(shot.steps) // 4]:
+        direct = shoot(_tf_rhs, y0, x0, x, tol=tol).y_end
+        bound = 10.0 * tol * np.maximum(np.abs(direct), 1.0)
+        assert np.all(np.abs(np.subtract(y, direct)) <= bound)
 
 
 def test_shoot_stop_ends_after_the_first_step_past_the_condition():
@@ -181,9 +178,7 @@ def test_shoot_stop_ends_after_the_first_step_past_the_condition():
                  stop=lambda x, y: y[0] >= 2.0)
     assert math.log(2.0) <= shot.x_end < 5.0
     assert abs(shot.y_end[0] - math.exp(shot.x_end)) < 1e-9 * shot.y_end[0]
-    with pytest.raises(DomainError):
-        shoot(lambda x, y: (y[0],), (1.0,), 0.0, 5.0, tol=1e-10,
-              stop=lambda x, y: y[0] >= 2.0, at=[4.0])
+    assert shot.steps[-2][1][0] < 2.0
 
 
 def test_quadrature_spec_validation():

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from relatom import thomas_fermi as tf
-from relatom.errors import DomainError, ToleranceFailure
+from relatom.errors import DomainError, ShootingFailure, ToleranceFailure
 from relatom.numerics import RadialFunction, grid_quadrature
 
 # independent fixed-step RK4 shooting oracle (dev run, u = sqrt(x) variable,
@@ -68,6 +69,36 @@ class TestSolve:
         tf._solve_universal.__wrapped__(lam)
         assert 0 < len(shots) <= max_shots
 
+    @pytest.mark.parametrize("lam, max_rhs", ((0.5, 40_000), (1.0, 100_000)))
+    def test_rhs_budget(self, monkeypatch, lam, max_rhs):
+        # the grid values are read off the recorded steps: re-integrating
+        # every radius from its step start cost 51,572 and 122,607 calls
+        calls = [0]
+        real = tf._rhs
+
+        def counting(x, y):
+            calls[0] += 1
+            return real(x, y)
+
+        monkeypatch.setattr(tf, "_rhs", counting)
+        tf._solve_universal.__wrapped__(lam)
+        assert 0 < calls[0] <= max_rhs
+
+    def test_repulsion_quadrature_runs_once_per_lambda(self, monkeypatch):
+        prof = tf._solve_universal.__wrapped__(0.5)  # fresh: no integral cached yet
+        monkeypatch.setattr(tf, "_solve_universal", lambda key: prof)
+        calls = []
+        real = tf.grid_quadrature
+
+        def counting(f, knots):
+            calls.append(f)
+            return real(f, knots)
+
+        monkeypatch.setattr(tf, "grid_quadrature", counting)
+        for Z in (1.0, 2.0, 10.0, 100.0):
+            tf.solve(tf.TFParams(lam=0.5, Z=Z))
+        assert len(calls) == 4  # mass, I32, I52 and the repulsion, once each
+
     @pytest.mark.parametrize("lam", (0.5, 1.0))
     def test_mass_postcondition_is_enforced(self, monkeypatch, lam):
         # a profile 2e-6 too high carries 3e-6 too much mass; the TF residual
@@ -93,11 +124,51 @@ class TestSolve:
             tf.solve(tf.TFParams(lam=1.0, Z=137.0), tol=2e-12)
 
     def test_extreme_ionization_bracket_failure(self):
-        from relatom.errors import ShootingFailure
-
         # target edge flux 1 - lambda -> 1 escapes the bisection bracket
         with pytest.raises(ShootingFailure):
             tf.solve(tf.TFParams(lam=1e-7, Z=1.0))
+
+
+def _reintegrated(shot, radii):
+    """Oracle: phi at each radius re-integrated from the last accepted step
+    start at or before it, in the direction of the shot."""
+    sign = 1.0 if shot.x_end > shot.steps[0][0] else -1.0
+    starts = sign * np.array([x for x, _ in shot.steps])
+    values = []
+    for r, k in zip(radii, np.searchsorted(starts, sign * radii, side="right") - 1):
+        xk, yk = shot.steps[k]
+        values.append(yk[0] if xk == r else tf.shoot(tf._rhs, yk, xk, r, tf._ODE_TOL).y_end[0])
+    return np.maximum(values, 0.0)
+
+
+class TestReadout:
+    @pytest.mark.parametrize("lam", (1.0, 0.5, 0.01))
+    def test_matches_per_radius_reintegration(self, lam):
+        prof = tf._solve_universal(lam)
+        xi = prof.xi
+        if prof.x_edge is None:
+            near = xi <= tf._XI_MATCH
+            out = tf._shoot(prof.slope0, tf._XI_MATCH)
+            a = tf._root(brentq, lambda a: tf._shoot_in(a).y_end[0] - out.y_end[0],
+                         -40.0, -1.0, "neutral tail amplitude")
+            assert a == prof.tail_amplitude
+            oracle = np.concatenate([_reintegrated(out, xi[near]),
+                                     _reintegrated(tf._shoot_in(a), xi[~near])])
+        else:
+            shot = tf._shoot(prof.slope0, 2000.0)
+            assert tf._edge(shot) == (prof.x_edge, prof.edge_slope)
+            oracle = np.append(_reintegrated(shot, xi[:-1]), 0.0)
+            # phi falls to ~1e-15 inside the step that straddles the edge;
+            # a Hermite fit across the edge misses it by 4e-5 relative
+            edge_step = slice(np.searchsorted(xi, shot.steps[-2][0], side="right"), -1)
+            assert xi[edge_step].size > 10
+            assert np.max(np.abs(prof.phi_values[edge_step] / oracle[edge_step] - 1.0)) <= 1e-6
+        assert np.max(np.abs(prof.phi_values - oracle)) <= 1e-12
+
+    def test_grid_beyond_the_shot_is_refused(self):
+        shot = tf._shoot(tf._solve_universal(1.0).slope0, 5.0)
+        with pytest.raises(ShootingFailure):
+            tf._readout(shot, np.array([1.0, 10.0]))
 
 
 class TestEnergy:
