@@ -257,7 +257,7 @@ def check_coherent():
     worst = 0.0
     for w in (0.5, 0.8, 1.0, 1.5, 2.3):
         f = _gaussian(w)
-        r = sc.coherent_resolution_check(f, cs, 0.1)
+        r = sc.coherent_resolution_check(f, cs, 0.1, w)
         worst = max(worst, abs(r["identity_rhs"] / r["identity_lhs"] - 1.0))
     out.append(_bound("resolution of identity on 5 Gaussians", worst, 1e-8))
 

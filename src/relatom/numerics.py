@@ -13,7 +13,10 @@ Three layers:
   is built from a :class:`RadialFunction` goes through this instead.
   :func:`newton_potential` builds the radial shell split M(r)/r + T(r)
   on the same rule, and :func:`radial_fourier` the 3-D Fourier transform
-  of a radial function (its own inverse up to (2 pi)^3).
+  of a radial function (its own inverse up to (2 pi)^3) on equally
+  spaced knots, where sin(k v) factors segment by segment into sines and
+  cosines of k times the segment midpoints and of k times the node
+  offsets, so no k-by-node sine matrix is built.
 * ODEs.  :func:`solve_ivp` -- scipy's embedded-pair explicit Runge-Kutta
   (RK45) with dense output, the checked general integrator.
   :func:`shoot` -- Hairer's compiled DOP853 through ``scipy.integrate.ode``,
@@ -245,28 +248,55 @@ def newton_potential(f, knots, m_head=0.0, t_tail=0.0):
     return potential
 
 
-_FOURIER_BLOCK = 1 << 19  # entries per block of the sine-transform matrix
+# entries per block of k, summed over the four live k-by-segment matrices
+_FOURIER_BLOCK = 1 << 19
 
 
 def radial_fourier(f, knots, k):
     """3-D Fourier transform of the radial ``f``, 4 pi int f(v) v sin(k v)/k dv,
-    on the composite 12-point Gauss-Legendre rule of ``knots``; vectorized
-    over ``k`` (k = 0 gives 4 pi int f v^2).
+    on the composite 12-point Gauss-Legendre rule of the equally spaced
+    ``knots``; vectorized over ``k`` (k = 0 gives 4 pi int f v^2).
 
-    ``f`` is evaluated once, at the rule's nodes.  The transform is its own
-    inverse up to (2 pi)^3: f(r) = radial_fourier(fhat, p_knots, r) / (2 pi)^3.
-    The rule must resolve sin(k v) at the largest ``|k|`` requested.
+    ``f`` is evaluated once, at the rule's nodes v = m_j + h x_i (segment
+    midpoints m_j, one half-width h).  The sine factors segment by segment,
+    sin(k v) = sin(k m_j) cos(k h x_i) + cos(k m_j) sin(k h x_i), so each k
+    costs two transcendentals per segment plus two per GL node, and the
+    node sums are two matrix products.  Knots that are not equally spaced
+    (to rounding) raise :class:`DomainError`.
+
+    The transform is its own inverse up to (2 pi)^3:
+    f(r) = radial_fourier(fhat, p_knots, r) / (2 pi)^3.  The rule must
+    resolve sin(k v) at the largest ``|k|`` requested.
     """
-    v, w = gl_rule(knots)
-    fv = np.asarray(f(v), dtype=float) * v * w
+    knots = np.asarray(knots, dtype=float)
+    if knots.ndim != 1 or knots.size < 2:
+        raise DomainError("need at least two knots")
+    segments = knots.size - 1
+    h = 0.5 * (knots[-1] - knots[0]) / segments
+    if np.max(np.abs(np.diff(knots) - 2.0 * h)) > 1e-12 * np.max(np.abs(knots)):
+        raise DomainError("radial_fourier needs equally spaced knots")
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    hx = h * _GL_NODES
+    v = mid[:, None] + hx[None, :]
+    fv = np.asarray(f(v.ravel()), dtype=float).reshape(v.shape) * v * (h * _GL_WEIGHTS)
     k = np.asarray(k, dtype=float)
     flat = k.ravel()
     out = np.empty_like(flat)
-    rows = max(1, _FOURIER_BLOCK // v.size)
+    rows = max(1, _FOURIER_BLOCK // (4 * segments))
     for i in range(0, flat.size, rows):
-        out[i:i + rows] = np.sin(np.outer(flat[i:i + rows], v)) @ fv
+        kb = flat[i:i + rows]
+        kx = np.outer(kb, hx)
+        cos_part = np.cos(kx) @ fv.T
+        sin_part = np.sin(kx, out=kx) @ fv.T
+        km = np.outer(kb, mid)
+        s = np.sin(km)
+        s *= cos_part
+        np.cos(km, out=km)
+        km *= sin_part
+        s += km
+        out[i:i + rows] = s.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 4.0 * math.pi * np.where(flat == 0.0, np.dot(fv, v), out / flat)
+        out = 4.0 * math.pi * np.where(flat == 0.0, np.vdot(fv, v), out / flat)
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 

@@ -436,19 +436,50 @@ class CoherentSpec:
         return total
 
 
-def coherent_resolution_check(f, cs: CoherentSpec, alpha: float) -> dict:
-    """Resolution of identity: (f, f) against the Parseval-route evaluation
-    (f, (1 * g_alpha^2) f), both by radial quadrature."""
+def _inverse_fourier(fhat, p_knots, r):
+    """f(r) from its radial 3-D transform: (2 pi)^-3 times the forward one."""
+    return radial_fourier(fhat, p_knots, r) / (2.0 * math.pi) ** 3
+
+
+def coherent_resolution_check(f, cs: CoherentSpec, alpha: float, width: float) -> dict:
+    """Resolution of identity, int dq (f^2 * g_alpha^2)(q) = ||f||^2 for unit
+    ||g_alpha||.  ``identity_lhs`` is ||f||^2 by adaptive quadrature;
+    ``identity_rhs`` is 4 pi int q^2 (f^2 * g_alpha^2)(q) dq on a GL q-rule,
+    with the convolution at its nodes the inverse transform of the product
+    of the forward transforms of f^2 and g_alpha^2.
+
+    ``f`` is scalar and lives on the length scale ``width`` like the Gaussian
+    e^{-r^2/(2 width^2)}: f^2 is negligible beyond 12 width, and its
+    transform, for that Gaussian e^{-p^2 width^2/4}, falls to 2e-16 at
+    p = 12/width, where the p-rule ends."""
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
     cs.check_normalization()
     g_a, a_s = cs.g_scaled(alpha)
     lhs, _ = integrate_1d(lambda r: f(r) ** 2 * r * r, 0.0, math.inf, spec)
-    lhs *= 4.0 * math.pi
-    gmass, _ = integrate_1d(
-        lambda r: float(g_a(np.array([r]))[0]) ** 2 * r * r, 0.0, a_s, spec
+    f_knots = np.linspace(0.0, 12.0 * width, 129)
+    g_knots = np.linspace(0.0, a_s, 65)
+
+    def f2(r):
+        return np.array([f(x) for x in r]) ** 2
+
+    def g2(r):
+        return np.asarray(g_a(r), dtype=float) ** 2
+
+    def conv_hat(p):
+        return radial_fourier(f2, f_knots, p) * radial_fourier(g2, g_knots, p)
+
+    # p-segments of width 6/q_max put about 12 nodes on each period of
+    # sin(p q) for every q <= q_max, and the q-rule mirrors them
+    q_max = 12.0 * width + a_s
+    p_max = 12.0 / width
+    segments = math.ceil(p_max * q_max / 6.0)
+    p_knots = np.linspace(0.0, p_max, segments + 1)
+    rhs = radial_fourier(
+        lambda q: _inverse_fourier(conv_hat, p_knots, q),
+        np.linspace(0.0, q_max, segments + 1),
+        0.0,
     )
-    gmass *= 4.0 * math.pi
-    return {"identity_lhs": float(lhs), "identity_rhs": float(lhs * gmass)}
+    return {"identity_lhs": 4.0 * math.pi * lhs, "identity_rhs": rhs}
 
 
 def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split"):
@@ -480,7 +511,7 @@ def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split")
             p_max = 400.0 / a_s
             R = max(float(np.max(np.abs(r))), 3.0 * a_s)
             p_knots = np.linspace(0.0, p_max, math.ceil(p_max * R / 6.0) + 1)
-            return radial_fourier(coulomb_hat, p_knots, r) / (2.0 * math.pi) ** 3
+            return _inverse_fourier(coulomb_hat, p_knots, r)
 
         return conv
 

@@ -154,7 +154,7 @@ def test_criterion_08_coherent_states():
     for w in (0.5, 0.8, 1.0, 1.5, 2.3):
         c = (math.pi * w * w) ** -0.75
         f = lambda r, c=c, w=w: c * math.exp(-0.5 * (r / w) ** 2)
-        rr = sc.coherent_resolution_check(f, cs, 0.1)
+        rr = sc.coherent_resolution_check(f, cs, 0.1, w)
         worst_res = max(worst_res, abs(rr["identity_rhs"] / rr["identity_lhs"] - 1.0))
         pp = sc.coherent_potential_check(f, cs, 0.3)
         worst_pot = max(worst_pot, abs(pp["route_momentum"] / pp["route_newton"] - 1.0))
@@ -167,10 +167,10 @@ def test_criterion_08_coherent_states():
     dt = time.perf_counter() - t0
     report(
         "08 coherent-state identities",
-        worst_res < 1e-8 and worst_pot < 1e-8 and slope_err < 1e-3 and dt < 10.0,
+        worst_res < 1e-8 and worst_pot < 1e-8 and slope_err < 1e-3 and dt < 2.0,
         f"resolution gap = {worst_res:.2e}, smearing gap = {worst_pot:.2e} "
         f"(tol=1e-8), alpha-exponent fit err = {slope_err:.1e} (tol=1e-3), "
-        f"runtime={dt:.1f}s < 10s",
+        f"runtime={dt:.1f}s < 2s",
     )
 
 

@@ -10,6 +10,7 @@ from relatom.numerics import (
     QuadratureSpec,
     RadialFunction,
     Tail,
+    gl_rule,
     grid_quadrature,
     integrate_1d,
     integrate_radial_3d,
@@ -275,6 +276,43 @@ class TestRadialFourier:
         exact = math.pi**1.5 * np.exp(-p * p / 4.0)
         assert np.max(np.abs(hat / exact - 1.0)) < 1e-12
         assert isinstance(radial_fourier(lambda v: np.exp(-v * v), [0.0, 8.0], 1.0), float)
+
+    @staticmethod
+    def dense(f, knots, k):
+        # the dense sine matrix over every node of the rule
+        v, w = gl_rule(knots)
+        fv = f(v) * v * w
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 4.0 * math.pi * np.where(k == 0.0, fv @ v, np.sin(np.outer(k, v)) @ fv / k)
+
+    @pytest.mark.parametrize(
+        "knots,k",
+        (
+            (np.linspace(0.0, 8.0, 65), np.array([0.0, -2.5, 1e-3, 3.0])),
+            (np.linspace(0.5, 2.0, 7), np.array([-7.0])),
+            # k v up to 1e4
+            (np.linspace(0.0, 8.0, 65), np.linspace(0.0, 1250.0, 2001)),
+            # 1,000 k: four blocks at 400 segments
+            (np.linspace(0.0, 400.0, 401), np.linspace(-25.0, 25.0, 1000)),
+        ),
+    )
+    def test_against_the_dense_sine_matrix(self, knots, k):
+        f = lambda v: np.exp(-v * v) * (1.0 + np.cos(3.0 * v))
+        oracle = self.dense(f, knots, k)
+        assert np.max(np.abs(radial_fourier(f, knots, k) - oracle)) < 1e-13 * np.max(np.abs(oracle))
+        scalar = radial_fourier(f, knots, float(k[-1]))
+        assert isinstance(scalar, float)
+        assert abs(scalar - oracle[-1]) < 1e-13 * np.max(np.abs(oracle))
+
+    def test_knots_must_be_equally_spaced(self):
+        f = lambda v: np.exp(-v * v)
+        with pytest.raises(DomainError):
+            radial_fourier(f, np.geomspace(1e-3, 8.0, 65), 1.0)
+        with pytest.raises(DomainError):
+            radial_fourier(f, [1.0], 1.0)
+        with pytest.raises(DomainError):
+            radial_fourier(f, [], 1.0)
 
     def test_round_trip_on_a_compact_bump(self):
         def bump(v):

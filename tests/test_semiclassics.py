@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from relatom import checks
 from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
 from relatom.errors import DomainError, PreconditionFailure
@@ -247,8 +248,18 @@ class TestIdentityChain:
 class TestCoherent:
     @pytest.mark.parametrize("width", (0.5, 0.8, 1.0, 1.5, 2.3))
     def test_resolution_of_identity(self, reference_bump, width):
-        res = sc.coherent_resolution_check(gaussian(width), reference_bump, 0.1)
+        res = sc.coherent_resolution_check(gaussian(width), reference_bump, 0.1, width)
         assert abs(res["identity_rhs"] / res["identity_lhs"] - 1.0) < 1e-8
+
+    def test_resolution_check_fails_on_a_misnormalised_inverse(self, monkeypatch):
+        # the inverse transform's (2 pi)^-3 off by 1e-7 must fail the verify line
+        inverse = sc._inverse_fourier
+        monkeypatch.setattr(
+            sc, "_inverse_fourier", lambda fhat, p_knots, r: inverse(fhat, p_knots, r) * (1.0 + 1e-7)
+        )
+        line = next(c for c in checks.check_coherent() if c.name.startswith("resolution"))
+        assert not line.passed
+        assert abs(line.measured - 1e-7) < 1e-9
 
     def test_potential_smearing_two_routes(self):
         # quad_ref: nested scipy quad of the Newton split at epsrel 1.2e-14
@@ -274,7 +285,7 @@ class TestCoherent:
             support_volume=4.0 * math.pi / 3.0,
         )
         with pytest.raises(PreconditionFailure):
-            sc.coherent_resolution_check(gaussian(1.0), bad, 0.1)
+            sc.coherent_resolution_check(gaussian(1.0), bad, 0.1, 1.0)
 
     def test_kinetic_error_bound_power_law(self):
         cs5 = sc.CoherentSpec.reference(0.5)
