@@ -26,7 +26,7 @@ from .kinetic import (
     t_rel,
     t_rel_inverse,
 )
-from .numerics import QuadratureSpec, grid_quadrature, integrate_1d, solve_ivp
+from .numerics import QuadratureSpec, grid_quadrature, integrate_1d, shoot
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
 
@@ -58,6 +58,10 @@ def _bound(name, measured, limit, sense="<="):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _oscillator(x, y):
+    return (y[1], -y[0])
 
 
 def check_numerics():
@@ -92,15 +96,14 @@ def check_numerics():
         worst = max(worst, abs(v1 - v2) / exact)
     out.append(_bound("semi-infinite transforms agree on exp(-x) x^k", worst, 10 * spec.rel_tol))
 
-    tols = np.array([1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
-    errs = []
-    for tol in tols:
-        tr = solve_ivp(lambda x, y: (-y[0],), (1.0,), 0.0, 1.0, tol=tol)
-        errs.append(abs(tr.y_end[0] - math.exp(-1.0)))
-    q = np.polyfit(np.log(tols), np.log(errs), 1)[0]
+    # y'' = -y from (0, 1) is sin x: three periods of global error growth
+    worst = 0.0
+    for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+        end = shoot(_oscillator, (0.0, 1.0), 0.0, 20.0, tol=tol).y_end
+        worst = max(worst, abs(end[0] - math.sin(20.0)) / tol)
     out.append(
-        _bound("solve_ivp halving-equivalent error reduction 2^q on y'=-y",
-               2.0**q, 2.0, sense=">=")
+        _bound("shoot end-point error/tol on y''=-y over [0, 20], tol 1e-6..1e-11",
+               worst, 10.0)
     )
     return out
 

@@ -17,19 +17,17 @@ Three layers:
   spaced knots, where sin(k v) factors segment by segment into sines and
   cosines of k times the segment midpoints and of k times the node
   offsets, so no k-by-node sine matrix is built.
-* ODEs.  :func:`solve_ivp` -- scipy's embedded-pair explicit Runge-Kutta
-  (RK45) with dense output, the checked general integrator.
-  :func:`shoot` -- Hairer's compiled DOP853 through ``scipy.integrate.ode``,
-  one integrator per ``(rhs, tol)`` reused shot after shot, for shooting
-  loops that need many cheap shots: a ``stop`` condition ends the shot
-  after the first accepted step where it holds, and the shot returns
-  every accepted step, so a caller can read values between them off the
-  step ends without integrating again.  Both surface failures as
-  :class:`StepFailure`.
+* ODEs.  :func:`shoot` -- Hairer's compiled DOP853 through
+  ``scipy.integrate.ode``, the package's one integrator: one per
+  ``(rhs, tol)``, reused shot after shot, for shooting loops that need
+  many cheap shots.  A ``stop`` condition ends the shot after the first
+  accepted step where it holds, and the shot returns every accepted step,
+  so a caller can read values between them off the step ends without
+  integrating again.  Failures surface as :class:`StepFailure`.
 
 All operations are pure (:func:`shoot` reuses its integrator, but each
-shot starts from a reset state); :class:`RadialFunction`,
-:class:`Trajectory` and :class:`Shot` are immutable after construction.
+shot starts from a reset state); :class:`RadialFunction` and
+:class:`Shot` are immutable after construction.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "RadialFunction",
     "Shot",
     "Tail",
-    "Trajectory",
     "integrate_1d",
     "integrate_radial_3d",
     "gl_rule",
@@ -59,7 +56,6 @@ __all__ = [
     "newton_potential",
     "radial_fourier",
     "shoot",
-    "solve_ivp",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -381,54 +377,8 @@ class RadialFunction:
         return float(self.grid[-1])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Dense-output solution of an initial value problem."""
-
-    ts: np.ndarray
-    ys: np.ndarray
-    dense: object
-
-    def __call__(self, x):
-        return self.dense(x)
-
-    @property
-    def x_end(self):
-        return float(self.ts[-1])
-
-    @property
-    def y_end(self):
-        return self.ys[:, -1]
-
-
-def solve_ivp(rhs, y0, x0, x1, tol=1e-10):
-    """Integrate y' = rhs(x, y) from x0 to x1 with scipy's RK45 pair.
-
-    The pair keeps the end-point error proportional to ``tol`` across the
-    whole useful range; the step size is limited by the embedded error
-    estimate alone.  Raises :class:`StepFailure` on blow-up, reporting the
-    last good abscissa.
-    """
-    if not x1 > x0 and not x1 < x0:
-        raise DomainError("x0 and x1 must differ")
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (x0, x1),
-        np.atleast_1d(np.asarray(y0, dtype=float)),
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=True,
-    )
-    if sol.status == -1:
-        raise StepFailure(
-            f"integration failed at x = {sol.t[-1]!r}: {sol.message}",
-            last_x=float(sol.t[-1]),
-        )
-    return Trajectory(ts=sol.t, ys=sol.y, dense=sol.sol)
-
-
 # accepted steps per shot before DOP853 gives up; scipy's default of 500 is
-# near the longest TF shot (about 200 steps), and solve_ivp has no limit
+# too near the longest TF shot (about 200 steps)
 _MAX_STEPS = 100_000
 
 
@@ -490,12 +440,11 @@ def shoot(rhs, y0, x0, x1, tol=1e-10, stop=None):
     can be interpolated from the step ends (with the derivatives the ODE
     gives there) or re-integrated from the step start before them.
 
-    Tolerances are those of :func:`solve_ivp`: ``rtol = tol``,
-    ``atol = tol * 1e-2``.  The integrator is built once per
-    ``(rhs, tol)`` and reused, so neither ``rhs``, ``stop`` nor a second
-    thread may shoot with the same pair during a shot.  Raises
-    :class:`StepFailure` on blow-up or step-size underflow, reporting the
-    abscissa reached.
+    Tolerances are ``rtol = tol``, ``atol = tol * 1e-2``.  The integrator
+    is built once per ``(rhs, tol)`` and reused, so neither ``rhs``,
+    ``stop`` nor a second thread may shoot with the same pair during a
+    shot.  Raises :class:`StepFailure` on blow-up or step-size underflow,
+    reporting the abscissa reached.
     """
     if not x1 > x0 and not x1 < x0:
         raise DomainError("x0 and x1 must differ")

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .errors import DivergentIntegral, DomainError, PreconditionFailure
-from .kinetic import Dispersion, taylor_32_bound
+from .kinetic import Dispersion
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
@@ -265,7 +265,8 @@ def domain_change_error(
 
     with X = 2 delta^{4/3} alpha^{-4/3} V1, Y = (1/2) delta^{4/3} alpha^{2/3} V1,
     W = (1/4) delta^{1/3} alpha^{t-1/3}, V1 the Z=1 TF potential, and
-    (1+Y)^{3/2} replaced by its quadratic Taylor majorant.
+    (1+Y)^{3/2}-1 replaced by its Taylor majorant (3/2)Y + (3/8)Y^2, which
+    does not cancel as Y -> 0.
     """
     alpha = disp.alpha
     delta = sol.params.Z * alpha
@@ -287,7 +288,7 @@ def domain_change_error(
         v = V1(w)
         X = cX * v
         Y = cY * v
-        return w * w * v * (X**1.5 / 3.0) * (taylor_32_bound(Y) - 1.0)
+        return w * w * v * (X**1.5 / 3.0) * (1.5 * Y + 0.375 * Y * Y)
 
     top = b1 * prof.xi[-1]
     if W >= top:

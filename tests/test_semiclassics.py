@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,6 +180,21 @@ class TestDomainChange:
         # point still feels the pre-asymptotic cutoff W(alpha)
         seq56 = [v * a ** (5.0 / 6.0) for v, a in zip(vals[1:], alphas[1:])]
         assert all(x > y for x, y in zip(seq56, seq56[1:]))
+
+    def test_log_slope_reaches_its_tag_at_tiny_alpha(self, neutral_solution):
+        # the Z = 1 solution relabelled to Z = delta/alpha is exact by TF
+        # scaling; the majorant minus one must not cancel as Y -> 0, so the
+        # secant slope between alpha and alpha/10 stays at -(1+t)/2 = -0.75
+        def term(alpha):
+            sol = dataclasses.replace(
+                neutral_solution, params=tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha)
+            )
+            return sc.domain_change_error(sol, Dispersion(alpha), 0.5)
+
+        vals = [term(10.0**-e) for e in range(20, 42)]
+        for e, v, v_next in zip(range(20, 41), vals, vals[1:]):
+            slope = math.log10(v / v_next)
+            assert abs(slope + 0.75) < 0.01, (e, slope)
 
     def test_majorizes_exact_crescent_integral(self):
         # same integral with the exact (1+Y)^{3/2}-1 instead of its Taylor
