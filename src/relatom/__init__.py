@@ -18,7 +18,7 @@ from .errors import (
     ToleranceFailure,
 )
 from .kinetic import Dispersion
-from .numerics import QuadratureSpec, RadialFunction, Tail
+from .numerics import QuadratureSpec, RadialFunction
 from .thomas_fermi import TFParams, TFSolution, solve, tf_energy
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "RelatomError",
     "ShootingFailure",
     "StepFailure",
-    "Tail",
     "TFParams",
     "TFSolution",
     "ToleranceFailure",

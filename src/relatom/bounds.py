@@ -354,13 +354,11 @@ def daubechies_eigenvalue_sum_bound(
     Coulomb) whose inner cutoff the RadialFunction extrapolation cannot
     encode.
     """
-    if V.tail.kind == "power_law" and support is None:
-        # F(s) ~ s^{5/2} at small s: the radial integrand goes like
-        # u^{5 e/2 + 2}, integrable only for tail exponent e < -6/5
-        if V.tail.exponent >= -1.2 and V.tail.coefficient != 0.0:
-            raise DivergentIntegral(
-                "int F(|V|) diverges: V must be compactly supported or cut off"
-            )
+    has_tail = V.tail_exponent is not None and V.values[-1] != 0.0
+    # F(s) ~ s^{5/2} at small s: the radial integrand goes like
+    # u^{5 e/2 + 2}, integrable only for tail exponent e < -6/5
+    if support is None and has_tail and V.tail_exponent >= -1.2:
+        raise DivergentIntegral("int F(|V|) diverges: V must be compactly supported or cut off")
     # F(s) ~ s^k at large s: k = 4 for the exact F, 9/2 for the majorant
     if f_form == "exact":
         F, k = daubechies_F, 4.0
@@ -380,11 +378,11 @@ def daubechies_eigenvalue_sum_bound(
         return -q_spin * DAUBECHIES_CONSTANT * 4.0 * math.pi * value
 
     # a growing head V ~ u^h makes the integrand ~ u^{k h + 2} at the origin
-    h = V._head_exp
+    h = V.head_exponent
     if h < 0.0 and k * h + 2.0 <= -1.0:
         raise DivergentIntegral("int F(|V|) diverges: V too singular at the origin")
     value = grid_quadrature(integrand, V.grid)
-    if V.tail.kind == "power_law" and V.tail.coefficient != 0.0:
+    if has_tail:
         tail, _ = integrate_1d(
             integrand,
             V.r_max,
@@ -607,8 +605,6 @@ def assemble_error_budget(
     disp: Dispersion,
     cs: CoherentSpec,
     q_spin: int = 2,
-    c_phi: float | None = None,
-    raise_on_violation: bool = True,
 ) -> ErrorBudget:
     """All correction terms below the leading TF energy, each valued at
     pp.alpha and tagged with its alpha-exponent; every exponent must stay
@@ -623,8 +619,7 @@ def assemble_error_budget(
     if delta > 2.0 / math.pi + 1e-12:
         raise DomainError("delta = Z alpha must be <= 2/pi")
     n_electrons = lam * delta / alpha
-    if c_phi is None:
-        c_phi = _reference_c_phi()
+    c_phi = _reference_c_phi()
 
     terms = []
 
@@ -731,15 +726,13 @@ def assemble_error_budget(
     )
 
     budget = ErrorBudget(terms=tuple(terms), alpha=alpha)
-    if raise_on_violation:
-        bad = budget.violations()
-        if bad:
-            raise BudgetViolation(
-                f"budget term {bad[0].name!r} has exponent "
-                f"{bad[0].alpha_exponent:.4f} <= -4/3",
-                term_name=bad[0].name,
-                budget=budget,
-            )
+    bad = budget.violations()
+    if bad:
+        raise BudgetViolation(
+            f"budget term {bad[0].name!r} has exponent {bad[0].alpha_exponent:.4f} <= -4/3",
+            term_name=bad[0].name,
+            budget=budget,
+        )
     return budget
 
 

@@ -238,11 +238,8 @@ def check_thomas_fermi():
     for lam in (0.5, 1.0):
         sol = tf.solve(tf.TFParams(lam=lam, Z=1.0), tol=1e-5)
         rho = sol.rho
-        head = rho.values[0] * rho.grid[0] ** 3 / (rho._head_exp + 3.0)
-        mass = grid_quadrature(lambda v: rho(v) * v * v, rho.grid) + head
-        if rho.tail.kind == "power_law":
-            e = rho.tail.exponent
-            mass += rho.tail.coefficient * rho.grid[-1] ** (e + 3.0) / (-e - 3.0)
+        mass = grid_quadrature(lambda v: rho(v) * v * v, rho.grid)
+        mass += rho.head_integral(1.0, 2) + rho.tail_integral(1.0, 2)
         mass *= 4.0 * math.pi
         worst = max(worst, abs(mass / (min(lam, 1.0) * 1.0) - 1.0))
     out.append(_bound("int rho d3x = min(N, Z) relative error", worst, 1e-6))

@@ -23,7 +23,6 @@ __all__ = [
     "t_rel_inverse",
     "nonrel_domination_check",
     "quartic_lower_check",
-    "taylor_32_bound",
     "daubechies_F",
     "daubechies_F_upper",
 ]
@@ -73,15 +72,6 @@ def quartic_lower_check(disp: Dispersion, p):
     a = disp.alpha
     lower = 0.5 * a * p * p - 0.125 * a**3 * p**4
     return t_rel(disp, p) >= lower - 1e-15 * (1.0 + p**4)
-
-
-def taylor_32_bound(x):
-    """1 + (3/2)x + (3/8)x^2; dominates (1+x)^{3/2} for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("taylor_32_bound requires x >= 0")
-    out = 1.0 + 1.5 * x + 0.375 * x * x
-    return float(out) if out.ndim == 0 else out
 
 
 def daubechies_F(disp: Dispersion, s):

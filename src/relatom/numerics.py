@@ -1,7 +1,12 @@
 """Quadrature and ODE plumbing used by every physics module.
 
-Three layers:
+Four layers:
 
+* :class:`RadialFunction` -- a sampled radial profile and the one place
+  that knows how it continues past its grid: PCHIP inside, the power law
+  through the first two samples below, values[-1] (r/R)^tail_exponent (or
+  zero) beyond; its ``head_integral``/``tail_integral`` give int f^p u^k
+  over both continuations in closed form.
 * :func:`integrate_1d` / :func:`integrate_radial_3d` -- adaptive
   Gauss-Kronrod quadrature (QUADPACK) behind a small spec object.
   Semi-infinite integrals are mapped to (0, 1) first; exponentially
@@ -42,13 +47,12 @@ import numpy as np
 import scipy.integrate
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, NonConvergence, StepFailure
+from .errors import DivergentIntegral, DomainError, NonConvergence, StepFailure
 
 __all__ = [
     "QuadratureSpec",
     "RadialFunction",
     "Shot",
-    "Tail",
     "integrate_1d",
     "integrate_radial_3d",
     "gl_rule",
@@ -296,40 +300,24 @@ def radial_fourier(f, knots, k):
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
-TAIL_ZERO = "zero"
-TAIL_POWER_LAW = "power_law"
-
-
-@dataclass(frozen=True)
-class Tail:
-    """Behaviour of a radial profile beyond its last grid point."""
-
-    kind: str = TAIL_ZERO
-    exponent: float = 0.0
-    coefficient: float = 0.0
-
-    @classmethod
-    def zero(cls):
-        return cls(TAIL_ZERO)
-
-    @classmethod
-    def power_law(cls, exponent, coefficient):
-        return cls(TAIL_POWER_LAW, float(exponent), float(coefficient))
-
-
 @dataclass(frozen=True)
 class RadialFunction:
     """A function of radius sampled on a strictly increasing positive grid.
 
-    Inside the grid span a monotone cubic (PCHIP) interpolant is used;
-    beyond the last point the declared tail model; below the first point a
-    power law fitted through the first two samples (log-log extrapolation of
-    their magnitudes, if both are nonzero and share a sign; else constant).
+    Inside the grid span a monotone cubic (PCHIP) interpolant is used.  Below
+    the first point r0 it continues as values[0] (r/r0)^head_exponent, the
+    power law through the first two samples (the log-log slope of their
+    magnitudes if both are nonzero and share a sign, else 0: constant).
+    Beyond the last point R it continues as values[-1] (r/R)^tail_exponent,
+    or as zero when ``tail_exponent`` is None.  :meth:`head_integral` and
+    :meth:`tail_integral` integrate powers of both continuations in closed
+    form.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    tail: Tail = field(default_factory=Tail.zero)
+    tail_exponent: float | None = None
+    head_exponent: float = field(init=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -348,7 +336,7 @@ class RadialFunction:
         v0, v1 = values[0], values[1]
         same_sign = (v0 > 0 and v1 > 0) or (v0 < 0 and v1 < 0)
         head_exp = math.log(v1 / v0) / math.log(grid[1] / grid[0]) if same_sign else 0.0
-        object.__setattr__(self, "_head_exp", head_exp)
+        object.__setattr__(self, "head_exponent", head_exp)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -360,13 +348,27 @@ class RadialFunction:
         mid = ~(lo | hi)
         out[mid] = self._interp(r[mid])
         if np.any(lo):
-            out[lo] = self.values[0] * (r[lo] / self.grid[0]) ** self._head_exp
+            out[lo] = self.values[0] * (r[lo] / self.grid[0]) ** self.head_exponent
         if np.any(hi):
-            if self.tail.kind == TAIL_ZERO:
+            if self.tail_exponent is None:
                 out[hi] = 0.0
             else:
-                out[hi] = self.tail.coefficient * r[hi] ** self.tail.exponent
+                out[hi] = self.values[-1] * (r[hi] / self.grid[-1]) ** self.tail_exponent
         return float(out[0]) if scalar else out
+
+    def head_integral(self, p, k):
+        """int_0^r0 f(u)^p u^k du in closed form:
+        values[0]^p r0^(k+1) / (p head_exponent + k + 1)."""
+        n = p * self.head_exponent + (k + 1)
+        return _power_moment(self.values[0], self.grid[0], p, k, n, "head")
+
+    def tail_integral(self, p, k):
+        """int_R^inf f(u)^p u^k du in closed form:
+        values[-1]^p R^(k+1) / -(p tail_exponent + k + 1); 0.0 for a zero tail."""
+        if self.tail_exponent is None:
+            return 0.0
+        n = -(p * self.tail_exponent + (k + 1))
+        return _power_moment(self.values[-1], self.grid[-1], p, k, n, "tail")
 
     @property
     def r_min(self):
@@ -375,6 +377,20 @@ class RadialFunction:
     @property
     def r_max(self):
         return float(self.grid[-1])
+
+
+def _power_moment(v, r, p, k, n, end):
+    """v^p r^(k+1) / n: the integral of (v (u/r)^e)^p u^k over the head
+    (n = p e + k + 1) or the tail (n = -(p e + k + 1)).  Zero if v is;
+    :class:`DivergentIntegral` unless n > 0; :class:`DomainError` for a
+    negative v under a non-integer power.  For p = 1 the result is signed."""
+    if v == 0.0:
+        return 0.0
+    if not n > 0.0:
+        raise DivergentIntegral(f"int f^{p} u^{k} diverges over the {end} of the RadialFunction")
+    if v < 0.0 and not float(p).is_integer():
+        raise DomainError(f"f^{p} of the negative {end} sample {v!r} is not real")
+    return float(v**p * r ** (k + 1) / n)
 
 
 # accepted steps per shot before DOP853 gives up; scipy's default of 500 is

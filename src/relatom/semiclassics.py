@@ -151,7 +151,7 @@ def phase_space_energy(
 
     # head: below the first grid point V follows its power-law head
     if q_min == 0.0:
-        p_head = V._head_exp
+        p_head = V.head_exponent
         w0 = w_of(grid[0])
         if w0 > 0:
             if disp is None:
@@ -180,12 +180,11 @@ def phase_space_energy(
             value += head
 
     # tail: beyond the grid V uses its declared tail model
-    if V.tail.kind == "power_law" and V.tail.coefficient != 0.0:
-        tail_pow = 2.5 * V.tail.exponent + 2.0
+    if V.tail_exponent is not None and V.values[-1] != 0.0:
         R = grid[-1]
         if mu_shift > 0.0:
             # the allowed region ends where the tail crosses mu_shift
-            u_star = (mu_shift / V.tail.coefficient) ** (1.0 / V.tail.exponent)
+            u_star = R * (mu_shift / V.values[-1]) ** (1.0 / V.tail_exponent)
             if u_star > R:
                 tail, terr = integrate_1d(
                     integrand, R, u_star,
@@ -193,29 +192,23 @@ def phase_space_energy(
                 )
                 err += terr
                 value += tail
+        elif disp is None:
+            value += -NONREL_52_COEFF * V.tail_integral(2.5, 2)
         else:
-            if tail_pow >= -1.0:
+            if 2.5 * V.tail_exponent + 3.0 >= 0.0:
                 raise DivergentIntegral("phase-space tail diverges: V decays too slowly")
-            if disp is None:
-                tail = (
-                    -NONREL_52_COEFF
-                    * V.tail.coefficient**2.5
-                    * R ** (tail_pow + 1.0)
-                    / (-tail_pow - 1.0)
-                )
-            else:
-                tail, terr = integrate_1d(
-                    integrand,
-                    R,
-                    math.inf,
-                    QuadratureSpec(
-                        rel_tol=1e-8,
-                        abs_tol=1e-12,
-                        max_subdivisions=200,
-                        semi_infinite_transform="algebraic_map",
-                    ),
-                )
-                err += terr
+            tail, terr = integrate_1d(
+                integrand,
+                R,
+                math.inf,
+                QuadratureSpec(
+                    rel_tol=1e-8,
+                    abs_tol=1e-12,
+                    max_subdivisions=200,
+                    semi_infinite_transform="algebraic_map",
+                ),
+            )
+            err += terr
             value += tail
 
     value = value / (2.0 * math.pi) ** 3 * 4.0 * math.pi

@@ -63,13 +63,7 @@ from scipy.interpolate import BPoly, PchipInterpolator
 from scipy.optimize import bisect, brentq
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
-from .numerics import (
-    RadialFunction,
-    Tail,
-    grid_quadrature,
-    newton_potential,
-    shoot,
-)
+from .numerics import RadialFunction, grid_quadrature, newton_potential, shoot
 
 __all__ = [
     "GAMMA_TF_PAPER",
@@ -421,48 +415,33 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
         )
     b = params.length_scale
     Z = params.Z
-    gamma = params.gamma_kin
-
-    if prof.x_edge is None:
-        mu = 0.0
-        edge = math.inf
-    else:
-        mu = Z * (1.0 - params.lam) / (b * prof.x_edge)
-        edge = prof.x_edge
-
-    phi_tail = (
-        Tail.power_law(-3.0, prof.phi_values[-1] * prof.xi[-1] ** 3)
-        if prof.x_edge is None
-        else Tail.zero()
-    )
-    phi_rf = RadialFunction(prof.xi, prof.phi_values, phi_tail)
-
-    r = b * prof.xi
-    rho_vals = gamma**-1.5 * (Z / r) ** 1.5 * prof.phi_values**1.5
-    rho_tail = (
-        Tail.power_law(-6.0, rho_vals[-1] * r[-1] ** 6)
-        if prof.x_edge is None
-        else Tail.zero()
-    )
-    rho_rf = RadialFunction(r, rho_vals, rho_tail)
-
-    energy_terms = _energy_terms(params, prof)
-    sol = TFSolution(
-        params=params,
-        slope0=prof.slope0,
-        mu=mu,
-        edge_radius=edge,
-        phi=phi_rf,
-        rho=rho_rf,
-        energy_terms=energy_terms,
-        profile=prof,
-    )
+    mu = 0.0 if prof.x_edge is None else Z * (1.0 - params.lam) / (b * prof.x_edge)
+    rho_vals = params.gamma_kin**-1.5 * (Z / (b * prof.xi)) ** 1.5 * prof.phi_values**1.5
+    sol = _solution(params, prof, mu, rho_vals, _energy_terms(params, prof))
     residual = tf_equation_residual(sol)
     if residual > tol:
         raise ToleranceFailure(
             f"TF residual {residual:.3e} misses tol {tol:.3e}", residual=residual
         )
     return sol
+
+
+def _solution(params, prof, mu, rho_vals, energy_terms):
+    """The TFSolution of the universal profile ``prof`` at ``params``: phi on
+    the universal grid, rho on the physical one, both with the Sommerfeld
+    tails phi ~ xi^-3, rho ~ r^-6 on the neutral branch and zero past an
+    ion's edge."""
+    neutral = prof.x_edge is None
+    return TFSolution(
+        params=params,
+        slope0=prof.slope0,
+        mu=mu,
+        edge_radius=math.inf if neutral else prof.x_edge,
+        phi=RadialFunction(prof.xi, prof.phi_values, -3.0 if neutral else None),
+        rho=RadialFunction(params.length_scale * prof.xi, rho_vals, -6.0 if neutral else None),
+        energy_terms=energy_terms,
+        profile=prof,
+    )
 
 
 def _energy_terms(params, prof):
@@ -494,39 +473,28 @@ def tf_energy(sol: TFSolution) -> float:
 def tf_functional(params: TFParams, rho: RadialFunction) -> float:
     """The TF functional (3/5) gamma int rho^{5/3} - Z int rho/|x| +
     (1/2) D(rho, rho) for an arbitrary density profile, by radial
-    quadrature; head and tail contributions follow the RadialFunction's
-    own extrapolation models."""
+    quadrature; head and tail contributions are the RadialFunction's closed
+    forms, so a head or tail too singular to integrate raises
+    DivergentIntegral and a negative end sample DomainError."""
     Z = params.Z
     gamma = params.gamma_kin
     grid = rho.grid
-    he = rho._head_exp
-    r0 = grid[0]
-    v0 = max(rho.values[0], 0.0)
 
     def clamped(v):
         return np.maximum(rho(v), 0.0)
 
     kin = grid_quadrature(lambda v: clamped(v) ** (5.0 / 3.0) * v * v, grid)
     att = grid_quadrature(lambda v: clamped(v) * v, grid)
-    if (5.0 / 3.0) * he + 3.0 <= 0 or he + 2.0 <= 0:
-        raise DomainError("density head too singular for the functional")
-    kin += v0 ** (5.0 / 3.0) * r0**3 / ((5.0 / 3.0) * he + 3.0)
-    att += v0 * r0**2 / (he + 2.0)
+    kin += rho.head_integral(5.0 / 3.0, 2)
+    att += rho.head_integral(1.0, 1)
     pot = coulomb_potential(rho)
-    # head of the repulsion integral is O(r0^{he+3}) ~ 1e-12 relative: dropped
+    # head of the repulsion integral is O(r0^{head_exponent+3}) ~ 1e-12 relative: dropped
     rep = grid_quadrature(lambda v: clamped(v) * pot(v) * v * v, grid)
-    if rho.tail.kind == "power_law" and rho.tail.coefficient != 0.0:
-        e = rho.tail.exponent
-        R = grid[-1]
-        if (5.0 / 3.0) * e + 3.0 >= 0 or e + 2.0 >= 0:
-            raise DomainError("density tail too shallow for the functional")
-        kin += rho.tail.coefficient ** (5.0 / 3.0) * R ** ((5.0 / 3.0) * e + 3.0) / (
-            -(5.0 / 3.0) * e - 3.0
-        )
-        tail_moment = rho.tail.coefficient * R ** (e + 2.0) / (-e - 2.0)
-        att += tail_moment
-        # beyond the grid the potential is the far field pot(R) R / v
-        rep += pot(R) * R * tail_moment
+    kin += rho.tail_integral(5.0 / 3.0, 2)
+    tail_moment = rho.tail_integral(1.0, 1)
+    att += tail_moment
+    # beyond the grid the potential is the far field pot(R) R / v
+    rep += pot(grid[-1]) * grid[-1] * tail_moment
     return float(
         0.6 * gamma * 4.0 * math.pi * kin
         - Z * 4.0 * math.pi * att
@@ -558,22 +526,12 @@ def coulomb_potential(rho: RadialFunction):
     4 pi [ M(r)/r + T(r) ] with M(r) = int_0^r rho v^2 dv and
     T(r) = int_r^inf rho v dv, by :func:`numerics.newton_potential`.
 
-    Head and tail pieces use the RadialFunction's own extrapolation models.
-    Below the grid, and beyond it unless the tail is zero, the potential
-    raises DomainError.
+    The head of M and the tail of T are the RadialFunction's closed forms:
+    a head steeper than v^-3 or a tail shallower than v^-2 raises
+    DivergentIntegral.  Below the grid, and beyond it unless the tail is
+    zero, the potential raises DomainError.
     """
-    grid = rho.grid
-    head_exp = rho._head_exp
-    if head_exp <= -3.0:
-        raise DomainError("density head steeper than v^-3: M(r) diverges")
-    m_head = rho.values[0] * grid[0] ** 3 / (head_exp + 3.0)
-    t_tail = 0.0
-    if rho.tail.kind == "power_law":
-        e = rho.tail.exponent
-        if e >= -2.0:
-            raise DomainError("density tail shallower than v^-2: T(r) diverges")
-        t_tail = rho.tail.coefficient * grid[-1] ** (e + 2.0) / (-e - 2.0)
-    pot = newton_potential(rho, grid, m_head, t_tail)
+    pot = newton_potential(rho, rho.grid, rho.head_integral(1.0, 2), rho.tail_integral(1.0, 1))
     return lambda r: 4.0 * math.pi * pot(r)
 
 
@@ -615,11 +573,7 @@ def tf_potential(sol: TFSolution) -> RadialFunction:
     Z = sol.params.Z
     r = sol.rho.grid
     vals = (Z / r) * sol.phi.values
-    if math.isinf(sol.edge_radius):
-        tail = Tail.power_law(-4.0, vals[-1] * r[-1] ** 4)
-    else:
-        tail = Tail.zero()
-    return RadialFunction(r, vals, tail)
+    return RadialFunction(r, vals, -4.0 if math.isinf(sol.edge_radius) else None)
 
 
 def mu_times_mass_identity(sol: TFSolution) -> float:
@@ -664,23 +618,7 @@ def solution_from_json(text: str) -> TFSolution:
         xi=xi,
         phi_values=phi_vals,
     )
-    b = params.length_scale
-    phi_tail = (
-        Tail.power_law(-3.0, phi_vals[-1] * xi[-1] ** 3) if neutral else Tail.zero()
-    )
-    rho_tail = (
-        Tail.power_law(-6.0, rho_vals[-1] * (b * xi[-1]) ** 6) if neutral else Tail.zero()
-    )
-    return TFSolution(
-        params=params,
-        slope0=doc["slope0"],
-        mu=doc["mu"],
-        edge_radius=math.inf if neutral else float(edge),
-        phi=RadialFunction(xi, phi_vals, phi_tail),
-        rho=RadialFunction(b * xi, rho_vals, rho_tail),
-        energy_terms=doc["energy_terms"],
-        profile=prof,
-    )
+    return _solution(params, prof, doc["mu"], rho_vals, doc["energy_terms"])
 
 
 def _fit_tail_amplitude(xi, phi_vals):

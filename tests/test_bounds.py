@@ -232,10 +232,8 @@ class TestDaubechiesSum:
         assert 2.0**2.5 < b2 / b1 < 2.0**4.5
 
     def test_slow_tail_rejected(self):
-        from relatom.numerics import Tail
-
         grid = np.geomspace(0.1, 10.0, 50)
-        V_coulomb = RadialFunction(grid, 1.0 / grid, Tail.power_law(-1.0, 1.0))
+        V_coulomb = RadialFunction(grid, 1.0 / grid, tail_exponent=-1.0)
         with pytest.raises(DivergentIntegral):
             bd.daubechies_eigenvalue_sum_bound(Dispersion(0.1), V_coulomb, 2)
 

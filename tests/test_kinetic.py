@@ -12,7 +12,6 @@ from relatom.kinetic import (
     quartic_lower_check,
     t_rel,
     t_rel_inverse,
-    taylor_32_bound,
 )
 from relatom.errors import DomainError
 
@@ -65,13 +64,15 @@ def test_quartic_lower():
 
 
 def test_taylor_32_bound():
-    assert taylor_32_bound(0.0) == 1.0
-    assert taylor_32_bound(1.0) == pytest.approx(2.875)
-    assert taylor_32_bound(1.0) >= 2.0**1.5
-    assert taylor_32_bound(8.0) == pytest.approx(37.0)
-    assert taylor_32_bound(8.0) >= 27.0
+    # (1+x)^{3/2} <= 1 + 1.5x + 0.375x^2: the majorant behind
+    # domain_change_error and daubechies_F_upper
+    def taylor(x):
+        return 1.0 + 1.5 * x + 0.375 * x * x
+
+    assert taylor(1.0) == 2.875 >= 2.0**1.5
+    assert taylor(8.0) == 37.0 >= 27.0
     x = np.geomspace(1e-3, 1e3, 100)
-    assert np.all(taylor_32_bound(x) >= (1.0 + x) ** 1.5)
+    assert np.all(taylor(x) >= (1.0 + x) ** 1.5)
 
 
 class TestDaubechiesF:

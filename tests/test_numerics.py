@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from relatom.errors import DomainError, StepFailure
+from relatom.errors import DivergentIntegral, DomainError, StepFailure
 from relatom.numerics import (
     QuadratureSpec,
     RadialFunction,
-    Tail,
     gl_rule,
     grid_quadrature,
     integrate_1d,
@@ -190,13 +189,14 @@ def test_quadrature_spec_validation():
 class TestRadialFunction:
     def test_interpolates_and_extends(self):
         grid = np.geomspace(0.1, 10.0, 50)
-        rf = RadialFunction(grid, grid**-2.0, Tail.power_law(-2.0, 1.0))
+        rf = RadialFunction(grid, grid**-2.0, tail_exponent=-2.0)
         assert np.array_equal(rf(grid), rf.values)   # exact at the knots
         assert abs(rf(1.0) - 1.0) < 1e-4             # 25 pts/decade interpolation
         assert abs(rf(0.01) - 1e4) < 1e-6 * 1e4      # log-log head is exact on powers
         assert abs(rf(100.0) - 1e-4) < 1e-12         # declared tail
         zero_tail = RadialFunction(grid, grid**-2.0)
         assert zero_tail(100.0) == 0.0
+        assert zero_tail.tail_integral(1.0, 2) == 0.0
 
     def test_negative_head_extrapolates_its_power_law(self):
         grid = np.geomspace(0.1, 10.0, 50)
@@ -205,6 +205,35 @@ class TestRadialFunction:
         # samples of opposite sign give no power law: the head stays constant
         mixed = RadialFunction(grid, np.where(grid < 0.11, 1.0, -1.0))
         assert mixed(0.01) == 1.0
+
+    @pytest.mark.parametrize("p", (1.0, 5.0 / 3.0, 2.5))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_end_integrals_match_quadrature(self, p, k):
+        grid = np.geomspace(0.1, 10.0, 50)
+        rf = RadialFunction(grid, 2.0 * grid**-0.5 * np.exp(-0.01 * grid), tail_exponent=-4.0)
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, semi_infinite_transform="algebraic_map")
+        head, _ = integrate_1d(lambda u: rf(u) ** p * u**k, 0.0, rf.r_min, spec)
+        tail, _ = integrate_1d(lambda u: rf(u) ** p * u**k, rf.r_max, math.inf, spec)
+        assert rf.head_integral(p, k) == pytest.approx(head, rel=1e-12)
+        assert rf.tail_integral(p, k) == pytest.approx(tail, rel=1e-12)
+
+    def test_negative_head_integral_is_signed(self):
+        grid = np.geomspace(0.1, 10.0, 50)
+        rf = RadialFunction(grid, -1.0 / grid)
+        head, _ = integrate_1d(lambda u: rf(u) * u * u, 0.0, rf.r_min)
+        assert head < 0.0
+        assert rf.head_integral(1.0, 2) == pytest.approx(head, rel=1e-12)
+        with pytest.raises(DomainError):
+            rf.head_integral(5.0 / 3.0, 2)
+
+    def test_divergent_end_integrals(self):
+        # p e + k + 1 = 0 at both ends: f = u^-2, p = 1, k = 1
+        rf = RadialFunction(np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.25, 0.0625]), -2.0)
+        assert rf.head_exponent == -2.0
+        with pytest.raises(DivergentIntegral):
+            rf.head_integral(1.0, 1)
+        with pytest.raises(DivergentIntegral):
+            rf.tail_integral(1.0, 1)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,7 @@ from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
 from relatom.errors import DomainError, PreconditionFailure
 from relatom.kinetic import Dispersion, t_rel
-from relatom.numerics import RadialFunction, Tail
+from relatom.numerics import RadialFunction
 
 from conftest import gaussian
 
@@ -123,10 +123,7 @@ class TestPhaseSpaceEnergy:
         sol = neutral_eq_solution
         alpha = 0.05
         pot = tf.tf_potential(sol)
-        scaled = RadialFunction(
-            pot.grid, alpha * pot.values,
-            Tail.power_law(pot.tail.exponent, alpha * pot.tail.coefficient),
-        )
+        scaled = RadialFunction(pot.grid, alpha * pot.values, pot.tail_exponent)
         res = sc.phase_space_energy(Dispersion(alpha), scaled, 0.0, q_min=0.1)
         assert res.value < 0.0
         assert res.quadrature_error < abs(res.value) * 1e-6

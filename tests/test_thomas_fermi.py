@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from relatom import thomas_fermi as tf
-from relatom.errors import DomainError, ShootingFailure, ToleranceFailure
+from relatom.errors import DivergentIntegral, DomainError, ShootingFailure, ToleranceFailure
 from relatom.numerics import RadialFunction, grid_quadrature
 
 # independent fixed-step RK4 shooting oracle (dev run, u = sqrt(x) variable,
@@ -18,12 +18,8 @@ ION_LAMBDAS = (1e-3, 0.01, 0.5, 0.9, 0.99)
 
 
 def rho_mass(rho: RadialFunction):
-    head = rho.values[0] * rho.grid[0] ** 3 / (rho._head_exp + 3.0)
-    mass = grid_quadrature(lambda v: rho(v) * v * v, rho.grid) + head
-    if rho.tail.kind == "power_law":
-        e = rho.tail.exponent
-        mass += rho.tail.coefficient * rho.grid[-1] ** (e + 3.0) / (-e - 3.0)
-    return 4.0 * math.pi * mass
+    mass = grid_quadrature(lambda v: rho(v) * v * v, rho.grid)
+    return 4.0 * math.pi * (mass + rho.head_integral(1.0, 2) + rho.tail_integral(1.0, 2))
 
 
 class TestSolve:
@@ -217,6 +213,11 @@ class TestEnergy:
             e_eps = tf.tf_functional(sol.params, rho_eps)
             assert e_eps >= e0 - 50.0 * eps**2 * abs(e0)
 
+    def test_divergent_tail_is_typed(self, neutral_solution):
+        rho = dataclasses.replace(neutral_solution.rho, tail_exponent=-2.0)
+        with pytest.raises(DivergentIntegral):
+            tf.tf_functional(neutral_solution.params, rho)
+
 
 class TestResidual:
     def test_scaled_density_detected(self, neutral_solution):
@@ -231,6 +232,11 @@ class TestResidual:
 
 
 class TestPotential:
+    def test_divergent_head_is_typed(self):
+        grid = np.geomspace(0.1, 10.0, 50)
+        with pytest.raises(DivergentIntegral):
+            tf.coulomb_potential(RadialFunction(grid, grid**-3.5))
+
     def test_nuclear_limit(self, neutral_solution):
         pot = tf.tf_potential(neutral_solution)
         r = pot.grid[0]
@@ -301,6 +307,13 @@ class TestSerialization:
         restored = tf.solution_from_json(json.dumps(doc))
         assert restored.params == ion_solution.params
         assert restored.energy_terms == ion_solution.energy_terms
+
+    @pytest.mark.parametrize("lam,tails", ((1.0, (-3.0, -6.0)), (0.5, (None, None))))
+    def test_text_round_trip_and_tails(self, lam, tails):
+        text = tf.solution_to_json(tf.solve(tf.TFParams(lam=lam, Z=1.0)))
+        restored = tf.solution_from_json(text)
+        assert tf.solution_to_json(restored) == text
+        assert (restored.phi.tail_exponent, restored.rho.tail_exponent) == tails
 
     def test_json_is_plain(self, neutral_solution):
         doc = json.loads(tf.solution_to_json(neutral_solution))
