@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BudgetViolation,
@@ -160,6 +159,8 @@ def _ramp_grad_sup(beta, u_lo, u_hi, rising):
         S = float(_smooth_step(u))
         dS = S * (1.0 - S) * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2)
         return 0.25 * math.pi / beta * trig(0.5 * math.pi * S) * dS
+
+    from scipy.optimize import minimize_scalar
 
     best = minimize_scalar(
         lambda u: -slope(u), bounds=(u_lo, u_hi), method="bounded", options={"xatol": 1e-12}

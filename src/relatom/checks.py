@@ -28,7 +28,7 @@ from .kinetic import (
 )
 from .numerics import QuadratureSpec, grid_quadrature, integrate_1d, shoot
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -451,10 +451,6 @@ SUITES = {
     "bounds": check_bounds,
 }
 
-def suite_names():
-    """The ``verify`` choices: every module suite, plus 'all'."""
-    return (*SUITES, "all")
-
 
 def run_suite(name):
     """Resolve a CLI suite name to its checks; 'all' is every module suite."""
@@ -464,7 +460,7 @@ def run_suite(name):
             results.extend(run_suite_module(key))
         return results
     if name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; choose from {suite_names()}")
+        raise DomainError(f"unknown suite {name!r}; choose from {(*SUITES, 'all')}")
     return run_suite_module(name)
 
 

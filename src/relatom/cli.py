@@ -15,6 +15,9 @@ failure, 4 budget violation.
 
 Data files are byte-deterministic for identical flags; run metadata
 (package version, argv, timestamp) goes to a ``<path>.meta.json`` sidecar.
+
+``tf-solve`` needs numpy only; ``verify``, ``budget`` and ``asymptotics``
+import the modules that need scipy when they run.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from . import bounds as bd
-from . import checks
-from . import semiclassics as sc
 from . import thomas_fermi as tf
 from .errors import BudgetViolation, DomainError, RelatomError
 from .kinetic import Dispersion
@@ -43,6 +43,10 @@ EXIT_BUDGET = 4
 
 DEFAULT_DELTA = 2.0 / math.pi
 DEFAULT_PARTITION = {"r": 0.95, "t": 0.5, "s": 0.55, "beta": 0.1}
+# the verify choices: every suite of checks.SUITES, in order, plus 'all'
+VERIFY_SUITES = (
+    "numerics", "specfun", "kinetic", "thomas_fermi", "coherent", "identity", "bounds", "all",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +92,8 @@ def cmd_tf_solve(args, argv):
 
 
 def cmd_verify(args, argv):
+    from . import checks
+
     try:
         results = checks.run_suite(args.suite)
     except RelatomError as exc:
@@ -121,6 +127,9 @@ def cmd_budget(args, argv):
     if args.alpha is None and args.Z is None:
         print("budget: need --alpha or --Z (with --delta)", file=sys.stderr)
         return EXIT_USAGE
+    from . import bounds as bd
+    from . import semiclassics as sc
+
     try:
         alpha, delta, Z = _budget_inputs(args)
         pp = bd.PartitionParams(r=args.r, t=args.t, s=args.s, beta=args.beta, alpha=alpha)
@@ -158,6 +167,9 @@ def cmd_budget(args, argv):
 def _asymptotics_row(Z, cfg):
     """One Z-row of the flagship sweep.  Rows share the cached universal
     profile of lambda and the cached c(phi), so only the first pays for them."""
+    from . import bounds as bd
+    from . import semiclassics as sc
+
     alpha = cfg["delta"] / Z
     try:
         sol = tf.solve(tf.TFParams(lam=cfg["lambda"], Z=Z), tol=1e-4)
@@ -239,6 +251,9 @@ def cmd_asymptotics(args, argv):
     if not all(math.isfinite(Z) and Z > 0.0 for Z in z_values):
         print("every Z must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
+    from . import bounds as bd
+    from . import semiclassics as sc
+
     try:
         # the row constructors' own range checks, run once before any row
         tf.TFParams(lam=cfg["lambda"], Z=z_values[0])
@@ -285,7 +300,7 @@ def build_parser():
     p.set_defaults(func=cmd_tf_solve)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    p.add_argument("suite", choices=checks.suite_names())
+    p.add_argument("suite", choices=VERIFY_SUITES)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("budget", help="assemble the error budget")

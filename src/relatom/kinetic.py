@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import DomainError
 
@@ -80,6 +79,8 @@ def daubechies_F(disp: Dispersion, s):
     With c = 2/alpha and t = c y this is c^4 int_0^x (y^2 + y)^{3/2} dy,
     x = s/c, which is c^4 (2/5) x^{5/2} 2F1(-3/2, 5/2; 7/2; -x).
     """
+    from scipy.special import hyp2f1
+
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise DomainError("s must be >= 0")

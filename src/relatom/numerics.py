@@ -3,10 +3,11 @@
 Four layers:
 
 * :class:`RadialFunction` -- a sampled radial profile and the one place
-  that knows how it continues past its grid: PCHIP inside, the power law
-  through the first two samples below, values[-1] (r/R)^tail_exponent (or
-  zero) beyond; its ``head_integral``/``tail_integral`` give int f^p u^k
-  over both continuations in closed form.
+  that knows how it continues past its grid: PCHIP (:class:`Pchip`) inside,
+  the power law through the first two samples below, values[-1]
+  (r/R)^tail_exponent (or zero) beyond; its
+  ``head_integral``/``tail_integral`` give int f^p u^k over both
+  continuations in closed form.
 * :func:`integrate_1d` / :func:`integrate_radial_3d` -- adaptive
   Gauss-Kronrod quadrature (QUADPACK) behind a small spec object.
   Semi-infinite integrals are mapped to (0, 1) first; exponentially
@@ -22,16 +23,17 @@ Four layers:
   spaced knots, where sin(k v) factors segment by segment into sines and
   cosines of k times the segment midpoints and of k times the node
   offsets, so no k-by-node sine matrix is built.
-* ODEs.  :func:`shoot` -- Hairer's compiled DOP853 through
-  ``scipy.integrate.ode``, the package's one integrator: one per
-  ``(rhs, tol)``, reused shot after shot, for shooting loops that need
-  many cheap shots.  A ``stop`` condition ends the shot after the first
-  accepted step where it holds, and the shot returns every accepted step,
-  so a caller can read values between them off the step ends without
-  integrating again.  Failures surface as :class:`StepFailure`.
+* ODEs.  :func:`shoot` -- Hairer's DOP853 on a pair state (y, y'), in
+  plain Python floats, the package's one integrator, for shooting loops
+  that need many cheap shots.  A ``stop`` condition ends the shot after
+  the first accepted step where it holds, and the shot returns every
+  accepted step, so a caller can read values between them off the step
+  ends without integrating again.  Failures surface as
+  :class:`StepFailure`.
 
-All operations are pure (:func:`shoot` reuses its integrator, but each
-shot starts from a reset state); :class:`RadialFunction` and
+Only the QUADPACK route needs scipy, and imports it when it runs, so the
+Thomas-Fermi solver path (PCHIP, grid quadrature, shots) loads numpy
+alone.  All operations are pure; :class:`RadialFunction` and
 :class:`Shot` are immutable after construction.
 """
 
@@ -40,12 +42,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.integrate
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DivergentIntegral, DomainError, NonConvergence, StepFailure
 
@@ -58,6 +57,7 @@ __all__ = [
     "gl_rule",
     "grid_quadrature",
     "newton_potential",
+    "Pchip",
     "radial_fourier",
     "shoot",
 ]
@@ -94,6 +94,8 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 def _quad(f, a, b, spec):
+    import scipy.integrate
+
     with warnings.catch_warnings():
         # roundoff-limited convergence is adjudicated below via the error
         # estimate; QUADPACK's warning would only duplicate that signal
@@ -300,6 +302,56 @@ def radial_fourier(f, knots, k):
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 
+class Pchip:
+    """The monotone piecewise-cubic Hermite interpolant (PCHIP) of samples
+    (x, y), x strictly increasing; a vectorized callable on [x[0], x[-1]]
+    (radii outside are the caller's to continue).
+
+    Node slopes are the Fritsch-Butland weighted harmonic mean of the
+    adjacent secants, zero where the secants change sign or vanish, with
+    Moler's shape-preserving one-sided estimate at both ends.  Each interval
+    is evaluated in local power form, ((c3 + c2 s) + c1 s^2) + c0 s^3 with
+    s = r - x_i.  Every arithmetic step is that of scipy's
+    ``PchipInterpolator``, so the values agree to the last bit.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if y.size == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, r):
+        x = self.x
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        s = r - x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """A function of radius sampled on a strictly increasing positive grid.
@@ -330,9 +382,11 @@ class RadialFunction:
             raise DomainError("grid must be strictly increasing")
         if grid[0] <= 0:
             raise DomainError("grid radii must be positive")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise DomainError("grid and values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", PchipInterpolator(grid, values, extrapolate=False))
+        object.__setattr__(self, "_interp", Pchip(grid, values))
         v0, v1 = values[0], values[1]
         same_sign = (v0 > 0 and v1 > 0) or (v0 < 0 and v1 < 0)
         head_exp = math.log(v1 / v0) / math.log(grid[1] / grid[0]) if same_sign else 0.0
@@ -393,8 +447,98 @@ def _power_moment(v, r, p, k, n, end):
     return float(v**p * r ** (k + 1) / n)
 
 
-# accepted steps per shot before DOP853 gives up; scipy's default of 500 is
-# too near the longest TF shot (about 200 steps)
+
+
+# Hairer's DOP853 coefficients (Hairer, Norsett & Wanner, dop853.f): nodes C,
+# stage weights A, the eighth-order weights B, and the third- and fifth-order
+# error weights BHH and ER
+C2 = 0.526001519587677318785587544488e-01
+C3 = 0.789002279381515978178381316732e-01
+C4 = 0.118350341907227396726757197510
+C5 = 0.281649658092772603273242802490
+C6 = 0.333333333333333333333333333333
+C7 = 0.25
+C8 = 0.307692307692307692307692307692
+C9 = 0.651282051282051282051282051282
+C10 = 0.6
+C11 = 0.857142857142857142857142857142
+A21 = 5.26001519587677318785587544488e-2
+A31 = 1.97250569845378994544595329183e-2
+A32 = 5.91751709536136983633785987549e-2
+A41 = 2.95875854768068491816892993775e-2
+A43 = 8.87627564304205475450678981324e-2
+A51 = 2.41365134159266685502369798665e-1
+A53 = -8.84549479328286085344864962717e-1
+A54 = 9.24834003261792003115737966543e-1
+A61 = 3.7037037037037037037037037037e-2
+A64 = 1.70828608729473871279604482173e-1
+A65 = 1.25467687566822425016691814123e-1
+A71 = 3.7109375e-2
+A74 = 1.70252211019544039314978060272e-1
+A75 = 6.02165389804559606850219397283e-2
+A76 = -1.7578125e-2
+A81 = 3.70920001185047927108779319836e-2
+A84 = 1.70383925712239993810214054705e-1
+A85 = 1.07262030446373284651809199168e-1
+A86 = -1.53194377486244017527936158236e-2
+A87 = 8.27378916381402288758473766002e-3
+A91 = 6.24110958716075717114429577812e-1
+A94 = -3.36089262944694129406857109825
+A95 = -8.68219346841726006818189891453e-1
+A96 = 2.75920996994467083049415600797e1
+A97 = 2.01540675504778934086186788979e1
+A98 = -4.34898841810699588477366255144e1
+A101 = 4.77662536438264365890433908527e-1
+A104 = -2.48811461997166764192642586468
+A105 = -5.90290826836842996371446475743e-1
+A106 = 2.12300514481811942347288949897e1
+A107 = 1.52792336328824235832596922938e1
+A108 = -3.32882109689848629194453265587e1
+A109 = -2.03312017085086261358222928593e-2
+A111 = -9.3714243008598732571704021658e-1
+A114 = 5.18637242884406370830023853209
+A115 = 1.09143734899672957818500254654
+A116 = -8.14978701074692612513997267357
+A117 = -1.85200656599969598641566180701e1
+A118 = 2.27394870993505042818970056734e1
+A119 = 2.49360555267965238987089396762
+A1110 = -3.0467644718982195003823669022
+A121 = 2.27331014751653820792359768449
+A124 = -1.05344954667372501984066689879e1
+A125 = -2.00087205822486249909675718444
+A126 = -1.79589318631187989172765950534e1
+A127 = 2.79488845294199600508499808837e1
+A128 = -2.85899827713502369474065508674
+A129 = -8.87285693353062954433549289258
+A1210 = 1.23605671757943030647266201528e1
+A1211 = 6.43392746015763530355970484046e-1
+B1 = 5.42937341165687622380535766363e-2
+B6 = 4.45031289275240888144113950566
+B7 = 1.89151789931450038304281599044
+B8 = -5.8012039600105847814672114227
+B9 = 3.1116436695781989440891606237e-1
+B10 = -1.52160949662516078556178806805e-1
+B11 = 2.01365400804030348374776537501e-1
+B12 = 4.47106157277725905176885569043e-2
+BHH1 = 0.244094488188976377952755905512
+BHH2 = 0.733846688281611857341361741547
+BHH3 = 0.220588235294117647058823529412e-01
+ER1 = 0.1312004499419488073250102996e-01
+ER6 = -0.1225156446376204440720569753e+01
+ER7 = -0.4957589496572501915214079952
+ER8 = 0.1664377182454986536961530415e+01
+ER9 = -0.3503288487499736816886487290
+ER10 = 0.3341791187130174790297318841
+ER11 = 0.8192320648511571246570742613e-01
+ER12 = -0.2235530786388629525884427845e-01
+
+# Hairer's defaults: unit roundoff, safety factor, step ratio bounds
+# 1/FACC1 <= h_new/h <= 1/FACC2, error exponent 1/8 (no PI control)
+_UROUND = 2.3e-16
+_SAFE = 0.9
+_FACC1 = 1.0 / 0.3
+_FACC2 = 1.0 / 6.0
+# steps per shot before DOP853 gives up; the longest TF shot takes about 200
 _MAX_STEPS = 100_000
 
 
@@ -407,63 +551,141 @@ class Shot(NamedTuple):
     steps: tuple
 
 
-class _Dop853:
-    """One compiled DOP853 integrator for a fixed (rhs, tol), reused shot
-    after shot: scipy leaks a little memory for every ``ode`` built with a
-    ``solout``.  Its ``solout`` records every accepted step as plain floats."""
-
-    def __init__(self, rhs, tol):
-        self.ode = scipy.integrate.ode(rhs).set_integrator(
-            "dop853", rtol=tol, atol=tol * 1e-2, nsteps=_MAX_STEPS
-        )
-        self.ode.set_solout(self._record)
-        self.steps, self.stop = [], None
-
-    def _record(self, x, y):
-        y = tuple(y.tolist())
-        self.steps.append((x, y))
-        return -1 if self.stop is not None and self.stop(x, y) else 0
-
-    def run(self, y0, x0, x1, stop=None):
-        """The accepted steps (x, y) from x0 to x1, or to the first step end
-        where ``stop(x, y)`` holds; the first entry is (x0, y0)."""
-        self.steps, self.stop = [], stop
-        ode = self.ode
-        ode.set_initial_value(y0, x0)
-        with warnings.catch_warnings():
-            # a failure is reported below, from the return code
-            warnings.simplefilter("ignore", UserWarning)
-            ode.integrate(x1)
-        if not ode.successful():
-            raise StepFailure(
-                f"integration failed at x = {ode.t!r}: return code {ode.get_return_code()}",
-                last_x=float(ode.t),
-            )
-        return self.steps
-
-
-@lru_cache(maxsize=8)
-def _dop853(rhs, tol):
-    return _Dop853(rhs, tol)
+def _initial_step(rhs, x, ya, yb, fa, fb, posneg, hmax, rtol, atol):
+    """Hairer's HINIT for order 8: an explicit Euler step estimates the second
+    derivative, and h^8 max(|f|, |f'|) = 0.01 in the weighted norm."""
+    ska = atol + rtol * abs(ya)
+    skb = atol + rtol * abs(yb)
+    dnf = (fa / ska) ** 2 + (fb / skb) ** 2
+    dny = (ya / ska) ** 2 + (yb / skb) ** 2
+    if dnf <= 1e-10 or dny <= 1e-10:
+        h = 1e-6
+    else:
+        h = math.sqrt(dny / dnf) * 0.01
+    h = min(h, hmax) * posneg
+    ga, gb = rhs(x + h, (ya + h * fa, yb + h * fb))
+    der2 = math.sqrt(((ga - fa) / ska) ** 2 + ((gb - fb) / skb) ** 2) / h
+    der12 = max(abs(der2), math.sqrt(dnf))
+    if der12 <= 1e-15:
+        h1 = max(1e-6, abs(h) * 1e-3)
+    else:
+        h1 = (0.01 / der12) ** 0.125
+    return min(100.0 * abs(h), h1, hmax) * posneg
 
 
 def shoot(rhs, y0, x0, x1, tol=1e-10, stop=None):
-    """One shot of y' = rhs(x, y) from x0 towards x1 with compiled DOP853.
+    """One shot of the pair system (y, y')' = rhs(x, (y, y')) from x0 towards
+    x1 with DOP853.
 
     The shot ends at x1, or after the first accepted step whose end
-    (x, y) satisfies ``stop(x, y)`` (y a tuple of floats).  The returned
-    :class:`Shot` lists every accepted step end, so values between them
-    can be interpolated from the step ends (with the derivatives the ODE
-    gives there) or re-integrated from the step start before them.
+    (x, y) satisfies ``stop(x, y)`` (y a tuple of two floats; the start
+    is tested too).  The returned :class:`Shot` lists every accepted step
+    end, so values between them can be interpolated from the step ends
+    (with the derivatives the ODE gives there) or re-integrated from the
+    step start before them.
 
-    Tolerances are ``rtol = tol``, ``atol = tol * 1e-2``.  The integrator
-    is built once per ``(rhs, tol)`` and reused, so neither ``rhs``,
-    ``stop`` nor a second thread may shoot with the same pair during a
-    shot.  Raises :class:`StepFailure` on blow-up or step-size underflow,
-    reporting the abscissa reached.
+    Tolerances are ``rtol = tol``, ``atol = tol * 1e-2``.  The integrator is
+    Hairer's DOP853 (its 12 stages, initial step and step control, with
+    safety 0.9, step ratios in [1/6 ... 1/0.3]) in plain floats, spelled out
+    per component of the pair.  A rejected step shrinks by 0.3, as in the C
+    translation of DOP853 that scipy 1.17 ships, which this reproduces step
+    for step.  Each shot is independent: ``rhs`` and ``stop`` may shoot
+    themselves.  A state that is not a pair raises :class:`DomainError`;
+    step-size underflow (blow-up) or more than 100,000 steps raises
+    :class:`StepFailure`, reporting the abscissa reached.
     """
     if not x1 > x0 and not x1 < x0:
         raise DomainError("x0 and x1 must differ")
-    steps = tuple(_dop853(rhs, tol).run(y0, x0, x1, stop))
-    x_end, y_end = steps[-1]
-    return Shot(x_end, y_end, steps)
+    if len(y0) != 2:
+        raise DomainError(f"shoot integrates a pair state (y, y'), got {len(y0)} components")
+    rtol, atol = tol, tol * 1e-2
+    x, xend = float(x0), float(x1)
+    ya, yb = float(y0[0]), float(y0[1])
+    posneg = 1.0 if xend > x else -1.0
+    hmax = abs(xend - x)
+    k1a, k1b = rhs(x, (ya, yb))
+    h = _initial_step(rhs, x, ya, yb, k1a, k1b, posneg, hmax, rtol, atol)
+    steps = [(x, (ya, yb))]
+    if stop is not None and stop(x, (ya, yb)):
+        return Shot(x, (ya, yb), tuple(steps))
+    reject = last = False
+    for _ in range(_MAX_STEPS + 1):
+        if 0.1 * abs(h) <= abs(x) * _UROUND:
+            raise StepFailure(f"DOP853 step size underflow at x = {x!r}", last_x=x)
+        if (x + 1.01 * h - xend) * posneg > 0.0:
+            h = xend - x
+            last = True
+        # the twelve stages, each sum y + h*(a1*k1 + a4*k4 + ...) left to right
+        k2a, k2b = rhs(x + C2 * h, (ya + h * A21 * k1a, yb + h * A21 * k1b))
+        k3a, k3b = rhs(x + C3 * h, (ya + h * (A31 * k1a + A32 * k2a),
+                                    yb + h * (A31 * k1b + A32 * k2b)))
+        k4a, k4b = rhs(x + C4 * h, (ya + h * (A41 * k1a + A43 * k3a),
+                                    yb + h * (A41 * k1b + A43 * k3b)))
+        k5a, k5b = rhs(x + C5 * h, (ya + h * (A51 * k1a + A53 * k3a + A54 * k4a),
+                                    yb + h * (A51 * k1b + A53 * k3b + A54 * k4b)))
+        k6a, k6b = rhs(x + C6 * h, (ya + h * (A61 * k1a + A64 * k4a + A65 * k5a),
+                                    yb + h * (A61 * k1b + A64 * k4b + A65 * k5b)))
+        k7a, k7b = rhs(x + C7 * h, (
+            ya + h * (A71 * k1a + A74 * k4a + A75 * k5a + A76 * k6a),
+            yb + h * (A71 * k1b + A74 * k4b + A75 * k5b + A76 * k6b)))
+        k8a, k8b = rhs(x + C8 * h, (
+            ya + h * (A81 * k1a + A84 * k4a + A85 * k5a + A86 * k6a + A87 * k7a),
+            yb + h * (A81 * k1b + A84 * k4b + A85 * k5b + A86 * k6b + A87 * k7b)))
+        k9a, k9b = rhs(x + C9 * h, (
+            ya + h * (A91 * k1a + A94 * k4a + A95 * k5a + A96 * k6a + A97 * k7a + A98 * k8a),
+            yb + h * (A91 * k1b + A94 * k4b + A95 * k5b + A96 * k6b + A97 * k7b + A98 * k8b)))
+        k10a, k10b = rhs(x + C10 * h, (
+            ya + h * (A101 * k1a + A104 * k4a + A105 * k5a + A106 * k6a + A107 * k7a
+                      + A108 * k8a + A109 * k9a),
+            yb + h * (A101 * k1b + A104 * k4b + A105 * k5b + A106 * k6b + A107 * k7b
+                      + A108 * k8b + A109 * k9b)))
+        k11a, k11b = rhs(x + C11 * h, (
+            ya + h * (A111 * k1a + A114 * k4a + A115 * k5a + A116 * k6a + A117 * k7a
+                      + A118 * k8a + A119 * k9a + A1110 * k10a),
+            yb + h * (A111 * k1b + A114 * k4b + A115 * k5b + A116 * k6b + A117 * k7b
+                      + A118 * k8b + A119 * k9b + A1110 * k10b)))
+        xph = x + h
+        k12a, k12b = rhs(xph, (
+            ya + h * (A121 * k1a + A124 * k4a + A125 * k5a + A126 * k6a + A127 * k7a
+                      + A128 * k8a + A129 * k9a + A1210 * k10a + A1211 * k11a),
+            yb + h * (A121 * k1b + A124 * k4b + A125 * k5b + A126 * k6b + A127 * k7b
+                      + A128 * k8b + A129 * k9b + A1210 * k10b + A1211 * k11b)))
+        sa = (B1 * k1a + B6 * k6a + B7 * k7a + B8 * k8a + B9 * k9a + B10 * k10a
+              + B11 * k11a + B12 * k12a)
+        sb = (B1 * k1b + B6 * k6b + B7 * k7b + B8 * k8b + B9 * k9b + B10 * k10b
+              + B11 * k11b + B12 * k12b)
+        na, nb = ya + h * sa, yb + h * sb
+        # error: the fifth-order estimate, damped by the third-order one
+        ska = atol + rtol * max(abs(ya), abs(na))
+        skb = atol + rtol * max(abs(yb), abs(nb))
+        ea = (sa - BHH1 * k1a - BHH2 * k9a - BHH3 * k12a) / ska
+        eb = (sb - BHH1 * k1b - BHH2 * k9b - BHH3 * k12b) / skb
+        err3 = ea * ea + eb * eb
+        ea = (ER1 * k1a + ER6 * k6a + ER7 * k7a + ER8 * k8a + ER9 * k9a + ER10 * k10a
+              + ER11 * k11a + ER12 * k12a) / ska
+        eb = (ER1 * k1b + ER6 * k6b + ER7 * k7b + ER8 * k8b + ER9 * k9b + ER10 * k10b
+              + ER11 * k11b + ER12 * k12b) / skb
+        err = ea * ea + eb * eb
+        deno = err + 0.01 * err3
+        if deno <= 0.0:
+            deno = 1.0
+        err = abs(h) * err * math.sqrt(1.0 / (2 * deno))
+        if err <= 1.0:
+            hnew = h / max(_FACC2, min(_FACC1, err ** 0.125 / _SAFE))
+            k1a, k1b = rhs(xph, (na, nb))
+            x, ya, yb = xph, na, nb
+            steps.append((x, (ya, yb)))
+            if (stop is not None and stop(x, (ya, yb))) or last:
+                return Shot(x, (ya, yb), tuple(steps))
+            if abs(hnew) > hmax:
+                hnew = posneg * hmax
+            if reject:
+                hnew = posneg * min(abs(hnew), abs(h))
+            reject = False
+        else:
+            # scipy 1.17's rule; Hairer's Fortran divides by min(1/0.3, err^(1/8)/0.9)
+            hnew = h / _FACC1
+            reject = True
+            last = False
+        h = hnew
+    raise StepFailure(f"DOP853 took more than {_MAX_STEPS} steps, at x = {x!r}", last_x=x)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import DivergentIntegral, DomainError, PreconditionFailure
 from .kinetic import Dispersion
@@ -93,6 +92,8 @@ def momentum_integral_rel(disp: Dispersion, v):
     with P = T^-1(v); in X = alpha P = sqrt(alpha v (alpha v + 2)) this is
     -(4 pi/15) alpha^-4 X^5 2F1(1/2, 5/2; 7/2; -X^2).
     """
+    from scipy.special import hyp2f1
+
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
         raise DomainError("v must be >= 0")

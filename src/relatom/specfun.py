@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from scipy.special import digamma, gamma as _gamma
-
 from .errors import DomainError
 from .numerics import QuadratureSpec, integrate_1d, integrate_radial_3d
 
@@ -39,7 +37,7 @@ __all__ = [
 ]
 
 _K2_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=400)
-_GAMMA_52 = _gamma(2.5)  # 3 sqrt(pi) / 4
+_GAMMA_52 = 0.75 * math.sqrt(math.pi)  # Gamma(5/2), equal to scipy's gamma(2.5)
 
 SERIES_CUTOFF = 0.05
 
@@ -88,6 +86,8 @@ def _k2_series(t):
     # Ascending series for order 2:
     #   K2(z) = 2/z^2 - 1/2 - log(z/2) I2(z)
     #           + (1/2)(z/2)^2 sum_k [psi(k+1)+psi(k+3)] (z^2/4)^k / (k! (k+2)!)
+    from scipy.special import digamma
+
     z2q = 0.25 * t * t
     log_half = math.log(0.5 * t)
     i2 = 0.0

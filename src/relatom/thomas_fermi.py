@@ -15,15 +15,17 @@ and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 (lambda < 1).  The chemical potential is mu = Z (1-lambda) / (b x0) for
 ions and 0 otherwise.
 
-Shooting is on slope0 = phi'(0), with scipy's bracketing root-finders.
-Every shot is one :func:`numerics.shoot`: compiled DOP853 whose outward
-shots stop after the first accepted step where phi has hit zero or
-turned upward.  For ions, Brent's method solves for the edge flux
--x0 phi'(x0) = 1 - lambda.  The edge comes from the stop step's end:
-the clamped right-hand side vanishes for phi < 0, so phi is linear past
-its zero and x0 = x - phi/phi' with phi'(x0) = phi' holds exactly.  A shot
-that never reaches phi = 0 counts as flux 0, the flux's limit at the
-critical (neutral) slope, so the miss is continuous.  The neutral slope
+Shooting is on slope0 = phi'(0), with ports of scipy's bracketing
+root-finders (bisection and Brent's method, same iterates).  Every shot is
+one :func:`numerics.shoot`: pure-Python DOP853 whose outward shots stop
+after the first accepted step where phi has hit zero or turned upward.
+The whole solve path runs on numpy and plain floats.  For ions, Brent's
+method solves for the edge flux -x0 phi'(x0) = 1 - lambda.  The edge
+comes from the stop step's end: the clamped right-hand side vanishes for
+phi < 0, so phi is linear past its zero and x0 = x - phi/phi' with
+phi'(x0) = phi' holds exactly.  A shot that never reaches phi = 0 counts
+as flux 0, the flux's limit at the critical (neutral) slope, so the miss
+is continuous.  The neutral slope
 separates shots that hit zero from shots that turn upward: a discrete
 classification, read from the signs at the stop step, so it is bisected.
 The neutral outward trajectory is then matched, at xi = 20, against an
@@ -40,9 +42,10 @@ step of a shot gets one septic Hermite interpolant: phi and phi' at both
 step ends are recorded, phi'' = phi^{3/2}/sqrt(xi) and
 phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi) follow from the
 ODE, and all steps are evaluated as one Bernstein-form piecewise
-polynomial.  An ion's last step straddles the edge, where phi is not
-smooth (its fourth derivative diverges); the radii inside it are read off
-one more shot, from that step's start to the last of them.
+polynomial, term by term as scipy's BPoly does.  An ion's last step
+straddles the edge, where phi is not smooth (its fourth derivative
+diverges); the radii inside it are read off one more shot, from that
+step's start to the last of them.
 :func:`solve` refuses a profile whose mass misses min(lambda, 1) by more
 than 1e-6 relative.
 
@@ -59,11 +62,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import BPoly, PchipInterpolator
-from scipy.optimize import bisect, brentq
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
-from .numerics import RadialFunction, grid_quadrature, newton_potential, shoot
+from .numerics import Pchip, RadialFunction, grid_quadrature, newton_potential, shoot
 
 __all__ = [
     "GAMMA_TF_PAPER",
@@ -94,7 +95,8 @@ _XI_MATCH = 20.0       # outward/inward matching radius
 _ODE_TOL = 1e-12
 _MASS_TOL = 1e-6       # |int phi^{3/2} sqrt(t) / min(lambda, 1) - 1| that solve() accepts
 _PTS_PER_DECADE = 120
-_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol scipy's root-finders accept
+_RTOL = 4.0 * np.finfo(float).eps  # relative bracket width the root-finders stop at
+_ROOT_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def _series_init(B, x0):
 
 
 def _rhs(x, y):
-    phi, dphi = y.tolist()  # plain floats: the compiled integrator calls this every stage
+    phi, dphi = y  # plain floats: shoot calls this twelve times a step
     if phi < 0.0:
         phi = 0.0
     return (dphi, phi**1.5 / math.sqrt(x))
@@ -197,7 +199,28 @@ def _readout(shot, xi):
     c[6] = c[7] - h * dphi[1:] / 7.0
     c[5] = 2.0 * c[6] - c[7] + h**2 * d2[1:] / 42.0
     c[4] = 3.0 * (c[5] - c[6]) + c[7] - h**3 * d3[1:] / 210.0
-    return BPoly(c, x)(xi)
+    return _bernstein(c, x, xi)
+
+
+def _bernstein(c, x, xi):
+    """The piecewise polynomial with Bernstein coefficients c[:, i] on
+    [x[i], x[i+1]] at the radii ``xi`` in [x[0], x[-1]]:
+    sum_j binom(k, j) s^j (1-s)^(k-j) c[j] with s the local coordinate in
+    [0, 1].  The terms are summed in the order scipy's BPoly sums them, and
+    every power is one math.pow, so the values agree with BPoly to the last
+    bit (numpy's vectorized power does not)."""
+    k = c.shape[0] - 1
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, x.size - 2)
+    s = (xi - x[i]) / (x[i + 1] - x[i])
+    s_list, s1_list = s.tolist(), (1.0 - s).tolist()
+    out = np.zeros_like(s)
+    comb = 1.0
+    for j in range(k + 1):
+        sj = np.array([math.pow(v, j) for v in s_list])
+        s1j = np.array([math.pow(v, k - j) for v in s1_list])
+        out += comb * sj * s1j * c[j, i]
+        comb *= 1.0 * (k - j) / (j + 1.0)
+    return out
 
 
 def _edge(shot):
@@ -211,12 +234,81 @@ def _edge(shot):
 
 
 def _root(find, f, lo, hi, what):
-    """Root of f on [lo, hi] by a scipy bracketing method (brentq or bisect);
-    a bracket without a sign change, or no convergence, is a ShootingFailure."""
+    """Root of f on [lo, hi] by a bracketing method (_brentq or _bisect);
+    a bracket without a sign change, or no convergence, is a ShootingFailure.
+    Both methods are scipy's C routines (zeros.c) line for line, with the
+    same error messages, so they visit the same iterates as scipy's
+    brentq/bisect and return the same root."""
     try:
         return find(f, lo, hi, xtol=1e-16, rtol=_RTOL)
     except (ValueError, RuntimeError) as exc:
         raise ShootingFailure(f"{what} in [{lo}, {hi}]: {exc}") from None
+
+
+def _bisect(f, xa, xb, xtol, rtol):
+    """Bisection that halves a running step from the fixed left end."""
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(_ROOT_ITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"Failed to converge after {_ROOT_ITER} iterations, value is {xa}")
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Brent's method: inverse quadratic or secant steps kept inside the
+    bracket [xcur, xblk], bisection when they would not shrink it enough."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_ROOT_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_ROOT_ITER} iterations, value is {xcur}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +325,7 @@ class _UniversalProfile:
 
     @cached_property
     def interp(self):
-        return PchipInterpolator(self.xi, self.phi_values, extrapolate=False)
+        return Pchip(self.xi, self.phi_values)
 
     def phi(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -319,7 +411,7 @@ def _solve_neutral():
         phi, dphi = _shoot(B, 150.0).y_end
         return -1.0 if phi <= 0.0 else 1.0 if dphi > 0.0 else 0.0
 
-    slope0 = _root(bisect, classify, -1.7, -1.5, "neutral slope")
+    slope0 = _root(_bisect, classify, -1.7, -1.5, "neutral slope")
     xi = _log_grid(_XI0, _XI_FAR)
     near = xi <= _XI_MATCH
     out = _shoot(slope0, _XI_MATCH)
@@ -328,7 +420,7 @@ def _solve_neutral():
     def inner_miss(a):
         return _shoot_in(a).y_end[0] - target
 
-    a = _root(brentq, inner_miss, -40.0, -1.0, "neutral tail amplitude")
+    a = _root(_brentq, inner_miss, -40.0, -1.0, "neutral tail amplitude")
     phi_vals = np.empty_like(xi)
     phi_vals[near] = _readout(out, xi[near])
     phi_vals[~near] = _readout(_shoot_in(a), xi[~near])
@@ -349,7 +441,7 @@ def _solve_ion(lam):
         x_e, dphi_e = _edge(_shoot(B, 2000.0)) or (0.0, 0.0)
         return -x_e * dphi_e - (1.0 - lam)
 
-    slope0 = _root(brentq, flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
+    slope0 = _root(_brentq, flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
     shot = _shoot(slope0, 2000.0)
     edge = _edge(shot)
     if edge is None:

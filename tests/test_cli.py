@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -13,6 +16,22 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_and_tf_solve_load_no_scipy(tmp_path):
+    # scipy is imported by the commands that need it, never by tf-solve
+    script = (
+        "import sys\n"
+        "import relatom, relatom.cli\n"
+        "before = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "code = relatom.cli.main(['tf-solve', '--lambda', '0.5', '--Z', '10', '--out', sys.argv[1]])\n"
+        "after = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "print(code, len(before), len(after), before[:3], after[:3])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sol.json")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "0 0 0 [] []"
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -81,6 +100,11 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 1
+
+    def test_choices_are_every_suite_plus_all(self):
+        from relatom import checks
+
+        assert cli.VERIFY_SUITES == (*checks.SUITES, "all")
 
     def test_failing_check_exits_three(self, capsys, monkeypatch):
         from relatom import checks

@@ -23,7 +23,7 @@ def _end_by_shoot(rhs, y0, x0, x1, tol):
     return shoot(rhs, y0, x0, x1, tol=tol).y_end
 
 
-# the compiled DOP853 shots against the oracles
+# the DOP853 shots against the oracles
 END_STATE = pytest.mark.parametrize("end_state", (_end_by_shoot,), ids=("shoot",))
 
 
@@ -131,8 +131,9 @@ def test_solve_ivp_tf_equation_vs_fixed_step_oracle(end_state):
 
 @END_STATE
 def test_solve_ivp_blowup_reports_abscissa(end_state):
+    # y'' = 2 y^3 from (1, 1) is y = 1/(1 - x), which blows up at x = 1
     with pytest.raises(StepFailure) as info:
-        end_state(lambda x, y: (y[0] ** 2,), (1.0,), 0.0, 2.0, 1e-8)
+        end_state(lambda x, y: (y[1], 2.0 * y[0] ** 3), (1.0, 1.0), 0.0, 2.0, 1e-8)
     assert info.value.last_x is not None
     assert 0.9 < info.value.last_x <= 2.0
 
@@ -156,12 +157,35 @@ def test_shoot_records_its_accepted_steps(x0, x1):
 
 
 def test_shoot_stop_ends_after_the_first_step_past_the_condition():
-    # y = exp(x): the shot ends at the first step end with y >= 2, not at x1
-    shot = shoot(lambda x, y: (y[0],), (1.0,), 0.0, 5.0, tol=1e-10,
+    # y'' = y from (1, 1) is y = exp(x): the shot ends at the first step end
+    # with y >= 2, not at x1
+    shot = shoot(lambda x, y: (y[1], y[0]), (1.0, 1.0), 0.0, 5.0, tol=1e-10,
                  stop=lambda x, y: y[0] >= 2.0)
     assert math.log(2.0) <= shot.x_end < 5.0
     assert abs(shot.y_end[0] - math.exp(shot.x_end)) < 1e-9 * shot.y_end[0]
     assert shot.steps[-2][1][0] < 2.0
+
+
+def test_shoot_is_reentrant():
+    # a stop condition that itself shoots with the same (rhs, tol) leaves the
+    # outer shot's steps as they are
+    plain = shoot(_tf_rhs, _TF_Y0, _TF_X0, 10.0, tol=1e-11)
+    inner = []
+
+    def stop(x, y):
+        inner.append(shoot(_tf_rhs, _TF_Y0, _TF_X0, 1.0, tol=1e-11).y_end)
+        return False
+
+    nested = shoot(_tf_rhs, _TF_Y0, _TF_X0, 10.0, tol=1e-11, stop=stop)
+    assert nested.steps == plain.steps
+    assert len(inner) == len(plain.steps)
+    assert len(set(inner)) == 1
+
+
+@pytest.mark.parametrize("y0", ((1.0,), (1.0, 0.0, 0.0)))
+def test_shoot_refuses_a_state_that_is_not_a_pair(y0):
+    with pytest.raises(DomainError):
+        shoot(lambda x, y: y, y0, 0.0, 1.0)
 
 
 def test_order_check_fails_when_shoot_ignores_its_tol(monkeypatch):
@@ -244,6 +268,9 @@ class TestRadialFunction:
             RadialFunction(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
             RadialFunction(np.array([1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+        for grid, values in (([1.0, math.inf], [1.0, 1.0]), ([1.0, 2.0], [1.0, math.nan])):
+            with pytest.raises(DomainError):
+                RadialFunction(np.array(grid), np.array(values))
 
     def test_grid_quadrature_matches_adaptive(self):
         grid = np.geomspace(1e-3, 20.0, 400)

@@ -1,0 +1,139 @@
+"""The Thomas-Fermi solve path runs without scipy: DOP853, the two
+bracketing root-finders, PCHIP and the Bernstein readout are ports.  scipy
+is their oracle here, and each port must agree with it to the last bit."""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.integrate
+from scipy.interpolate import BPoly, PchipInterpolator
+from scipy.optimize import bisect, brentq
+
+from relatom import thomas_fermi as tf
+from relatom.errors import ShootingFailure, StepFailure
+from relatom.numerics import Pchip, Shot, gl_rule, shoot
+
+PROFILE_LAMBDAS = (1.0, 0.99, 0.9, 0.5, 0.2, 0.01, 1e-3)
+
+
+def scipy_shoot(rhs, y0, x0, x1, tol=1e-10, stop=None):
+    """:func:`numerics.shoot` through scipy's compiled DOP853."""
+    steps = []
+
+    def record(x, y):
+        y = tuple(y.tolist())
+        steps.append((x, y))
+        return -1 if stop is not None and stop(x, y) else 0
+
+    ode = scipy.integrate.ode(lambda x, y: rhs(x, tuple(y.tolist())))
+    ode.set_integrator("dop853", rtol=tol, atol=tol * 1e-2, nsteps=100_000)
+    ode.set_solout(record)
+    ode.set_initial_value(y0, x0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        ode.integrate(x1)
+    if not ode.successful():
+        raise StepFailure(f"return code {ode.get_return_code()}", last_x=float(ode.t))
+    return Shot(*steps[-1], tuple(steps))
+
+
+@pytest.mark.parametrize("slope0", (-1.6, -1.588071022611, -1.55, -3.0, -50.0))
+def test_dop853_outward_tf_shots_match_scipy(slope0):
+    args = (tf._rhs, tf._series_init(slope0, tf._XI0), tf._XI0, 2000.0, tf._ODE_TOL)
+    assert shoot(*args, stop=tf._escapes).steps == scipy_shoot(*args, stop=tf._escapes).steps
+
+
+def test_dop853_inward_tf_shot_matches_scipy():
+    a = tf._solve_universal(1.0).tail_amplitude
+    args = (tf._rhs, tf._tail_phi(a, tf._XI_FAR), tf._XI_FAR, tf._XI_MATCH, tf._ODE_TOL)
+    assert shoot(*args).steps == scipy_shoot(*args).steps
+
+
+@pytest.mark.parametrize("lam", PROFILE_LAMBDAS)
+def test_universal_profile_matches_the_scipy_pipeline(monkeypatch, lam):
+    # the same profile solved with scipy's DOP853, brentq, bisect and BPoly
+    ours = tf._solve_universal.__wrapped__(lam)
+    monkeypatch.setattr(tf, "shoot", scipy_shoot)
+    monkeypatch.setattr(tf, "_brentq", brentq)
+    monkeypatch.setattr(tf, "_bisect", bisect)
+    monkeypatch.setattr(tf, "_bernstein", lambda c, x, xi: BPoly(c, x)(xi))
+    theirs = tf._solve_universal.__wrapped__(lam)
+    for field in ("slope0", "x_edge", "edge_slope", "tail_amplitude"):
+        assert getattr(ours, field) == getattr(theirs, field), field
+    assert np.array_equal(ours.xi, theirs.xi)
+    assert np.array_equal(ours.phi_values, theirs.phi_values)
+
+
+@pytest.mark.parametrize("lam", (1.0, 0.9, 0.5, 0.01))
+def test_pchip_matches_scipy_at_knots_and_gl_nodes(lam):
+    prof = tf._solve_universal(lam)
+    r = np.concatenate([prof.xi, gl_rule(prof.xi)[0]])
+    ours = Pchip(prof.xi, prof.phi_values)(r)
+    theirs = PchipInterpolator(prof.xi, prof.phi_values, extrapolate=False)(r)
+    assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("lam", (1.0, 0.5, 0.01))
+def test_bernstein_readout_matches_bpoly(monkeypatch, lam):
+    calls = []
+    real = tf._bernstein
+
+    def recording(c, x, xi):
+        calls.append((c, x, xi))
+        return real(c, x, xi)
+
+    monkeypatch.setattr(tf, "_bernstein", recording)
+    tf._solve_universal.__wrapped__(lam)
+    assert calls
+    for c, x, xi in calls:
+        assert np.array_equal(real(c, x, xi), BPoly(c, x)(xi))
+
+
+def _miss_functions(monkeypatch, lam):
+    """(find, f, lo, hi) of every root the solve of ``lam`` asks for."""
+    roots = []
+    real = tf._root
+
+    def recording(find, f, lo, hi, what):
+        roots.append((find, f, lo, hi))
+        return real(find, f, lo, hi, what)
+
+    monkeypatch.setattr(tf, "_root", recording)
+    tf._solve_universal.__wrapped__(lam)
+    monkeypatch.setattr(tf, "_root", real)
+    return roots
+
+
+def _iterates(find, f, lo, hi):
+    xs = []
+
+    def recording(x):
+        xs.append(x)
+        return f(x)
+
+    return find(recording, lo, hi, xtol=1e-16, rtol=tf._RTOL), xs
+
+
+@pytest.mark.parametrize("lam", (1.0, 0.9, 0.5, 1e-3))
+def test_root_finders_take_scipys_iterates_on_the_tf_misses(monkeypatch, lam):
+    # neutral: the slope classification (bisect) and the tail amplitude
+    # (brentq); ion: the edge flux (brentq)
+    roots = _miss_functions(monkeypatch, lam)
+    assert [find for find, *_ in roots] == ([tf._bisect, tf._brentq] if lam == 1.0 else [tf._brentq])
+    for find, f, lo, hi in roots:
+        oracle = bisect if find is tf._bisect else brentq
+        assert _iterates(find, f, lo, hi) == _iterates(oracle, f, lo, hi)
+
+
+@pytest.mark.parametrize("find, oracle", ((tf._brentq, brentq), (tf._bisect, bisect)))
+def test_bracket_without_sign_change_fails_as_scipy_does(find, oracle):
+    def f(x):
+        return x * x + 1.0
+
+    messages = []
+    for method in (find, oracle):
+        with pytest.raises(ShootingFailure) as info:
+            tf._root(method, f, -1.0, 2.0, "test root")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

@@ -53,7 +53,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("lam, max_shots", ((0.5, 30), (1.0, 70)))
     def test_shot_budget(self, monkeypatch, lam, max_shots):
-        # the root-finders need far fewer compiled shots than fixed 80-step bisection
+        # the root-finders need far fewer shots than fixed 80-step bisection
         shots = []
         real = tf.shoot
 
