@@ -11,24 +11,23 @@ slopes) and the explicit numeric factors (4.4827, 0.163, 3/2, 128 pi^2,
 The budget convention: term values are magnitudes of energy corrections
 in the scaled (H = alpha H_rel) units, each tagged with its alpha-scaling
 exponent; the o(alpha^{-4/3}) requirement is "exponent > -4/3" for every
-term.  N is always lambda delta / alpha.
+term.  N is always lambda delta / alpha.  Every term but the decay lemma
+and the domain change is a ``PowerSum`` in alpha, whose leading exponent
+is the tag; terms are held as logs, so they stay finite down to
+alpha = 1e-300 even where their linear value leaves float range.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BudgetViolation,
-    DivergentIntegral,
-    DomainError,
-    PreconditionFailure,
-)
+from .errors import BudgetViolation, DivergentIntegral, DomainError
 from .kinetic import Dispersion, daubechies_F, daubechies_F_upper
 from .numerics import (
     QuadratureSpec,
@@ -39,18 +38,14 @@ from .numerics import (
     newton_potential,
     radial_fourier,
 )
-from .semiclassics import (
-    CoherentSpec,
-    coherent_kinetic_error_bound,
-    domain_change_error,
-    quartic_correction_bound,
-)
+from .semiclassics import CoherentSpec, coherent_kinetic_error_bound, domain_change_error
 from .specfun import k2
-from .thomas_fermi import TFSolution
+from .thomas_fermi import TFParams, TFSolution
 
 __all__ = [
     "LIEB_YAU_CONSTANT",
     "DAUBECHIES_CONSTANT",
+    "PowerSum",
     "PartitionParams",
     "Partition",
     "make_partition",
@@ -64,17 +59,66 @@ __all__ = [
     "lemma_decay_envelope",
     "kernel_offdiag_numeric",
     "localisation_gradient_bound",
+    "quartic_correction_bound",
     "ErrorBudget",
     "BudgetTerm",
+    "check_budget_inputs",
     "assemble_error_budget",
 ]
 
 LIEB_YAU_CONSTANT = 4.4827
 DAUBECHIES_CONSTANT = 0.163
 EXPONENT_LIMIT = -4.0 / 3.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 REGION_INNER = "inner"
 REGION_OUTER = "outer"
+
+
+@dataclass(frozen=True)
+class PowerSum:
+    """sum_i c_i alpha^{e_i}, each c_i held as its sign and log|c_i|, so the
+    log of the sum can be read at any log alpha without overflow or
+    underflow."""
+
+    monomials: tuple        # (sign, log|c|, exponent) triples
+
+    @classmethod
+    def of(cls, *pairs):
+        """From (coefficient, exponent) pairs; a zero coefficient keeps its
+        exponent."""
+        return cls(tuple(
+            (math.copysign(1.0, c), math.log(abs(c)) if c else -math.inf, e) for c, e in pairs
+        ))
+
+    @property
+    def exponent(self):
+        """The leading exponent as alpha -> 0."""
+        return min(e for _, _, e in self.monomials)
+
+    def _log_and_sign(self, log_alpha):
+        logs = [lc + e * log_alpha for _, lc, e in self.monomials]
+        top = max(logs)
+        rest = 0.0 if top == -math.inf else math.fsum(
+            s * math.exp(x - top) for (s, _, _), x in zip(self.monomials, logs)
+        )
+        return (top + math.log(abs(rest)) if rest else -math.inf), math.copysign(1.0, rest)
+
+    def log_value(self, log_alpha):
+        """log |sum| at log alpha; -inf for an exactly zero sum."""
+        return self._log_and_sign(log_alpha)[0]
+
+    def value(self, alpha):
+        """The signed sum at alpha."""
+        log_value, sign = self._log_and_sign(math.log(alpha))
+        return sign * _exp(log_value, "power sum")
+
+
+def _exp(log_value, what):
+    """exp(log_value), or DomainError naming ``what`` beyond float range."""
+    if log_value > _LOG_FLOAT_MAX:
+        raise DomainError(f"{what} = exp({log_value:.6g}) leaves float range")
+    return math.exp(log_value)
 
 
 @dataclass(frozen=True)
@@ -83,9 +127,10 @@ class PartitionParams:
 
     The constructor checks only the orderings every zone needs
     (0 < t < r < 1, t < s).  The other range checks are deliberately
-    deferred to the operations that need them (``validate``/
-    ``make_partition``): out-of-range exponents must flow through budget
-    assembly so they surface as BudgetViolation, not as a constructor error.
+    deferred to the operations that need them (``validate``,
+    ``make_partition``, ``check_budget_inputs``): out-of-range exponents
+    must flow through budget assembly so they surface as BudgetViolation,
+    not as a constructor error.
     """
 
     r: float
@@ -202,32 +247,33 @@ class Partition:
     def sum_of_squares(self, radius):
         return self.chi1(radius) ** 2 + self.chi2(radius) ** 2 + self.chi3(radius) ** 2
 
-    def grad_sup(self, region, j):
-        """sup over the region of |d chi_j / d radius|.
+    def ramp_sups(self, region, j):
+        """(e, sup) for each ramp of chi_j that the region reaches: there
+        |d chi_j / d radius| <= sup / alpha^e.
 
-        On each of its ramps chi_j is theta(radius/scale), the other factor
-        of chi_2 being 1 there because the ramps are disjoint.  So the sup is
-        the scale-free ``_ramp_grad_sup`` over the part of the ramp that the
-        region's split 2 alpha^r leaves, divided by the ramp's scale."""
+        On its alpha^e ramp chi_j is theta(radius/alpha^e), the other factor
+        of chi_2 being 1 there because the ramps are disjoint.  So sup is the
+        scale-free ``_ramp_grad_sup`` over the part of the ramp that the
+        region's split 2 alpha^r leaves."""
         pp = self.params
-        pp.check_support_ordering()
         if region not in (REGION_INNER, REGION_OUTER) or j not in (1, 2, 3):
             raise DomainError(f"unknown region {region!r} or index j = {j!r}")
-        ramps = {
-            1: ((pp.inner_scale, False),),
-            2: ((pp.inner_scale, True), (pp.outer_scale, False)),
-            3: ((pp.outer_scale, True),),
-        }[j]
-        best = 0.0
-        for scale, rising in ramps:
-            u_split = (2.0 * pp.inner_scale / scale - (1.0 - pp.beta)) / (2.0 * pp.beta)
+        ramps = {1: ((pp.r, False),), 2: ((pp.r, True), (pp.t, False)), 3: ((pp.t, True),)}[j]
+        sups = []
+        for e, rising in ramps:
+            u_split = (2.0 * pp.alpha ** (pp.r - e) - (1.0 - pp.beta)) / (2.0 * pp.beta)
             if region == REGION_INNER:
                 u_lo, u_hi = 0.0, min(1.0, u_split)
             else:
                 u_lo, u_hi = max(0.0, u_split), 1.0
             if u_lo < u_hi:
-                best = max(best, _ramp_grad_sup(pp.beta, u_lo, u_hi, rising) / scale)
-        return best
+                sups.append((e, _ramp_grad_sup(pp.beta, u_lo, u_hi, rising)))
+        return sups
+
+    def grad_sup(self, region, j):
+        """sup over the region of |d chi_j / d radius|."""
+        return max((sup / self.params.alpha**e for e, sup in self.ramp_sups(region, j)),
+                   default=0.0)
 
 
 def make_partition(pp: PartitionParams) -> Partition:
@@ -272,11 +318,9 @@ def mean_field_constant_routes(cs: CoherentSpec):
     return mean_field_constant(cs), float(mom)
 
 
-def mean_field_error(lam, delta, alpha, s_exponent, c_phi) -> float:
+def mean_field_error(lam, delta, s_exponent, c_phi) -> PowerSum:
     """lambda delta c(phi) alpha^{-s}: the one-body smearing price."""
-    if not (1.0 / 3.0 < s_exponent < 2.0 / 3.0):
-        raise DomainError("s_exponent must lie in (1/3, 2/3)")
-    return lam * delta * c_phi * alpha ** (-s_exponent)
+    return PowerSum.of((lam * delta * c_phi, -s_exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -294,45 +338,29 @@ def lieb_yau_ball_bound(C0, R, q_spin, chi_mass_fraction) -> float:
 
 @dataclass(frozen=True)
 class InnerZoneBound:
-    value: float
-    alpha_exponent: float
+    bound: PowerSum
     alpha_threshold: float      # largest alpha at which dropping C alpha^{1-2r} is valid
-    drop_constant: float        # C = (3/2)(c_1 + c_2) from the gradient sups
 
 
-def inner_zone_bound(pp: PartitionParams, q_spin: int, enforce_threshold: bool = False):
+def inner_zone_bound(pp: PartitionParams, q_spin: int):
     """Lower bound near the nucleus with R = (1+beta) alpha^r and
-    C0 = 2(1+beta) alpha^{r-1}: value -4.4827 * 16 (1+beta)^3 q alpha^{3r-4}.
+    C0 = 2(1+beta) alpha^{r-1}: -4.4827 * 16 (1+beta)^3 q alpha^{3r-4}.
 
     The bound drops a C alpha^{1-2r} localisation term against alpha^{-1},
-    valid only for alpha below an explicit threshold assembled from the
-    partition's gradient sups; the threshold is always reported, and
-    enforcement is opt-in (desk-scale alphas sit far above it).
+    valid only for alpha below the reported threshold C^{-1/(2-2r)};
+    C = (3/2)(c_1 + c_2) with c_j = alpha^{2r} sup|grad chi_j|^2 over the
+    inner region, taken from the scale-free ramp sups, so it is the same at
+    every alpha where the inner region meets only the alpha^r ramp.
     """
     part = make_partition(pp)
-    c1 = part.grad_sup(REGION_INNER, 1) ** 2 * pp.inner_scale**2
-    c2 = part.grad_sup(REGION_INNER, 2) ** 2 * pp.inner_scale**2
-    C = 1.5 * (c1 + c2)
+    C = 1.5 * sum(
+        max((sup * pp.alpha ** (pp.r - e) for e, sup in part.ramp_sups(REGION_INNER, j)),
+            default=0.0) ** 2
+        for j in (1, 2)
+    )
     threshold = C ** (-1.0 / (2.0 - 2.0 * pp.r)) if C > 0 else math.inf
-    if enforce_threshold and pp.alpha > threshold:
-        raise PreconditionFailure(
-            f"alpha = {pp.alpha} exceeds the drop threshold {threshold:.3e} "
-            f"for C = {C:.3f}",
-            threshold=threshold,
-        )
-    value = (
-        -LIEB_YAU_CONSTANT
-        * 16.0
-        * (1.0 + pp.beta) ** 3
-        * q_spin
-        * pp.alpha ** (3.0 * pp.r - 4.0)
-    )
-    return InnerZoneBound(
-        value=value,
-        alpha_exponent=3.0 * pp.r - 4.0,
-        alpha_threshold=threshold,
-        drop_constant=C,
-    )
+    coeff = -LIEB_YAU_CONSTANT * 16.0 * (1.0 + pp.beta) ** 3 * q_spin
+    return InnerZoneBound(PowerSum.of((coeff, 3.0 * pp.r - 4.0)), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -402,42 +430,23 @@ def daubechies_eigenvalue_sum_bound(
     return -q_spin * DAUBECHIES_CONSTANT * 4.0 * math.pi * value
 
 
-@dataclass(frozen=True)
-class IntermediaryZoneBound:
-    value: float
-    term_values: tuple          # the three bracket terms, signed as printed
-    term_exponents: tuple       # the six printed alpha-exponents
-    prefactor: float
-
-
-def intermediary_zone_closed_form(pp: PartitionParams, delta: float):
+def intermediary_zone_closed_form(pp: PartitionParams, delta: float) -> PowerSum:
     """Closed form of -2 * 0.163 int_{alpha^r < |x| < alpha^t} F_upper(2 delta/|x|) d^3x:
 
     -C [ (4/5)(a^{(t-3)/2} - a^{(r-3)/2}) + (6 delta/7)(a^{-(r+1)/2} - a^{-(t+1)/2})
          + (4 delta^2/72)(a^{(1-3r)/2} - a^{(1-3t)/2}) ],
-    C = 2 * 0.163 * 4 pi * 16 delta^{5/2}.
+    C = 2 * 0.163 * 4 pi * 16 delta^{5/2}: six signed monomials.
     """
-    if not 0.0 < delta <= 2.0 / math.pi + 1e-12:
-        raise DomainError("delta must lie in (0, 2/pi]")
-    a = pp.alpha
     r, t = pp.r, pp.t
-    exps = (
-        (t - 3.0) / 2.0,
-        (r - 3.0) / 2.0,
-        -(r + 1.0) / 2.0,
-        -(t + 1.0) / 2.0,
-        (1.0 - 3.0 * r) / 2.0,
-        (1.0 - 3.0 * t) / 2.0,
-    )
-    b1 = 0.8 * (a ** exps[0] - a ** exps[1])
-    b2 = (6.0 * delta / 7.0) * (a ** exps[2] - a ** exps[3])
-    b3 = (4.0 * delta**2 / 72.0) * (a ** exps[4] - a ** exps[5])
     pre = 2.0 * DAUBECHIES_CONSTANT * 4.0 * math.pi * 16.0 * delta**2.5
-    return IntermediaryZoneBound(
-        value=-pre * (b1 + b2 + b3),
-        term_values=(b1, b2, b3),
-        term_exponents=exps,
-        prefactor=pre,
+    c1, c2, c3 = pre * 0.8, pre * 6.0 * delta / 7.0, pre * 4.0 * delta**2 / 72.0
+    return PowerSum.of(
+        (-c1, (t - 3.0) / 2.0),
+        (c1, (r - 3.0) / 2.0),
+        (-c2, -(r + 1.0) / 2.0),
+        (c2, -(t + 1.0) / 2.0),
+        (-c3, (1.0 - 3.0 * r) / 2.0),
+        (c3, (1.0 - 3.0 * t) / 2.0),
     )
 
 
@@ -543,6 +552,14 @@ def localisation_gradient_bound(pp: PartitionParams, region: str, j: int) -> flo
     return 1.5 * c * pp.alpha
 
 
+def quartic_correction_bound(delta, t_exponent) -> PowerSum:
+    """Bound for the alpha^3 p^4/8 correction over the allowed region
+    {|q| > alpha^t/4, alpha p^2/2 < delta/|q|}: alpha^3/(2 pi)^3 times the
+    phase-space integral (8 pi^2 (2Z)^{7/2}/7) alpha^{-t/2}, Z = delta/alpha,
+    which is (2 delta)^{7/2}/(7 pi) alpha^{-(1+t)/2}."""
+    return PowerSum.of(((2.0 * delta) ** 3.5 / (7.0 * math.pi), -(1.0 + t_exponent) / 2.0))
+
+
 # ---------------------------------------------------------------------------
 # the assembled budget
 
@@ -550,9 +567,14 @@ def localisation_gradient_bound(pp: PartitionParams, region: str, j: int) -> flo
 @dataclass(frozen=True)
 class BudgetTerm:
     name: str
-    value_at_alpha: float
+    log_value: float            # log of the magnitude at the budget's alpha
     alpha_exponent: float
     reference: str
+
+    @property
+    def value_at_alpha(self):
+        """The magnitude itself (DomainError beyond float range)."""
+        return _exp(self.log_value, f"budget term {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -562,7 +584,10 @@ class ErrorBudget:
 
     @property
     def total(self):
-        return float(sum(abs(t.value_at_alpha) for t in self.terms))
+        total = float(sum(t.value_at_alpha for t in self.terms))
+        if math.isinf(total):
+            raise DomainError("the budget total leaves float range")
+        return total
 
     def binding_term(self):
         return min(self.terms, key=lambda t: t.alpha_exponent)
@@ -600,10 +625,29 @@ class ErrorBudget:
         }
 
 
+def check_budget_inputs(pp: PartitionParams, params: TFParams, cs: CoherentSpec) -> float:
+    """The budget's domain, checked once; returns delta = Z alpha.
+
+    The constructors of the arguments already hold lambda, the partition's
+    orderings (0 < t < r < 1, t < s) and 1/3 < s < 2/3.  This adds
+    0 < delta <= 2/pi, t > 1/3 and one s for partition and coherent states.
+    Exponents that keep every zone defined but break the paper's ordering
+    (r <= 8/9, say) pass: their terms carry exponents <= -4/3 and surface
+    as BudgetViolation.
+    """
+    delta = params.Z * pp.alpha
+    if not 0.0 < delta <= 2.0 / math.pi + 1e-12:
+        raise DomainError(f"delta = Z alpha = {delta!r} must lie in (0, 2/pi]")
+    if not pp.t > 1.0 / 3.0:
+        raise DomainError(f"need 1/3 < t, got t = {pp.t}")
+    if cs.s_exponent != pp.s:
+        raise DomainError(f"coherent-state s = {cs.s_exponent} differs from partition s = {pp.s}")
+    return delta
+
+
 def assemble_error_budget(
     pp: PartitionParams,
     sol: TFSolution,
-    disp: Dispersion,
     cs: CoherentSpec,
     q_spin: int = 2,
 ) -> ErrorBudget:
@@ -612,62 +656,19 @@ def assemble_error_budget(
     above -4/3 (BudgetViolation otherwise, with the offending term named;
     the budget is attached to the exception).
     """
-    if abs(disp.alpha - pp.alpha) > 1e-15 * pp.alpha:
-        raise DomainError("dispersion alpha and partition alpha disagree")
+    delta = check_budget_inputs(pp, sol.params, cs)
     alpha = pp.alpha
+    log_alpha = math.log(alpha)
     lam = sol.params.lam
-    delta = sol.params.Z * alpha
-    if delta > 2.0 / math.pi + 1e-12:
-        raise DomainError("delta = Z alpha must be <= 2/pi")
-    n_electrons = lam * delta / alpha
-    c_phi = _reference_c_phi()
 
-    terms = []
-
-    terms.append(
-        BudgetTerm(
-            name="mean_field_smearing",
-            value_at_alpha=mean_field_error(lam, delta, alpha, cs.s_exponent, c_phi),
-            alpha_exponent=-cs.s_exponent,
-            reference="one-body reduction; c(phi) N / a",
-        )
-    )
+    def power_term(name, ps, reference):
+        return BudgetTerm(name, ps.log_value(log_alpha), ps.exponent, reference)
 
     izb = inner_zone_bound(pp, q_spin)
-    terms.append(
-        BudgetTerm(
-            name="inner_zone",
-            value_at_alpha=abs(izb.value),
-            alpha_exponent=izb.alpha_exponent,
-            reference=f"Lieb-Yau ball bound; drop valid below alpha = {izb.alpha_threshold:.3e}",
-        )
-    )
-
-    mid = intermediary_zone_closed_form(pp, delta)
-    terms.append(
-        BudgetTerm(
-            name="intermediary_zone",
-            value_at_alpha=abs(mid.value),
-            alpha_exponent=min(mid.term_exponents),
-            reference="Daubechies bound on the chi_2 shell (doubled Coulomb)",
-        )
-    )
-
-    grad_out = localisation_gradient_bound(pp, REGION_OUTER, 2) + localisation_gradient_bound(
-        pp, REGION_OUTER, 3
-    )
-    terms.append(
-        BudgetTerm(
-            name="localisation_gradient",
-            value_at_alpha=n_electrons * grad_out,
-            alpha_exponent=-2.0 * pp.t,
-            reference="(3/2) c_j^+ alpha^{1-2t} x N; inner-edge pieces absorbed "
-            "by the inner/intermediary zones",
-        )
-    )
+    # each outer-region ramp is an alpha^t ramp: N (3/2) sup^2 alpha^{1-2t}
+    sup2 = sum(sup**2 for j in (2, 3) for _, sup in make_partition(pp).ramp_sups(REGION_OUTER, j))
 
     gamma_sep = 1.0 - (1.0 + pp.beta) / 2.0
-    lemma_val = lemma_decay_envelope(pp, gamma_sep)
 
     def log_envelope(a):
         return lemma_decay_envelope(
@@ -675,58 +676,69 @@ def assemble_error_budget(
         )
 
     # local slope d log envelope / d log alpha: the secant from alpha/2 to alpha
-    lemma_exp = (log_envelope(alpha) - log_envelope(0.5 * alpha)) / (
-        math.log(alpha) - math.log(0.5 * alpha)
-    )
-    terms.append(
-        BudgetTerm(
-            name="localisation_exp_small",
-            value_at_alpha=lemma_val,
-            alpha_exponent=lemma_exp,
-            reference="decay-lemma envelope (super-polynomially small as alpha -> 0); "
-            "local slope reported",
-        )
-    )
+    lemma_log = log_envelope(alpha)
+    lemma_exp = (lemma_log - log_envelope(0.5 * alpha)) / (log_alpha - math.log(0.5 * alpha))
 
-    terms.append(
-        BudgetTerm(
-            name="coherent_kinetic",
-            value_at_alpha=n_electrons * coherent_kinetic_error_bound(cs, alpha),
-            alpha_exponent=-2.0 * cs.s_exponent,  # alpha^{1-2s} x N
-            reference="3 alpha ||grad g_a||^2 Vol(supp g_a) x N",
-        )
-    )
-
-    dce = domain_change_error(sol, disp, pp.t) / (2.0 * math.pi) ** 3
-    terms.append(
-        BudgetTerm(
-            name="momentum_domain_change",
-            value_at_alpha=dce,
-            alpha_exponent=-(1.0 + pp.t) / 2.0,
-            reference="region swap {T < aV} -> {a p^2/2 < aV}; phase-space measure",
-        )
-    )
-
-    terms.append(
-        BudgetTerm(
-            name="quartic_rest_correction",
-            value_at_alpha=quartic_correction_bound(sol.params.Z, alpha, pp.t).value,
-            alpha_exponent=-(1.0 + pp.t) / 2.0,
-            reference="alpha^3 p^4/8 over the allowed region",
-        )
-    )
-
+    dce = domain_change_error(sol, alpha, pp.t) / (2.0 * math.pi) ** 3
     mass_residual = abs(sol.electron_count - sol.params.N) if sol.mu > 0 else 0.0
-    terms.append(
-        BudgetTerm(
-            name="mu_mass_bookkeeping",
-            value_at_alpha=alpha * sol.mu * mass_residual,
-            alpha_exponent=0.0,
-            reference="mu int rho = mu N holds exactly; numerical residual only",
-        )
-    )
+    bookkeeping = alpha * sol.mu * mass_residual
 
-    budget = ErrorBudget(terms=tuple(terms), alpha=alpha)
+    terms = (
+        power_term(
+            "mean_field_smearing",
+            mean_field_error(lam, delta, cs.s_exponent, _reference_c_phi()),
+            "one-body reduction; c(phi) N / a",
+        ),
+        power_term(
+            "inner_zone",
+            izb.bound,
+            f"Lieb-Yau ball bound; drop valid below alpha = {izb.alpha_threshold:.3e}",
+        ),
+        power_term(
+            "intermediary_zone",
+            intermediary_zone_closed_form(pp, delta),
+            "Daubechies bound on the chi_2 shell (doubled Coulomb)",
+        ),
+        power_term(
+            "localisation_gradient",
+            PowerSum.of((1.5 * lam * delta * sup2, -2.0 * pp.t)),
+            "(3/2) c_j^+ alpha^{1-2t} x N; inner-edge pieces absorbed "
+            "by the inner/intermediary zones",
+        ),
+        BudgetTerm(
+            "localisation_exp_small",
+            lemma_log,
+            lemma_exp,
+            "decay-lemma envelope (super-polynomially small as alpha -> 0); "
+            "local slope reported",
+        ),
+        power_term(
+            "coherent_kinetic",
+            # N times the per-unit bound, whose value at alpha = 1 is its coefficient
+            PowerSum.of((lam * delta * coherent_kinetic_error_bound(cs, 1.0),
+                         -2.0 * cs.s_exponent)),
+            "3 alpha ||grad g_a||^2 Vol(supp g_a) x N",
+        ),
+        BudgetTerm(
+            "momentum_domain_change",
+            math.log(dce),
+            # A I_{7/2}(W) leads, I_{7/2}(W) ~ W^{-1/2} on V1's Coulomb head
+            -(1.0 + pp.t) / 2.0,
+            "region swap {T < aV} -> {a p^2/2 < aV}; phase-space measure",
+        ),
+        power_term(
+            "quartic_rest_correction",
+            quartic_correction_bound(delta, pp.t),
+            "alpha^3 p^4/8 over the allowed region",
+        ),
+        BudgetTerm(
+            "mu_mass_bookkeeping",
+            math.log(bookkeeping) if bookkeeping > 0.0 else -math.inf,
+            0.0,
+            "mu int rho = mu N holds exactly; numerical residual only",
+        ),
+    )
+    budget = ErrorBudget(terms=terms, alpha=alpha)
     bad = budget.violations()
     if bad:
         raise BudgetViolation(

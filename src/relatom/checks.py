@@ -336,12 +336,12 @@ def check_identity():
     dce = []
     for a in alphas:
         s_a = tf.solve(tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / a, gamma_kin=geq), tol=1e-4)
-        dce.append(sc.domain_change_error(s_a, Dispersion(a), 0.5) * a ** (4.0 / 3.0))
+        dce.append(sc.domain_change_error(s_a, a, 0.5) * a ** (4.0 / 3.0))
     ok = all(x > y for x, y in zip(dce, dce[1:]))
     out.append(_bound("domain-change error is o(alpha^{-4/3})", 0.0 if ok else 1.0, 0.0))
 
-    qcb = [sc.quartic_correction_bound(
-        (2.0 / math.pi) / a, a, 0.5).value * a ** (4.0 / 3.0) for a in alphas]
+    quartic = bd.quartic_correction_bound(2.0 / math.pi, 0.5)
+    qcb = [quartic.value(a) * a ** (4.0 / 3.0) for a in alphas]
     ok = all(x > y for x, y in zip(qcb, qcb[1:]))
     out.append(_bound("quartic correction is o(alpha^{-4/3})", 0.0 if ok else 1.0, 0.0))
     return out
@@ -379,7 +379,7 @@ def check_bounds():
 
     pp = bd.PartitionParams(r=0.95, t=0.5, s=0.55, beta=0.1, alpha=1e-3)
     delta = 2.0 / math.pi
-    closed = bd.intermediary_zone_closed_form(pp, delta)
+    closed = bd.intermediary_zone_closed_form(pp, delta).value(pp.alpha)
     V = _chi2_zone_potential(pp, delta)
     shell = (pp.inner_scale, pp.outer_scale)
     upper = bd.daubechies_eigenvalue_sum_bound(
@@ -388,7 +388,7 @@ def check_bounds():
     out.append(
         _bound(
             "Daubechies majorant route vs closed form, relative gap",
-            abs(upper / closed.value - 1.0),
+            abs(upper / closed - 1.0),
             1e-8,
         )
     )
@@ -401,12 +401,11 @@ def check_bounds():
     # binding-term analysis at the exponent boundaries
     sol = tf.solve(tf.TFParams(lam=1.0, Z=delta / 1e-3), tol=1e-4)
     b1 = bd.assemble_error_budget(
-        bd.PartitionParams(r=0.90, t=0.5, s=0.55, beta=0.1, alpha=1e-3),
-        sol, Dispersion(1e-3), cs,
+        bd.PartitionParams(r=0.90, t=0.5, s=0.55, beta=0.1, alpha=1e-3), sol, cs
     )
     b2 = bd.assemble_error_budget(
         bd.PartitionParams(r=0.95, t=0.65, s=0.655, beta=0.1, alpha=1e-3),
-        sol, Dispersion(1e-3), sc.CoherentSpec.reference(0.655),
+        sol, sc.CoherentSpec.reference(0.655),
     )
     # as t -> 2/3 the alpha^{1-2s,t} x N family binds; s > t puts the
     # coherent-state member in front of the chi_3 gradient member

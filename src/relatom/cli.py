@@ -33,7 +33,6 @@ from pathlib import Path
 from . import __version__
 from . import thomas_fermi as tf
 from .errors import BudgetViolation, DomainError, RelatomError
-from .kinetic import Dispersion
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,7 +136,7 @@ def cmd_budget(args, argv):
         sol = tf.solve(tf.TFParams(lam=args.lam, Z=Z), tol=1e-4)
         violation = None
         try:
-            budget = bd.assemble_error_budget(pp, sol, Dispersion(alpha), cs, q_spin=args.q)
+            budget = bd.assemble_error_budget(pp, sol, cs, q_spin=args.q)
         except BudgetViolation as exc:
             violation = exc
             budget = exc.budget
@@ -176,7 +175,7 @@ def _asymptotics_row(Z, cfg):
         pp = bd.PartitionParams(r=cfg["r"], t=cfg["t"], s=cfg["s"], beta=cfg["beta"],
                                 alpha=alpha)
         cs = sc.CoherentSpec.reference(cfg["s"])
-        budget = bd.assemble_error_budget(pp, sol, Dispersion(alpha), cs)
+        budget = bd.assemble_error_budget(pp, sol, cs)
         e_ref = tf.tf_energy(sol)                  # = -C_TF(lam) Z^{7/3}
         e_lower = e_ref - budget.total / alpha     # H_rel units
         return {
@@ -245,9 +244,6 @@ def cmd_asymptotics(args, argv):
     except ValueError as exc:
         print(f"config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0.0 < cfg["delta"] <= 2.0 / math.pi + 1e-12:
-        print("delta must lie in (0, 2/pi]", file=sys.stderr)
-        return EXIT_USAGE
     if not all(math.isfinite(Z) and Z > 0.0 for Z in z_values):
         print("every Z must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
@@ -255,11 +251,13 @@ def cmd_asymptotics(args, argv):
     from . import semiclassics as sc
 
     try:
-        # the row constructors' own range checks, run once before any row
-        tf.TFParams(lam=cfg["lambda"], Z=z_values[0])
-        bd.PartitionParams(r=cfg["r"], t=cfg["t"], s=cfg["s"], beta=cfg["beta"],
-                           alpha=cfg["delta"] / z_values[0])
-        sc.CoherentSpec.reference(cfg["s"])
+        # the budget's inputs for the first row, checked once before any row
+        bd.check_budget_inputs(
+            bd.PartitionParams(r=cfg["r"], t=cfg["t"], s=cfg["s"], beta=cfg["beta"],
+                               alpha=cfg["delta"] / z_values[0]),
+            tf.TFParams(lam=cfg["lambda"], Z=z_values[0]),
+            sc.CoherentSpec.reference(cfg["s"]),
+        )
     except DomainError as exc:
         print(f"invalid sweep parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -322,8 +320,8 @@ def build_parser():
         help="the flagship Z-sweep",
         epilog="rows run in one process and share one universal profile and one "
                "c(phi); --delta must lie in (0, 2/pi], every --Z be positive, "
-               "--lambda positive, 0 < --t < --r < 1, --t < --s, --s in (1/3, 2/3) and "
-               "--beta in (0, 1/2)",
+               "--lambda positive, 0 < --t < --r < 1, 1/3 < --t < --s, --s in (1/3, 2/3) "
+               "and --beta in (0, 1/2)",
     )
     p.add_argument("--Z", type=float, nargs="+", default=None, help="Z values")
     p.add_argument("--delta", type=float, default=None)

@@ -46,7 +46,6 @@ __all__ = [
     "momentum_integral_nonrel",
     "momentum_integral_rel",
     "phase_space_energy",
-    "quartic_correction_bound",
     "domain_change_error",
     "tf_identity_chain",
     "kinetic_coefficient_ratio",
@@ -218,40 +217,7 @@ def phase_space_energy(
     return PhaseSpaceResult(value=float(value), quadrature_error=float(err), domain=domain)
 
 
-@dataclass(frozen=True)
-class QuarticCorrectionBound:
-    """The p^4/8 rest-correction bound in its three printed forms."""
-
-    value: float                # alpha^{(6-t)/2} (2Z)^{7/2} / (7 pi)
-    phase_space_form: float     # (8 pi^2 (2Z)^{7/2} / 7) alpha^{-t/2}
-    delta_form: float           # (8 sqrt2/(7 pi)) alpha^{-(1+t)/2} delta^{7/2}
-
-
-def quartic_correction_bound(Z, alpha, t_exponent) -> QuarticCorrectionBound:
-    """Bound for the alpha^3 p^4/8 correction over the allowed region
-    {|q| > alpha^t/4, alpha p^2/2 < delta/|q|}."""
-    if not (1.0 / 3.0 < t_exponent < 2.0 / 3.0):
-        raise DomainError("t_exponent must lie in (1/3, 2/3)")
-    if Z <= 0 or alpha <= 0:
-        raise DomainError("Z and alpha must be positive")
-    delta = Z * alpha
-    value = alpha ** ((6.0 - t_exponent) / 2.0) * (2.0 * Z) ** 3.5 / (7.0 * math.pi)
-    ps = 8.0 * math.pi**2 * (2.0 * Z) ** 3.5 / 7.0 * alpha ** (-t_exponent / 2.0)
-    df = (
-        8.0
-        * math.sqrt(2.0)
-        / (7.0 * math.pi)
-        * alpha ** (-(1.0 + t_exponent) / 2.0)
-        * delta**3.5
-    )
-    return QuarticCorrectionBound(value=value, phase_space_form=ps, delta_form=df)
-
-
-def domain_change_error(
-    sol: TFSolution,
-    disp: Dispersion,
-    t_exponent: float,
-) -> float:
+def domain_change_error(sol: TFSolution, alpha: float, t_exponent: float) -> float:
     """Upper bound for the momentum-domain swap {T(p) < a V} -> {a p^2/2 < a V}:
 
     (4 pi)^2 delta^{1/3} alpha^{2/3} int_W^inf w^2 V1(w)
@@ -260,42 +226,40 @@ def domain_change_error(
     with X = 2 delta^{4/3} alpha^{-4/3} V1, Y = (1/2) delta^{4/3} alpha^{2/3} V1,
     W = (1/4) delta^{1/3} alpha^{t-1/3}, V1 the Z=1 TF potential, and
     (1+Y)^{3/2}-1 replaced by its Taylor majorant (3/2)Y + (3/8)Y^2, which
-    does not cancel as Y -> 0.
+    does not cancel as Y -> 0.  That is A I_{7/2}(W) + B I_{9/2}(W) with the
+    Z-independent moments I_p(W) = int_W^inf w^2 V1^p dw and the monomials
+    A = (4 pi)^2 2^{3/2} delta^{11/3} alpha^{-2/3} / 4 and
+    B = (4 pi)^2 2^{3/2} delta^5 / 32, combined in logs.  I_p takes the
+    power law through V1's first two samples below its grid and the w^-4
+    tail of a neutral V1 beyond it, both in closed form.
     """
-    alpha = disp.alpha
     delta = sol.params.Z * alpha
-    if delta > 2.0 / math.pi + 1e-12:
-        raise DomainError("delta = Z alpha must be <= 2/pi")
-    if not (1.0 / 3.0 < t_exponent < 2.0 / 3.0):
-        raise DomainError("t_exponent must lie in (1/3, 2/3)")
     prof = sol.profile
     b1 = sol.params.gamma_kin * (4.0 * math.pi) ** (-2.0 / 3.0)  # Z = 1 length scale
 
     def V1(w):
         return np.maximum(prof.phi(np.asarray(w, dtype=float) / b1), 0.0) / w
 
+    grid = b1 * prof.xi
     W = 0.25 * delta ** (1.0 / 3.0) * alpha ** (t_exponent - 1.0 / 3.0)
-    cX = 2.0 * delta ** (4.0 / 3.0) * alpha ** (-4.0 / 3.0)
-    cY = 0.5 * delta ** (4.0 / 3.0) * alpha ** (2.0 / 3.0)
-
-    def integrand(w):
-        v = V1(w)
-        X = cX * v
-        Y = cY * v
-        return w * w * v * (X**1.5 / 3.0) * (1.5 * Y + 0.375 * Y * Y)
-
-    top = b1 * prof.xi[-1]
-    if W >= top:
+    if W >= grid[-1]:
         raise DomainError("cutoff W beyond the tabulated potential")
-    knots = np.concatenate([[W], b1 * prof.xi[(b1 * prof.xi) > W]])
-    value = grid_quadrature(integrand, knots)
-    if prof.x_edge is None:
-        # V1 ~ c w^-4 beyond the grid: integrand ~ w^{2-4}*w^{-6}*(w^{-4}+...)
-        c4 = V1(top) * top**4
-        t1 = 1.5 * cY * cX**1.5 / 3.0 * c4**3.5 / (4.0 * 3.5 - 3.0) * top ** (3.0 - 14.0)
-        t2 = 0.375 * cY**2 * cX**1.5 / 3.0 * c4**4.5 / (4.0 * 4.5 - 3.0) * top ** (3.0 - 18.0)
-        value += t1 + t2
-    return (4.0 * math.pi) ** 2 * delta ** (1.0 / 3.0) * alpha ** (2.0 / 3.0) * value
+    V = RadialFunction(grid, V1(grid), -4.0 if prof.x_edge is None else None)
+    w, weights = gl_rule(np.concatenate([[W], grid[grid > W]]) if W > grid[0] else grid)
+    v = V1(w)
+    log_moments = []
+    for p in (3.5, 4.5):
+        moment = np.dot(weights, w * w * v**p) + V.tail_integral(p, 2)
+        if W < grid[0]:
+            # int_W^w0 w^2 (v0 (w/w0)^h)^p dw = v0^p w0^3 (1 - (W/w0)^n)/n, n = p h + 3
+            n = p * V.head_exponent + 3.0
+            moment += V.values[0] ** p * grid[0] ** 3 * -math.expm1(n * math.log(W / grid[0])) / n
+        log_moments.append(math.log(moment))
+    log_c = 2.0 * math.log(4.0 * math.pi) + 1.5 * math.log(2.0)
+    log_delta, log_alpha = math.log(delta), math.log(alpha)
+    log_A = log_c - math.log(4.0) + (11.0 / 3.0) * log_delta - (2.0 / 3.0) * log_alpha
+    log_B = log_c - math.log(32.0) + 5.0 * log_delta
+    return math.exp(log_A + log_moments[0]) + math.exp(log_B + log_moments[1])
 
 
 def tf_identity_chain(sol: TFSolution) -> dict:

@@ -217,7 +217,7 @@ def test_criterion_10_error_budget():
     for alpha in (1e-2, 1e-3, 1e-4, 1e-5):
         pp = bd.PartitionParams(r=0.95, t=0.5, s=0.55, beta=0.1, alpha=alpha)
         sol = tf.solve(tf.TFParams(lam=1.0, Z=delta / alpha), tol=1e-4)
-        budget = bd.assemble_error_budget(pp, sol, Dispersion(alpha), cs)
+        budget = bd.assemble_error_budget(pp, sol, cs)
         ok &= all(term.alpha_exponent > -4.0 / 3.0 for term in budget.terms)
         scaled = budget.total * alpha ** (4.0 / 3.0)
         ok &= scaled < prev

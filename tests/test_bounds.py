@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,7 @@ from scipy.integrate import quad
 from relatom import bounds as bd
 from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
-from relatom.errors import (
-    BudgetViolation,
-    DivergentIntegral,
-    DomainError,
-    PreconditionFailure,
-)
+from relatom.errors import BudgetViolation, DivergentIntegral, DomainError
 from relatom.kinetic import Dispersion, daubechies_F
 from relatom.numerics import RadialFunction
 
@@ -42,6 +39,22 @@ def fd_grad_sup(part, region, j):
             grad = (fn(x + h) - fn(x - h)) / (2.0 * h)
             best = max(best, float(np.max(np.abs(grad))))
     return best
+
+
+class TestPowerSum:
+    def test_value_log_value_and_leading_exponent(self):
+        a = 1e-3
+        ps = bd.PowerSum.of((3.0, -1.5), (-2.0, -0.5))
+        assert ps.value(a) == pytest.approx(3.0 * a**-1.5 - 2.0 * a**-0.5, rel=1e-14)
+        assert ps.log_value(math.log(a)) == pytest.approx(math.log(ps.value(a)), rel=1e-14)
+        assert ps.exponent == -1.5
+        assert bd.PowerSum.of((-1.0, 0.5)).value(a) == pytest.approx(-(a**0.5), rel=1e-15)
+        assert bd.PowerSum.of((0.0, -2.0)).log_value(math.log(a)) == -math.inf
+        # the log value reads on where the linear value leaves float range
+        tiny = math.log(1e-300)
+        assert ps.log_value(tiny) == pytest.approx(math.log(3.0) - 1.5 * tiny, rel=1e-15)
+        with pytest.raises(DomainError):
+            ps.value(1e-300)
 
 
 class TestPartition:
@@ -149,10 +162,10 @@ class TestMeanField:
 
     def test_mean_field_error_power(self):
         c = 0.9
-        v = bd.mean_field_error(1.0, 2.0 / math.pi, 1e-3, 0.5, c)
-        assert abs(v - 2.0 / math.pi * c * 10.0**1.5) < 1e-10
-        seq = [bd.mean_field_error(1.0, 2.0 / math.pi, a, 0.5, c) * a ** (2.0 / 3.0)
-               for a in (1e-2, 1e-3, 1e-4)]
+        err = bd.mean_field_error(1.0, 2.0 / math.pi, 0.5, c)
+        assert abs(err.value(1e-3) - 2.0 / math.pi * c * 10.0**1.5) < 1e-10
+        assert err.exponent == -0.5
+        seq = [err.value(a) * a ** (2.0 / 3.0) for a in (1e-2, 1e-3, 1e-4)]
         assert all(x > y for x, y in zip(seq, seq[1:]))
 
 
@@ -176,27 +189,30 @@ class TestLiebYau:
 
 class TestInnerZone:
     def test_value_and_exponent(self):
-        res = bd.inner_zone_bound(make_pp(), 2)
-        assert res.alpha_exponent == pytest.approx(-1.15)
-        assert res.alpha_exponent > -4.0 / 3.0
+        res = bd.inner_zone_bound(make_pp(), 2).bound
+        assert res.exponent == pytest.approx(-1.15)
+        assert res.exponent > -4.0 / 3.0
         expected = -4.4827 * 16 * 1.1**3 * 2 * (1e-3) ** (-1.15)
-        assert abs(res.value - expected) < 1e-9 * abs(expected)
+        assert abs(res.value(1e-3) - expected) < 1e-9 * abs(expected)
 
     def test_exponent_boundary(self):
-        res = bd.inner_zone_bound(make_pp(r=8.0 / 9.0 + 1e-6), 2)
-        assert -4.0 / 3.0 < res.alpha_exponent < -4.0 / 3.0 + 1e-5
+        res = bd.inner_zone_bound(make_pp(r=8.0 / 9.0 + 1e-6), 2).bound
+        assert -4.0 / 3.0 < res.exponent < -4.0 / 3.0 + 1e-5
 
     def test_alpha_sweep_below_budget_order(self):
-        seq = [abs(bd.inner_zone_bound(make_pp(alpha=a), 2).value) * a ** (4.0 / 3.0)
+        seq = [abs(bd.inner_zone_bound(make_pp(alpha=a), 2).bound.value(a)) * a ** (4.0 / 3.0)
                for a in (1e-2, 1e-3, 1e-4)]
         assert all(x > y for x, y in zip(seq, seq[1:]))
 
-    def test_threshold_reported_and_enforceable(self):
-        res = bd.inner_zone_bound(make_pp(), 2)
-        assert 0.0 < res.alpha_threshold < 1e-3  # desk alphas sit far above it
-        with pytest.raises(PreconditionFailure) as info:
-            bd.inner_zone_bound(make_pp(), 2, enforce_threshold=True)
-        assert info.value.threshold == pytest.approx(res.alpha_threshold)
+    def test_threshold_reported_and_scale_free(self):
+        # C comes from the scale-free ramp sups, so the threshold cannot
+        # depend on alpha (grad_sup^2 times inner_scale^2 read 0.0 from
+        # alpha = 1e-165 on and inf from 1e-175 on)
+        threshold = bd.inner_zone_bound(make_pp(), 2).alpha_threshold
+        assert abs(threshold / 5.266594816502026e-28 - 1.0) < 1e-12  # desk alphas sit far above it
+        for k in range(3, 301):
+            at_k = bd.inner_zone_bound(make_pp(alpha=10.0**-k), 2).alpha_threshold
+            assert abs(at_k / threshold - 1.0) < 1e-12, k
 
 
 class TestDaubechiesSum:
@@ -215,7 +231,7 @@ class TestDaubechiesSum:
         upper = bd.daubechies_eigenvalue_sum_bound(
             Dispersion(pp.alpha), V, 2, f_form="taylor_upper", support=shell
         )
-        assert abs(upper / closed.value - 1.0) < 1e-8
+        assert abs(upper / closed.value(pp.alpha) - 1.0) < 1e-8
         exact = bd.daubechies_eigenvalue_sum_bound(Dispersion(pp.alpha), V, 2, support=shell)
         assert abs(exact) <= abs(upper)
         assert abs(exact) >= 0.5 * abs(upper)
@@ -283,8 +299,10 @@ class TestDaubechiesSum:
 class TestIntermediaryZone:
     def test_exponent_audit(self):
         res = bd.intermediary_zone_closed_form(make_pp(), 2.0 / math.pi)
-        assert all(e > -4.0 / 3.0 for e in res.term_exponents)
-        assert len(res.term_exponents) == 6
+        exponents = [e for _, _, e in res.monomials]
+        assert all(e > -4.0 / 3.0 for e in exponents)
+        assert len(exponents) == 6
+        assert res.exponent == min(exponents) == (0.5 - 3.0) / 2.0
 
     def test_quadrature_cross_check(self):
         # antiderivative vs direct radial quadrature of the bracket integrand
@@ -301,12 +319,13 @@ class TestIntermediaryZone:
         val, _ = quad(integrand, pp.inner_scale, pp.outer_scale,
                       epsabs=1e-10, epsrel=1e-12, limit=400)
         val *= -2.0 * 0.163 * 4.0 * math.pi
-        closed = bd.intermediary_zone_closed_form(pp, delta).value
+        closed = bd.intermediary_zone_closed_form(pp, delta).value(a)
         assert abs(val / closed - 1.0) < 1e-10
 
     def test_delta_to_zero(self):
         res = bd.intermediary_zone_closed_form(make_pp(), 1e-9)
-        b1, b2, b3 = res.term_values
+        # the three brackets are the monomial pairs of the sum
+        b1, b2, b3 = (bd.PowerSum(res.monomials[i:i + 2]).value(1e-3) for i in (0, 2, 4))
         assert abs(b2 / b1) < 1e-8
         assert abs(b3 / b1) < 1e-14
 
@@ -377,27 +396,95 @@ class TestLocalisationGradient:
 def budget_inputs(reference_bump):
     alpha = 1e-3
     sol = tf.solve(tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha), tol=1e-4)
-    return sol, Dispersion(alpha), reference_bump
+    return sol, reference_bump
+
+
+def relabelled(sol, alpha):
+    """The Z = 1 solution at Z = (2/pi)/alpha, exact by TF scaling."""
+    return dataclasses.replace(sol, params=tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha))
+
+
+# the exponent tags as they were declared by hand, beside each term's value
+DECLARED_TAGS = {
+    "mean_field_smearing": lambda r, t, s: -s,
+    "inner_zone": lambda r, t, s: 3.0 * r - 4.0,
+    "intermediary_zone": lambda r, t, s: min(
+        (t - 3.0) / 2.0, (r - 3.0) / 2.0, -(r + 1.0) / 2.0,
+        -(t + 1.0) / 2.0, (1.0 - 3.0 * r) / 2.0, (1.0 - 3.0 * t) / 2.0,
+    ),
+    "localisation_gradient": lambda r, t, s: -2.0 * t,
+    "coherent_kinetic": lambda r, t, s: -2.0 * s,
+    "momentum_domain_change": lambda r, t, s: -(1.0 + t) / 2.0,
+    "quartic_rest_correction": lambda r, t, s: -(1.0 + t) / 2.0,
+    "mu_mass_bookkeeping": lambda r, t, s: 0.0,
+}
 
 
 class TestBudget:
+    @pytest.mark.parametrize("alpha", (1e-3, 1e-6))
+    @pytest.mark.parametrize("r,t,s", ((0.95, 0.5, 0.55), (0.90, 0.5, 0.55), (0.95, 0.65, 0.655)))
+    def test_derived_tags_equal_the_declared_ones(self, neutral_solution, alpha, r, t, s):
+        budget = bd.assemble_error_budget(
+            make_pp(alpha=alpha, r=r, t=t, s=s), relabelled(neutral_solution, alpha),
+            sc.CoherentSpec.reference(s),
+        )
+        tags = {term.name: term.alpha_exponent for term in budget.terms}
+        assert set(tags) == set(DECLARED_TAGS) | {"localisation_exp_small"}
+        for name, declared in DECLARED_TAGS.items():
+            assert tags[name] == declared(r, t, s), name  # bit for bit
+
+    def test_tiny_alpha_gives_finite_values_or_a_named_domain_error(
+        self, neutral_solution, reference_bump
+    ):
+        out_of_range = []
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(3, 301):
+                alpha = 10.0**-k
+                budget = bd.assemble_error_budget(
+                    make_pp(alpha=alpha), relabelled(neutral_solution, alpha), reference_bump
+                )
+                for term in budget.terms:
+                    # a neutral atom's bookkeeping term is exactly 0.0
+                    exact_zero = term.name == "mu_mass_bookkeeping"
+                    assert math.isfinite(term.log_value) or (
+                        exact_zero and term.log_value == -math.inf
+                    ), (k, term.name)
+                    try:
+                        assert math.isfinite(term.value_at_alpha)
+                    except DomainError as exc:
+                        assert term.name in str(exc)
+                        out_of_range.append(k)
+        # the linear values do leave float range on the way down
+        assert min(out_of_range) > 200
+
+    def test_inputs_are_checked_at_the_start(self, budget_inputs):
+        sol, cs = budget_inputs
+        with pytest.raises(DomainError, match="2/pi"):
+            bd.assemble_error_budget(make_pp(alpha=1.1e-3), sol, cs)  # delta = 0.7
+        with pytest.raises(DomainError, match="1/3 < t"):
+            bd.assemble_error_budget(make_pp(t=0.3, s=0.5), sol, sc.CoherentSpec.reference(0.5))
+        with pytest.raises(DomainError, match="differs"):
+            bd.assemble_error_budget(make_pp(), sol, sc.CoherentSpec.reference(0.6))
+
     def test_nine_terms_all_above_limit(self, budget_inputs):
-        sol, disp, cs = budget_inputs
-        budget = bd.assemble_error_budget(make_pp(), sol, disp, cs)
+        sol, cs = budget_inputs
+        budget = bd.assemble_error_budget(make_pp(), sol, cs)
         assert len(budget.terms) == 9
         assert all(t.alpha_exponent > -4.0 / 3.0 for t in budget.terms)
         assert budget.margin() > 0.0
 
     def test_violation_names_inner_zone(self, budget_inputs):
-        sol, disp, cs = budget_inputs
+        sol, cs = budget_inputs
         with pytest.raises(BudgetViolation) as info:
-            bd.assemble_error_budget(make_pp(r=0.85), sol, disp, cs)
+            bd.assemble_error_budget(make_pp(r=0.85), sol, cs)
         assert info.value.term_name == "inner_zone"
         assert info.value.budget is not None  # budget still available
 
     def test_csv_layout(self, budget_inputs):
-        sol, disp, cs = budget_inputs
-        budget = bd.assemble_error_budget(make_pp(), sol, disp, cs)
+        sol, cs = budget_inputs
+        budget = bd.assemble_error_budget(make_pp(), sol, cs)
         lines = budget.to_csv().splitlines()
         assert lines[0] == "name,reference,alpha,value,exponent"
         assert len(lines) == 10
@@ -407,9 +494,7 @@ class TestBudget:
         prev = math.inf
         for alpha in (1e-2, 1e-3, 1e-4):
             sol = tf.solve(tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha), tol=1e-4)
-            budget = bd.assemble_error_budget(
-                make_pp(alpha=alpha), sol, Dispersion(alpha), reference_bump
-            )
+            budget = bd.assemble_error_budget(make_pp(alpha=alpha), sol, reference_bump)
             scaled = budget.total * alpha ** (4.0 / 3.0)
             assert scaled < prev
             prev = scaled

@@ -138,6 +138,39 @@ class TestBudget:
         assert "inner_zone" in err
         assert path.exists()  # the budget is still written, violation flagged
 
+    # budget --alpha 1e-3 as written before its terms became power sums in
+    # log form: (value, exponent) per row, in row order
+    RECORDED = {
+        "mean_field_smearing": (26.230734487360753, -0.55),
+        "inner_zone": (538105.8443493863, -1.1500000000000004),
+        "intermediary_zone": (83157.20352258466, -1.25),
+        "localisation_gradient": (340194.37798581924, -1.0),
+        "localisation_exp_small": (3044.2156915232595, -0.9445380331578046),
+        "coherent_kinetic": (105883.3750742625, -1.1),
+        "momentum_domain_change": (29.683357694309755, -0.75),
+        "quartic_rest_correction": (18.83378040984943, -0.75),
+        "mu_mass_bookkeeping": (0.0, 0.0),
+    }
+
+    def test_csv_values_match_the_recorded_budget(self, capsys, tmp_path):
+        path = tmp_path / "b.csv"
+        code, _, _ = run(capsys, "budget", "--alpha", "1e-3", "--csv", str(path))
+        assert code == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == list(self.RECORDED)
+        for name, _, alpha, value, exponent in rows:
+            recorded_value, recorded_exponent = self.RECORDED[name]
+            assert alpha == "0.001"
+            assert float(exponent) == recorded_exponent  # bit for bit
+            assert abs(float(value) - recorded_value) <= 1e-14 * recorded_value, name
+
+    def test_out_of_range_exponents_are_refused(self, capsys):
+        code, _, err = run(capsys, "budget", "--alpha", "1e-3", "--t", "0.2", "--s", "0.25")
+        assert code == 2
+        code, _, err = run(capsys, "budget", "--alpha", "1e-3", "--t", "0.3", "--s", "0.5")
+        assert code == 2
+        assert "1/3 < t" in err
+
     def test_t_not_below_s_is_refused(self, capsys):
         code, _, err = run(capsys, "budget", "--alpha", "1e-3", "--t", "0.6", "--s", "0.55")
         assert code == 2

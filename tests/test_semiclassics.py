@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from relatom import bounds as bd
 from relatom import checks
 from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
@@ -132,11 +133,16 @@ class TestPhaseSpaceEnergy:
 
 class TestQuarticCorrection:
     def test_three_forms_agree(self):
-        Z, alpha, t = 10.0, 0.01, 0.5
-        b = sc.quartic_correction_bound(Z, alpha, t)
         # energy form = alpha^3/(2 pi)^3 x phase-space form
-        assert abs(b.value - alpha**3 / (2 * math.pi) ** 3 * b.phase_space_form) < 1e-12 * b.value
-        assert abs(b.value - b.delta_form) < 1e-12 * b.value
+        # (8 pi^2 (2Z)^{7/2}/7) alpha^{-t/2} = delta form
+        # (8 sqrt2/(7 pi)) alpha^{-(1+t)/2} delta^{7/2}
+        Z, alpha, t = 10.0, 0.01, 0.5
+        delta = Z * alpha
+        value = bd.quartic_correction_bound(delta, t).value(alpha)
+        phase_space = 8.0 * math.pi**2 * (2.0 * Z) ** 3.5 / 7.0 * alpha ** (-t / 2.0)
+        delta_form = 8.0 * math.sqrt(2.0) / (7.0 * math.pi) * alpha ** (-(1.0 + t) / 2.0) * delta**3.5
+        assert abs(value - alpha**3 / (2 * math.pi) ** 3 * phase_space) < 1e-12 * value
+        assert abs(value - delta_form) < 1e-12 * value
 
     def test_against_2d_quadrature(self):
         # with V replaced by exactly delta/|q| the bound is an equality
@@ -144,19 +150,20 @@ class TestQuarticCorrection:
         W = 0.25 * alpha**t
         inner = lambda q: 4 * math.pi * (2 * Z / q) ** 3.5 / 56.0  # int p^4/8 p^2 dp over ball
         outer, _ = quad(lambda q: inner(q) * q * q, W, np.inf, epsabs=1e-10, epsrel=1e-10)
-        brute = 4 * math.pi * outer
-        assert 0.9 < brute / sc.quartic_correction_bound(Z, alpha, t).phase_space_form <= 1.0 + 1e-8
+        brute = alpha**3 / (2 * math.pi) ** 3 * 4 * math.pi * outer
+        assert 0.9 < brute / bd.quartic_correction_bound(Z * alpha, t).value(alpha) <= 1.0 + 1e-8
 
     def test_alpha_power_law(self):
-        Z, t = 10.0, 0.5
-        delta = Z * 0.01
-        v1 = sc.quartic_correction_bound(delta / 0.01, 0.01, t).value
-        v2 = sc.quartic_correction_bound(delta / 0.005, 0.005, t).value
-        assert abs(v2 / v1 - 2.0 ** ((1.0 + t) / 2.0)) < 1e-10
+        t = 0.5
+        bound = bd.quartic_correction_bound(0.1, t)
+        assert abs(bound.value(0.005) / bound.value(0.01) - 2.0 ** ((1.0 + t) / 2.0)) < 1e-10
+        assert bound.exponent == -(1.0 + t) / 2.0
 
     def test_domain(self):
+        # the range of t is checked once, by the budget's validator
+        pp = bd.PartitionParams(r=0.95, t=0.2, s=0.5, beta=0.1, alpha=0.01)
         with pytest.raises(DomainError):
-            sc.quartic_correction_bound(10.0, 0.01, 0.2)
+            bd.check_budget_inputs(pp, tf.TFParams(lam=1.0, Z=10.0), sc.CoherentSpec.reference(0.5))
 
 
 class TestDomainChange:
@@ -167,7 +174,7 @@ class TestDomainChange:
             Z = (2.0 / math.pi) / alpha
             sol = tf.solve(tf.TFParams(lam=1.0, Z=Z,
                                        gamma_kin=sc.self_consistent_gamma()), tol=1e-4)
-            v = sc.domain_change_error(sol, Dispersion(alpha), 0.5)
+            v = sc.domain_change_error(sol, alpha, 0.5)
             assert v > 0.0
             vals.append(v)
         # o(alpha^{-4/3}) along the whole window
@@ -180,16 +187,18 @@ class TestDomainChange:
 
     def test_log_slope_reaches_its_tag_at_tiny_alpha(self, neutral_solution):
         # the Z = 1 solution relabelled to Z = delta/alpha is exact by TF
-        # scaling; the majorant minus one must not cancel as Y -> 0, so the
-        # secant slope between alpha and alpha/10 stays at -(1+t)/2 = -0.75
+        # scaling; the majorant minus one must not cancel as Y -> 0, and once
+        # W falls below the grid (near alpha = 1e-42) the closed-form head
+        # takes over, so the secant slope between alpha and alpha/10 stays at
+        # -(1+t)/2 = -0.75 all the way down
         def term(alpha):
             sol = dataclasses.replace(
                 neutral_solution, params=tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha)
             )
-            return sc.domain_change_error(sol, Dispersion(alpha), 0.5)
+            return sc.domain_change_error(sol, alpha, 0.5)
 
-        vals = [term(10.0**-e) for e in range(20, 42)]
-        for e, v, v_next in zip(range(20, 41), vals, vals[1:]):
+        vals = [term(10.0**-e) for e in range(20, 301)]
+        for e, v, v_next in zip(range(20, 300), vals, vals[1:]):
             slope = math.log10(v / v_next)
             assert abs(slope + 0.75) < 0.01, (e, slope)
 
@@ -201,7 +210,7 @@ class TestDomainChange:
         Z = delta / alpha
         t = 0.5
         sol = tf.solve(tf.TFParams(lam=1.0, Z=Z), tol=1e-4)
-        bound = sc.domain_change_error(sol, Dispersion(alpha), t)
+        bound = sc.domain_change_error(sol, alpha, t)
         prof = sol.profile
         b1 = sol.params.gamma_kin * (4.0 * math.pi) ** (-2.0 / 3.0)
 
