@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetViolation, DivergentIntegral, DomainError
+from .errors import BudgetViolation, DivergentIntegral, DomainError, NonConvergence
 from .kinetic import Dispersion, daubechies_F, daubechies_F_upper
 from .numerics import (
     QuadratureSpec,
@@ -58,7 +58,6 @@ __all__ = [
     "intermediary_zone_closed_form",
     "lemma_decay_envelope",
     "kernel_offdiag_numeric",
-    "localisation_gradient_bound",
     "quartic_correction_bound",
     "ErrorBudget",
     "BudgetTerm",
@@ -189,28 +188,107 @@ def _smooth_step(u):
     return out
 
 
+def _ramp_slope(beta, rising, u):
+    """|d theta / d xi| at u for one ramp, where xi = 1 - beta + 2 beta u and
+    theta = sin (rising) or cos (falling) of pi S(u)/2.  With
+    S'(u) = S (1 - S) (1/u^2 + 1/(1-u)^2) it is
+    (pi/2) |cos or sin(pi S/2)| S'(u) / (2 beta); 0 off (0, 1)."""
+    if not 0.0 < u < 1.0:
+        return 0.0
+    S = float(_smooth_step(u))
+    dS = S * (1.0 - S) * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2)
+    return 0.25 * math.pi / beta * (math.cos if rising else math.sin)(0.5 * math.pi * S) * dS
+
+
 @lru_cache(maxsize=256)
 def _ramp_grad_sup(beta, u_lo, u_hi, rising):
-    """sup over u in [u_lo, u_hi] of |d theta / d xi| for one ramp, where
-    xi = 1 - beta + 2 beta u and theta = sin (rising) or cos (falling) of
-    pi S(u)/2.  With S'(u) = S (1 - S) (1/u^2 + 1/(1-u)^2) the slope is
-    (pi/2) |cos or sin(pi S/2)| S'(u) / (2 beta), unimodal on (0, 1), so a
-    bounded scalar maximisation plus the two end points finds the sup."""
-    trig = math.cos if rising else math.sin
+    """sup over u in [u_lo, u_hi] of ``_ramp_slope``, which is unimodal on
+    (0, 1), so a bounded scalar maximisation plus the two end points finds
+    the sup."""
+    _, fun, _ = _minimize_bounded(lambda u: -_ramp_slope(beta, rising, u), u_lo, u_hi, 1e-12)
+    return max(-fun, _ramp_slope(beta, rising, u_lo), _ramp_slope(beta, rising, u_hi))
 
-    def slope(u):
-        if not 0.0 < u < 1.0:
-            return 0.0
-        S = float(_smooth_step(u))
-        dS = S * (1.0 - S) * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2)
-        return 0.25 * math.pi / beta * trig(0.5 * math.pi * S) * dS
 
-    from scipy.optimize import minimize_scalar
+_MINIMIZE_MAXFUN = 500
 
-    best = minimize_scalar(
-        lambda u: -slope(u), bounds=(u_lo, u_hi), method="bounded", options={"xatol": 1e-12}
-    )
-    return max(-best.fun, slope(u_lo), slope(u_hi))
+
+def _minimize_bounded(f, x1, x2, xatol):
+    """(x, f(x), evaluations) at the minimum of f on [x1, x2] by Brent's
+    golden-section and parabolic steps.
+
+    This is scipy 1.17's ``_minimize_scalar_bounded`` line for line, in plain
+    floats, so it visits the same iterates as ``minimize_scalar(f,
+    bounds=(x1, x2), method="bounded", options={"xatol": xatol})``.  Where
+    scipy would report failure, the evaluation cap of 500 or a NaN, this
+    raises NonConvergence."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (1.0 if xm >= xf else -1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MINIMIZE_MAXFUN:
+            raise NonConvergence(
+                f"bounded minimisation on [{x1}, {x2}] took {num} evaluations", value=fx
+            )
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise NonConvergence(f"bounded minimisation on [{x1}, {x2}] met a NaN", value=fx)
+    return xf, fx, num
 
 
 @dataclass(frozen=True)
@@ -269,11 +347,6 @@ class Partition:
             if u_lo < u_hi:
                 sups.append((e, _ramp_grad_sup(pp.beta, u_lo, u_hi, rising)))
         return sups
-
-    def grad_sup(self, region, j):
-        """sup over the region of |d chi_j / d radius|."""
-        return max((sup / self.params.alpha**e for e, sup in self.ramp_sups(region, j)),
-                   default=0.0)
 
 
 def make_partition(pp: PartitionParams) -> Partition:
@@ -528,28 +601,6 @@ def kernel_offdiag_numeric(pp: PartitionParams, a_out: float, b_in: float):
         / (4.0 * math.pi**2 * (a * gamma) ** 2)
         * math.sqrt(integral)
     )
-
-
-_GRADIENT_TERMS = {
-    (REGION_OUTER, 2),
-    (REGION_INNER, 1),
-    (REGION_OUTER, 3),
-    (REGION_INNER, 2),
-}
-
-
-def localisation_gradient_bound(pp: PartitionParams, region: str, j: int) -> float:
-    """(3/2) c_j alpha per unit ||f chi||^2, with c_j the
-    sup|grad chi_j|^2 over the region; only the four nonzero
-    (region, j) combinations are admitted."""
-    if (region, j) not in _GRADIENT_TERMS:
-        raise DomainError(
-            f"({region}, {j}) is identically zero or exponentially small; "
-            "see lemma_decay_envelope"
-        )
-    part = make_partition(pp)
-    c = part.grad_sup(region, j) ** 2
-    return 1.5 * c * pp.alpha
 
 
 def quartic_correction_bound(delta, t_exponent) -> PowerSum:

@@ -31,9 +31,9 @@ Four layers:
   ends without integrating again.  Failures surface as
   :class:`StepFailure`.
 
-Only the QUADPACK route needs scipy, and imports it when it runs, so the
-Thomas-Fermi solver path (PCHIP, grid quadrature, shots) loads numpy
-alone.  All operations are pure; :class:`RadialFunction` and
+Only the QUADPACK route needs scipy, and imports it when it runs.  The
+Thomas-Fermi solver path (PCHIP, grid quadrature, shots) and the error
+budget never take that route, so they load numpy alone.  All operations are pure; :class:`RadialFunction` and
 :class:`Shot` are immutable after construction.
 """
 

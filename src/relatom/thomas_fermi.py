@@ -508,7 +508,11 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     b = params.length_scale
     Z = params.Z
     mu = 0.0 if prof.x_edge is None else Z * (1.0 - params.lam) / (b * prof.x_edge)
-    rho_vals = params.gamma_kin**-1.5 * (Z / (b * prof.xi)) ** 1.5 * prof.phi_values**1.5
+    # past Z ~ 1e148 the density overflows (inf, or inf * 0 at an ion's edge)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_vals = params.gamma_kin**-1.5 * (Z / (b * prof.xi)) ** 1.5 * prof.phi_values**1.5
+    if not np.all(np.isfinite(rho_vals)):
+        raise DomainError(f"Z = {Z!r} is too large: the TF density leaves float range")
     sol = _solution(params, prof, mu, rho_vals, _energy_terms(params, prof))
     residual = tf_equation_residual(sol)
     if residual > tol:

@@ -19,8 +19,14 @@ def make_pp(alpha=1e-3, r=0.95, t=0.5, s=0.55, beta=0.1):
     return bd.PartitionParams(r=r, t=t, s=s, beta=beta, alpha=alpha)
 
 
+def grad_sup(part, region, j):
+    """sup over the region of |d chi_j / d radius|, from the ramp sups."""
+    return max((sup / part.params.alpha**e for e, sup in part.ramp_sups(region, j)),
+               default=0.0)
+
+
 def fd_grad_sup(part, region, j):
-    """Oracle for Partition.grad_sup: dense central differences (200,000
+    """Oracle for grad_sup: dense central differences (200,000
     samples per zone) across the two ramp zones, clipped at 2 alpha^r."""
     pp = part.params
     split = 2.0 * pp.inner_scale
@@ -78,10 +84,10 @@ class TestPartition:
         for alpha in (1e-2, 1e-3):
             part = bd.make_partition(make_pp(alpha=alpha))
             sups[alpha] = {
-                "1-": part.grad_sup("inner", 1),
-                "2-": part.grad_sup("inner", 2),
-                "2+": part.grad_sup("outer", 2),
-                "3+": part.grad_sup("outer", 3),
+                "1-": grad_sup(part, "inner", 1),
+                "2-": grad_sup(part, "inner", 2),
+                "2+": grad_sup(part, "outer", 2),
+                "3+": grad_sup(part, "outer", 3),
             }
         expected = {"1-": 0.95, "2-": 0.95, "2+": 0.5, "3+": 0.5}
         for key, exp in expected.items():
@@ -104,10 +110,10 @@ class TestPartition:
             part = bd.make_partition(pp)
             for region, j in (("inner", 1), ("inner", 2), ("outer", 2), ("outer", 3)):
                 oracle = fd_grad_sup(part, region, j)
-                got = part.grad_sup(region, j)
+                got = grad_sup(part, region, j)
                 assert abs(got - oracle) <= 1e-7 * oracle, (pp, region, j)
         part = bd.make_partition(make_pp(alpha=0.3))
-        assert part.grad_sup("outer", 2) == part.grad_sup("outer", 3) == 0.0
+        assert grad_sup(part, "outer", 2) == grad_sup(part, "outer", 3) == 0.0
 
     def test_support_ordering_guard(self):
         with pytest.raises(DomainError):
@@ -374,22 +380,29 @@ class TestDecayLemma:
 
 
 class TestLocalisationGradient:
+    # (3/2) sup|grad chi_j|^2 alpha per unit ||f chi||^2 over the region
+    @staticmethod
+    def bound(alpha, region, j):
+        return 1.5 * grad_sup(bd.make_partition(make_pp(alpha=alpha)), region, j) ** 2 * alpha
+
     def test_outer_chi3_exponent(self):
-        vals = {a: bd.localisation_gradient_bound(make_pp(alpha=a), "outer", 3)
-                for a in (1e-2, 1e-3)}
+        vals = {a: self.bound(a, "outer", 3) for a in (1e-2, 1e-3)}
         slope = math.log(vals[1e-3] / vals[1e-2]) / math.log(0.1)
         assert abs(slope - (1.0 - 2.0 * 0.5)) < 1e-3  # alpha^{1-2t}
 
     def test_inner_chi1_exponent(self):
-        vals = {a: bd.localisation_gradient_bound(make_pp(alpha=a), "inner", 1)
-                for a in (1e-2, 1e-3)}
+        vals = {a: self.bound(a, "inner", 1) for a in (1e-2, 1e-3)}
         slope = math.log(vals[1e-3] / vals[1e-2]) / math.log(0.1)
         assert abs(slope - (1.0 - 2.0 * 0.95)) < 1e-3  # alpha^{1-2r}
 
     def test_invalid_combinations(self):
+        # chi_1 is constant outside 2 alpha^r and chi_3 inside it: no ramp
+        part = bd.make_partition(make_pp())
         for region, j in (("outer", 1), ("inner", 3)):
-            with pytest.raises(DomainError):
-                bd.localisation_gradient_bound(make_pp(), region, j)
+            assert part.ramp_sups(region, j) == []
+            assert grad_sup(part, region, j) == 0.0
+        with pytest.raises(DomainError):
+            part.ramp_sups("middle", 2)
 
 
 @pytest.fixture(scope="module")

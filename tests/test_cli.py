@@ -18,20 +18,38 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_and_tf_solve_load_no_scipy(tmp_path):
-    # scipy is imported by the commands that need it, never by tf-solve
+def scipy_modules_after(tmp_path, *argv):
+    """'<exit code> <scipy modules after the import> <after running argv>'
+    from a fresh interpreter; every '{tmp}' in argv names tmp_path."""
     script = (
         "import sys\n"
         "import relatom, relatom.cli\n"
         "before = [m for m in sys.modules if m.startswith('scipy')]\n"
-        "code = relatom.cli.main(['tf-solve', '--lambda', '0.5', '--Z', '10', '--out', sys.argv[1]])\n"
+        "code = relatom.cli.main(sys.argv[1:])\n"
         "after = [m for m in sys.modules if m.startswith('scipy')]\n"
-        "print(code, len(before), len(after), before[:3], after[:3])\n"
+        "print(code, before, after)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sol.json")],
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    done = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "0 0 0 [] []"
+    return done.stdout.splitlines()[-1]
+
+
+def test_import_and_tf_solve_load_no_scipy(tmp_path):
+    # scipy is imported by the commands that need it, never by tf-solve
+    last = scipy_modules_after(tmp_path, "tf-solve", "--lambda", "0.5", "--Z", "10",
+                               "--out", "{tmp}/sol.json")
+    assert last == "0 [] []"
+
+
+@pytest.mark.parametrize("argv", (
+    ("budget", "--alpha", "1e-3", "--csv", "{tmp}/b.csv", "--json", "{tmp}/b.json"),
+    ("asymptotics", "--Z", "10", "100", "--lambda", "0.7", "--csv", "{tmp}/a.csv"),
+))
+def test_budget_and_asymptotics_load_no_scipy(tmp_path, argv):
+    # only verify still needs scipy (QUADPACK, hyp2f1, digamma)
+    assert scipy_modules_after(tmp_path, *argv) == "0 [] []"
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -311,6 +329,33 @@ class TestAsymptotics:
         code, _, err = run(capsys, "asymptotics", "--config", str(cfg))
         assert code == 1
         assert "t < r < 1" in err
+
+    # the default sweep and its lambda = 0.7 sibling, as written before the
+    # budget and the sweep stopped loading scipy
+    RECORDED = {
+        (): """\
+10.0,0.06366197723675814,-178630.0890889783,-82.81055817000338,0.0004635868379864839,11366.672781513433,-11371.944665382614,-5.27188386918199,ok
+100.0,0.006366197723675814,-21912342.0748291,-17840.99392223585,0.000814198402950726,139384.72294228693,-139498.3022371828,-113.57929489585192,ok
+1000.0,0.0006366197723675814,-2777815917.276143,-3843725.6210712907,0.0013837222247759138,1765965.5452054527,-1768412.5369353825,-2446.9917299298454,ok
+10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000337,0.002274569916448167,23124778.722755972,-23177497.561447788,-52718.838691819896,ok
+""",
+        ("--lambda", "0.7"): """\
+10.0,0.06366197723675814,-148261.0970762693,-82.0240973564011,0.0005532408634087323,9433.372770947477,-9438.594587166244,-5.22181621876884,ok
+100.0,0.006366197723675814,-18742206.286650684,-17671.556076318317,0.0009428749105650946,119204.09037867126,-119316.59099873812,-112.50062006686717,ok
+1000.0,0.0006366197723675814,-2443947128.054549,-3807221.3437663894,0.0015578165746969513,1553441.3119552701,-1555865.0643404915,-2423.7523852215563,ok
+10000.0,6.366197723675813e-05,-328558090903.64465,-820240973.5640111,0.0024964869113649705,20864439.541872848,-20916657.704060536,-52218.1621876884,ok
+""",
+    }
+
+    @pytest.mark.parametrize("flags", list(RECORDED))
+    def test_sweep_matches_the_recorded_csv(self, capsys, tmp_path, flags):
+        path = tmp_path / "a.csv"
+        code, _, _ = run(capsys, "asymptotics", "--Z", "10", "100", "1000", "10000", *flags,
+                         "--csv", str(path))
+        assert code == 0
+        header, *rows = path.read_text().splitlines(keepends=True)
+        assert header == ",".join(cli.ASYMPTOTICS_COLUMNS) + "\n"
+        assert "".join(rows) == self.RECORDED[flags]  # every value bit for bit
 
     def test_rows_share_one_profile_and_one_c_phi(self, capsys, tmp_path):
         tf._solve_universal.cache_clear()

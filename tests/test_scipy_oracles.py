@@ -1,6 +1,8 @@
-"""The Thomas-Fermi solve path runs without scipy: DOP853, the two
-bracketing root-finders, PCHIP and the Bernstein readout are ports.  scipy
-is their oracle here, and each port must agree with it to the last bit."""
+"""The Thomas-Fermi solve, the error budget and the asymptotics sweep run
+without scipy: DOP853, the two bracketing root-finders, PCHIP, the
+Bernstein readout and the bounded scalar minimiser are ports, and the
+coherent bump's norm is a fixed Gauss-Legendre rule in place of QUADPACK.
+scipy is their oracle here, and each must agree with it to the last bit."""
 
 import warnings
 
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.interpolate import BPoly, PchipInterpolator
-from scipy.optimize import bisect, brentq
+from scipy.optimize import bisect, brentq, minimize_scalar
 
+from relatom import bounds as bd
+from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
-from relatom.errors import ShootingFailure, StepFailure
+from relatom.errors import NonConvergence, ShootingFailure, StepFailure
 from relatom.numerics import Pchip, Shot, gl_rule, shoot
 
 PROFILE_LAMBDAS = (1.0, 0.99, 0.9, 0.5, 0.2, 0.01, 1e-3)
@@ -137,3 +141,42 @@ def test_bracket_without_sign_change_fails_as_scipy_does(find, oracle):
             tf._root(method, f, -1.0, 2.0, "test root")
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+# whole ramps, ramps cut by the split 2 alpha^r on either side, and pieces
+# on which the slope is monotone, so the minimiser ends at a bound
+RAMP_PIECES = ((0.0, 1.0), (0.0, 0.3), (0.0, 0.62), (0.3, 1.0), (0.71, 1.0), (0.05, 0.2),
+               (0.8, 0.95), (0.45, 0.55))
+
+
+@pytest.mark.parametrize("beta", (0.05, 0.1, 0.25, 0.45))
+@pytest.mark.parametrize("rising", (True, False))
+def test_bounded_minimiser_matches_minimize_scalar(beta, rising):
+    def f(u):
+        return -bd._ramp_slope(beta, rising, u)
+
+    for lo, hi in RAMP_PIECES:
+        x, fun, nfev = bd._minimize_bounded(f, lo, hi, 1e-12)
+        best = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+        assert best.success
+        assert (x, fun, nfev) == (best.x, best.fun, best.nfev), (lo, hi)
+
+
+def test_bounded_minimiser_refuses_where_scipy_fails(monkeypatch):
+    def f(u):
+        return -bd._ramp_slope(0.1, True, u)
+
+    best = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded",
+                           options={"xatol": 1e-12, "maxiter": 5})
+    assert not best.success and best.nfev == 5
+    monkeypatch.setattr(bd, "_MINIMIZE_MAXFUN", 5)
+    with pytest.raises(NonConvergence) as info:
+        bd._minimize_bounded(f, 0.0, 1.0, 1e-12)
+    assert info.value.value == best.fun
+
+
+def test_bump_norm_matches_quadpack():
+    val, _ = scipy.integrate.quad(lambda r: sc._bump_unnormalized(np.array([r]))[0] ** 2 * r * r,
+                                  0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=2000)
+    quadpack = 1.0 / np.sqrt(4.0 * np.pi * val)
+    assert sc._bump_norm_constant.__wrapped__() == quadpack == 3.2257609703105166

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +38,15 @@ class TestSolve:
         assert abs(tf.tf_energy(sol) - tf.tf_energy(neutral_solution)) < 1e-6 * abs(
             tf.tf_energy(neutral_solution)
         )
+
+    @pytest.mark.parametrize("lam, Z", ((1.0, 1e200), (0.5, 1e200), (1.0, 6.4e149)))
+    def test_huge_charge_is_refused_without_a_warning(self, lam, Z):
+        # the density overflows float range: a typed refusal naming Z, not
+        # numpy's overflow warning and an unrelated RadialFunction message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"Z = {Z!r} is too large")):
+                tf.solve(tf.TFParams(lam=lam, Z=Z), tol=1e-4)
 
     @pytest.mark.parametrize("lam", ION_LAMBDAS)
     def test_ion_mass_and_mu(self, lam):
