@@ -16,8 +16,8 @@ failure, 4 budget violation.
 Data files are byte-deterministic for identical flags; run metadata
 (package version, argv, timestamp) goes to a ``<path>.meta.json`` sidecar.
 
-``tf-solve``, ``budget`` and ``asymptotics`` need numpy only; ``verify``
-imports the modules that need scipy when it runs.
+No command imports scipy, which is only the tests' oracle for the ports
+of its routines; ``verify`` imports its suites when it runs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Four layers:
   ``head_integral``/``tail_integral`` give int f^p u^k over both
   continuations in closed form.
 * :func:`integrate_1d` / :func:`integrate_radial_3d` -- adaptive
-  Gauss-Kronrod quadrature (QUADPACK) behind a small spec object.
+  Gauss-Kronrod quadrature behind a small spec object: QUADPACK's dqagse
+  (:mod:`relatom.quadpack`), equal to scipy's ``quad`` to the last bit.
   Semi-infinite integrals are mapped to (0, 1) first; exponentially
   decaying integrands use the logarithmic map, algebraically decaying
   ones the rational map u/(1+u).
@@ -31,16 +32,14 @@ Four layers:
   ends without integrating again.  Failures surface as
   :class:`StepFailure`.
 
-Only the QUADPACK route needs scipy, and imports it when it runs.  The
-Thomas-Fermi solver path (PCHIP, grid quadrature, shots) and the error
-budget never take that route, so they load numpy alone.  All operations are pure; :class:`RadialFunction` and
-:class:`Shot` are immutable after construction.
+Nothing here imports scipy: PCHIP, DOP853 and QUADPACK are ports, and
+scipy is only the tests' oracle for them.  All operations are pure;
+:class:`RadialFunction` and :class:`Shot` are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -94,30 +93,17 @@ DEFAULT_SPEC = QuadratureSpec()
 
 
 def _quad(f, a, b, spec):
-    import scipy.integrate
+    from .quadpack import MESSAGES, qagse  # only the adaptive routes load the port
 
-    with warnings.catch_warnings():
-        # roundoff-limited convergence is adjudicated below via the error
-        # estimate; QUADPACK's warning would only duplicate that signal
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        value, abserr, info, *rest = scipy.integrate.quad(
-            f,
-            a,
-            b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=max(spec.max_subdivisions, 10),
-            full_output=1,
-        )
-    if rest:  # QUADPACK appended an error message
-        # Roundoff-limited convergence is tolerated when the reported
-        # estimate still meets the requested tolerance.
-        if abserr > max(spec.rel_tol * abs(value), spec.abs_tol) * 10.0:
-            raise NonConvergence(
-                f"quadrature failed on ({a}, {b}): {rest[-1]}",
-                value=value,
-                err_estimate=abserr,
-            )
+    limit = max(spec.max_subdivisions, 10)
+    value, abserr, _, ier = qagse(f, a, b, spec.abs_tol, spec.rel_tol, limit)
+    if ier == 6:
+        raise DomainError(MESSAGES[6])
+    # Roundoff-limited convergence is tolerated when the reported estimate
+    # still meets the requested tolerance.
+    if ier and abserr > max(spec.rel_tol * abs(value), spec.abs_tol) * 10.0:
+        raise NonConvergence(f"quadrature failed on ({a}, {b}): "
+                             f"{MESSAGES[ier].format(limit=limit)}", value, abserr)
     return value, abserr
 
 

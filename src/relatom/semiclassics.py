@@ -5,7 +5,7 @@ Sign convention: the negative part [f]_- means min(f, 0) throughout, so
 phase-space sums of [T(p) - v]_- are returned as signed energies <= 0.
 The momentum integral over the classically allowed region with the
 non-relativistic dispersion p^2/2 has the closed form
--(16 sqrt(2) pi / 15) v^{5/2}; the relativistic one is a 2F1 closed form.
+-(16 sqrt(2) pi / 15) v^{5/2}; the relativistic one is elementary too.
 
 The self-consistency constant: the end-of-chain identity
 
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegral, DomainError, PreconditionFailure
-from .kinetic import Dispersion
+from .kinetic import Dispersion, pfaff_integral
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
@@ -84,23 +84,27 @@ def momentum_integral_nonrel(v):
     return float(out) if out.ndim == 0 else out
 
 
+def _momentum_closed(x):
+    # (2/5) X^5 2F1(1/2, 5/2; 7/2; -X^2) = 2 [(X^3/4 - 3X/8) sqrt(1+X^2) + (3/8) asinh X], X^2 = x
+    return ((2.0 * x - 3.0) * np.sqrt(x * (1.0 + x)) + 3.0 * np.arcsinh(np.sqrt(x))) / 4.0
+
+
 def momentum_integral_rel(disp: Dispersion, v):
     """int_{T(p) < v} (T(p) - v) d^3p, signed (<= 0), vectorized over v >= 0.
 
     By parts, 4 pi int_0^P (T(u) - v) u^2 du = -(4 pi/3) int_0^P T'(u) u^3 du
     with P = T^-1(v); in X = alpha P = sqrt(alpha v (alpha v + 2)) this is
-    -(4 pi/15) alpha^-4 X^5 2F1(1/2, 5/2; 7/2; -X^2).
+    -(4 pi/15) alpha^-4 X^5 2F1(1/2, 5/2; 7/2; -X^2), where X^5 2F1 =
+    5 [(X^3/4 - 3X/8) sqrt(1+X^2) + (3/8) asinh X] (:func:`pfaff_integral`,
+    a = 1/2, at X^2).
     """
-    from scipy.special import hyp2f1
-
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
         raise DomainError("v must be >= 0")
-    av = disp.alpha * v
+    av = disp.alpha * v.ravel()
     X2 = av * (av + 2.0)
-    # np.power, not **: see daubechies_F
-    out = -4.0 * math.pi / 15.0 * np.power(X2, 2.5) * hyp2f1(0.5, 2.5, 3.5, -X2) / disp.alpha**4
-    return float(out) if out.ndim == 0 else out
+    out = -2.0 * math.pi / 3.0 * pfaff_integral(X2, 0.5, _momentum_closed) / disp.alpha**4
+    return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import reduce
 
 from .errors import DomainError
 from .numerics import QuadratureSpec, integrate_1d, integrate_radial_3d
@@ -82,12 +83,28 @@ def _k2_gamma_rewrite(t):
     return math.sqrt(math.pi / (2.0 * t)) * math.exp(-t) / _GAMMA_52 * value
 
 
+_EULER = 0.5772156649015329
+# Bernoulli terms of psi(n) ~ log n - 1/2n - z A(z), z = 1/n^2, highest power first
+_PSI_ASYMPTOTIC = (8.33333333333333333333e-2, -2.10927960927960927961e-2,
+                   7.57575757575757575758e-3, -4.16666666666666666667e-3,
+                   3.96825396825396825397e-3, -8.33333333333333333333e-3,
+                   8.33333333333333333333e-2)
+
+
+def _psi(n):
+    """Digamma at the positive integer n as Cephes' psi computes it: the
+    harmonic sum minus Euler's constant up to n = 10, the asymptotic series
+    above (its polynomial by Horner's rule)."""
+    if n <= 10:
+        return reduce(lambda y, i: y + 1.0 / i, range(1, n), 0.0) - _EULER
+    z = 1.0 / (n * n)
+    return math.log(n) - 0.5 / n - z * reduce(lambda p, c: p * z + c, _PSI_ASYMPTOTIC)
+
+
 def _k2_series(t):
     # Ascending series for order 2:
     #   K2(z) = 2/z^2 - 1/2 - log(z/2) I2(z)
     #           + (1/2)(z/2)^2 sum_k [psi(k+1)+psi(k+3)] (z^2/4)^k / (k! (k+2)!)
-    from scipy.special import digamma
-
     z2q = 0.25 * t * t
     log_half = math.log(0.5 * t)
     i2 = 0.0
@@ -103,7 +120,7 @@ def _k2_series(t):
             powk *= z2q
             term_i2 = z2q * powk / (fact_k * fact_k2)
         i2 += term_i2
-        corr += (digamma(k + 1) + digamma(k + 3)) * powk / (fact_k * fact_k2)
+        corr += (_psi(k + 1) + _psi(k + 3)) * powk / (fact_k * fact_k2)
         if term_i2 < 1e-18 * max(i2, 1e-300):
             break
     return 2.0 / (t * t) - 0.5 - log_half * i2 + 0.5 * z2q * corr

@@ -508,10 +508,14 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     b = params.length_scale
     Z = params.Z
     mu = 0.0 if prof.x_edge is None else Z * (1.0 - params.lam) / (b * prof.x_edge)
-    # past Z ~ 1e148 the density overflows (inf, or inf * 0 at an ion's edge)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # past Z ~ 1e148 the density overflows (inf, or inf * 0 at an ion's edge),
+    # and from Z ~ 1e92 its PCHIP coefficients do (up to rho/h^3 on the
+    # finest grid steps, its secants from Z ~ 1e147)
+    with np.errstate(all="ignore"):
         rho_vals = params.gamma_kin**-1.5 * (Z / (b * prof.xi)) ** 1.5 * prof.phi_values**1.5
-    if not np.all(np.isfinite(rho_vals)):
+        finite = np.all(np.isfinite(rho_vals)) and all(
+            np.all(np.isfinite(c)) for c in Pchip(b * prof.xi, rho_vals).c)
+    if not finite:
         raise DomainError(f"Z = {Z!r} is too large: the TF density leaves float range")
     sol = _solution(params, prof, mu, rho_vals, _energy_terms(params, prof))
     residual = tf_equation_residual(sol)

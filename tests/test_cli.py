@@ -37,7 +37,7 @@ def scipy_modules_after(tmp_path, *argv):
 
 
 def test_import_and_tf_solve_load_no_scipy(tmp_path):
-    # scipy is imported by the commands that need it, never by tf-solve
+    # neither the import nor a TF solve loads scipy
     last = scipy_modules_after(tmp_path, "tf-solve", "--lambda", "0.5", "--Z", "10",
                                "--out", "{tmp}/sol.json")
     assert last == "0 [] []"
@@ -46,10 +46,32 @@ def test_import_and_tf_solve_load_no_scipy(tmp_path):
 @pytest.mark.parametrize("argv", (
     ("budget", "--alpha", "1e-3", "--csv", "{tmp}/b.csv", "--json", "{tmp}/b.json"),
     ("asymptotics", "--Z", "10", "100", "--lambda", "0.7", "--csv", "{tmp}/a.csv"),
+    ("verify", "all"),
 ))
-def test_budget_and_asymptotics_load_no_scipy(tmp_path, argv):
-    # only verify still needs scipy (QUADPACK, hyp2f1, digamma)
+def test_commands_load_no_scipy(tmp_path, argv):
+    # no command needs scipy: QUADPACK, hyp2f1 and digamma are ports or
+    # closed forms too
     assert scipy_modules_after(tmp_path, *argv) == "0 [] []"
+
+
+def test_verify_suites_run_with_scipy_blocked(monkeypatch):
+    # in this process, with scipy hidden and its import refused, every suite
+    # still runs and loads none of it
+    class Refuse:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+
+    from relatom import checks
+
+    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(sys, "meta_path", [Refuse(), *sys.meta_path])
+    import relatom  # noqa: F401
+
+    for suite in checks.SUITES.values():
+        suite()
+    assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_no_subcommand_is_usage_error(capsys):

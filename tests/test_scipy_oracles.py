@@ -1,9 +1,11 @@
-"""The Thomas-Fermi solve, the error budget and the asymptotics sweep run
-without scipy: DOP853, the two bracketing root-finders, PCHIP, the
-Bernstein readout and the bounded scalar minimiser are ports, and the
-coherent bump's norm is a fixed Gauss-Legendre rule in place of QUADPACK.
-scipy is their oracle here, and each must agree with it to the last bit."""
+"""No relatom command imports scipy: DOP853, the two bracketing
+root-finders, PCHIP, the Bernstein readout, the bounded scalar minimiser,
+QUADPACK's dqagse and digamma at integers are ports, the coherent bump's
+norm is a fixed Gauss-Legendre rule, and the two 2F1s are elementary
+closed forms with a Pfaff series near zero.  scipy is their oracle here:
+each port must agree with it to the last bit, each closed form to 2e-15."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,12 +13,16 @@ import pytest
 import scipy.integrate
 from scipy.interpolate import BPoly, PchipInterpolator
 from scipy.optimize import bisect, brentq, minimize_scalar
+from scipy.special import digamma, hyp2f1
 
 from relatom import bounds as bd
+from relatom import checks, numerics, quadpack
 from relatom import semiclassics as sc
+from relatom import specfun as sf
 from relatom import thomas_fermi as tf
-from relatom.errors import NonConvergence, ShootingFailure, StepFailure
-from relatom.numerics import Pchip, Shot, gl_rule, shoot
+from relatom.errors import DomainError, NonConvergence, ShootingFailure, StepFailure
+from relatom.kinetic import Dispersion, daubechies_F
+from relatom.numerics import Pchip, QuadratureSpec, Shot, gl_rule, shoot
 
 PROFILE_LAMBDAS = (1.0, 0.99, 0.9, 0.5, 0.2, 0.01, 1e-3)
 
@@ -180,3 +186,123 @@ def test_bump_norm_matches_quadpack():
                                   0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=2000)
     quadpack = 1.0 / np.sqrt(4.0 * np.pi * val)
     assert sc._bump_norm_constant.__wrapped__() == quadpack == 3.2257609703105166
+
+
+def scipy_quad(f, a, b, epsabs, epsrel, limit):
+    """(value, abserr, neval, message or None) of scipy's quad."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        value, abserr, info, *message = scipy.integrate.quad(
+            f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=1)
+    return value, abserr, info["neval"], message[0] if message else None
+
+
+def port_quad(f, a, b, epsabs, epsrel, limit):
+    value, abserr, neval, ier = quadpack.qagse(f, a, b, epsabs, epsrel, limit)
+    return value, abserr, neval, quadpack.MESSAGES[ier].format(limit=limit) if ier else None
+
+
+def _inverse_sqrt_at_half(x):
+    return abs(x - 0.5) ** -0.5 if x != 0.5 else 0.0
+
+
+def _log(x):
+    return math.log(x) if x > 0.0 else 0.0
+
+
+# value, abserr, neval and message text must agree on every case:
+# oscillation, an interior singularity on and off the interval's middle, a
+# sharp peak and end singularities: bisection order, the error-list
+# reordering and the epsilon extrapolation all take part; log x + 1
+# integrates to 0 (the sign test of the divergence check) and x^-0.9
+# sin(1/x) fills the extrapolation table to its limit of 50
+QUAD_BATTERY = (
+    (lambda x: math.sin(50.0 * x), 0.0, 3.7),
+    (_inverse_sqrt_at_half, 0.0, 1.0),
+    (_inverse_sqrt_at_half, -1.0, 2.0),
+    (lambda x: math.cos(x) ** 40, 0.0, 10.0),
+    (math.sqrt, 0.0, 1.0),
+    (_log, 0.0, 1.0),
+    (_log, 0.0, 7.0),
+    (lambda x: _log(x) + 1.0, 0.0, 1.0),
+    (lambda x: x**-0.9 * math.sin(1.0 / x) if x > 0.0 else 0.0, 0.0, 1.0),
+)
+QUAD_TOLERANCES = ((1.49e-8, 1.49e-8), (0.0, 1e-12), (1e-14, 1e-10), (1e-10, 0.0), (1e-300, 1e-14))
+
+
+@pytest.mark.parametrize("case", range(len(QUAD_BATTERY)))
+@pytest.mark.parametrize("limit", (50, 2000))
+def test_qagse_matches_quad_on_the_battery(case, limit):
+    f, a, b = QUAD_BATTERY[case]
+    for epsabs, epsrel in QUAD_TOLERANCES:
+        args = (f, a, b, epsabs, epsrel, limit)
+        assert port_quad(*args) == scipy_quad(*args), (epsabs, epsrel)
+
+
+# one integrand for each error flag dqagse can end on
+@pytest.mark.parametrize("ier, f, epsabs, epsrel, limit", (
+    (1, lambda x: 1.0 / x, 1.49e-8, 1.49e-8, 50),                     # subdivision limit
+    (2, math.sqrt, 1e-300, 1e-14, 50),                                # roundoff
+    (3, lambda x: 1.0 / x, 1.49e-8, 1.49e-8, 2000),                   # bad integrand
+    (4, lambda x: x**-0.999, 0.0, 1e-13, 50),                         # extrapolation roundoff
+    (5, lambda x: 1.0 / (x - 0.3) if x != 0.3 else 0.0, 1.49e-8, 1.49e-8, 50),  # divergent
+))
+def test_qagse_error_flags_match_quad(ier, f, epsabs, epsrel, limit):
+    args = (f, 0.0, 1.0, epsabs, epsrel, limit)
+    assert quadpack.qagse(*args)[3] == ier
+    assert port_quad(*args) == scipy_quad(*args)
+    if ier in (1, 3):  # far from the tolerance, so _quad raises with scipy's text
+        with pytest.raises(NonConvergence) as info:
+            numerics._quad(f, 0.0, 1.0, QuadratureSpec(epsrel, epsabs, limit))
+        assert str(info.value).endswith(scipy_quad(*args)[3])
+
+
+def test_qagse_refuses_the_tolerances_quad_refuses():
+    assert quadpack.qagse(math.sqrt, 0.0, 1.0, 0.0, 1e-15, 50) == (0.0, 0.0, 0, 6)
+    with pytest.raises(ValueError) as theirs:
+        scipy.integrate.quad(math.sqrt, 0.0, 1.0, epsabs=0.0, epsrel=1e-15)
+    with pytest.raises(DomainError) as ours:
+        numerics._quad(math.sqrt, 0.0, 1.0, QuadratureSpec(rel_tol=1e-15, abs_tol=0.0))
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_quad_matches_scipy_on_every_verify_call(monkeypatch):
+    calls = []
+    real = numerics._quad
+
+    def recording(f, a, b, spec):
+        limit = max(spec.max_subdivisions, 10)
+        args = (f, a, b, spec.abs_tol, spec.rel_tol, limit)
+        calls.append(port_quad(*args) == scipy_quad(*args))
+        return real(f, a, b, spec)
+
+    monkeypatch.setattr(numerics, "_quad", recording)
+    for suite in checks.SUITES.values():
+        suite()
+    assert len(calls) > 100 and all(calls)
+
+
+def test_integer_psi_is_digamma():
+    n = np.arange(1, 201)
+    assert np.array_equal([sf._psi(int(k)) for k in n], digamma(n))
+
+
+# on both sides of the crossover at x = 1, and across the range where the
+# elementary forms would cancel
+CLOSED_FORM_X = np.concatenate([np.geomspace(1e-12, 1e8, 201), np.linspace(0.5, 2.0, 61),
+                                [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
+
+
+def test_daubechies_F_matches_hyp2f1():
+    # alpha = 2, so c = 1 and x = s
+    x = CLOSED_FORM_X
+    ref = 0.4 * np.power(x, 2.5) * hyp2f1(-1.5, 2.5, 3.5, -x)
+    assert np.max(np.abs(daubechies_F(Dispersion(2.0), x) / ref - 1.0)) < 2e-15
+
+
+def test_momentum_integral_rel_matches_hyp2f1():
+    # alpha = 1, so X^2 = v (v + 2)
+    v = np.sqrt(1.0 + CLOSED_FORM_X) - 1.0
+    X2 = v * (v + 2.0)
+    ref = -4.0 * math.pi / 15.0 * np.power(X2, 2.5) * hyp2f1(0.5, 2.5, 3.5, -X2)
+    assert np.max(np.abs(sc.momentum_integral_rel(Dispersion(1.0), v) / ref - 1.0)) < 2e-15

@@ -39,10 +39,12 @@ class TestSolve:
             tf.tf_energy(neutral_solution)
         )
 
-    @pytest.mark.parametrize("lam, Z", ((1.0, 1e200), (0.5, 1e200), (1.0, 6.4e149)))
+    @pytest.mark.parametrize("lam, Z", ((1.0, 1e200), (0.5, 1e200), (1.0, 6.4e149),
+                                        (1.0, 1e100), (1.0, 1e147), (0.5, 1e100)))
     def test_huge_charge_is_refused_without_a_warning(self, lam, Z):
-        # the density overflows float range: a typed refusal naming Z, not
-        # numpy's overflow warning and an unrelated RadialFunction message
+        # the density, or below Z ~ 1e148 its PCHIP coefficients, overflow
+        # float range: a typed refusal naming Z, not numpy's overflow warning
+        # and an unrelated RadialFunction message
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=re.escape(f"Z = {Z!r} is too large")):
