@@ -4,8 +4,8 @@ bound with its intermediary-zone closed form, mean-field constants, and
 the assembled error budget.
 
 Every "C" that the source estimates leave implicit is assembled here from
-the constructed partition's gradient sups (maximised analytic ramp
-slopes) and the explicit numeric factors (4.4827, 0.163, 3/2, 128 pi^2,
+the constructed partition's gradient sups (analytic ramp slopes at their
+argmax) and the explicit numeric factors (4.4827, 0.163, 3/2, 128 pi^2,
 ...); no constant is ever invented as a bare number.
 
 The budget convention: term values are magnitudes of energy corrections
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetViolation, DivergentIntegral, DomainError, NonConvergence
+from .errors import BudgetViolation, DivergentIntegral, DomainError
 from .kinetic import Dispersion, daubechies_F, daubechies_F_upper
 from .numerics import (
     QuadratureSpec,
@@ -48,7 +48,6 @@ __all__ = [
     "PowerSum",
     "PartitionParams",
     "Partition",
-    "make_partition",
     "mean_field_constant",
     "mean_field_constant_routes",
     "mean_field_error",
@@ -127,7 +126,7 @@ class PartitionParams:
     The constructor checks only the orderings every zone needs
     (0 < t < r < 1, t < s).  The other range checks are deliberately
     deferred to the operations that need them (``validate``,
-    ``make_partition``, ``check_budget_inputs``): out-of-range exponents
+    ``Partition``, ``check_budget_inputs``): out-of-range exponents
     must flow through budget assembly so they surface as BudgetViolation,
     not as a constructor error.
     """
@@ -200,102 +199,24 @@ def _ramp_slope(beta, rising, u):
     return 0.25 * math.pi / beta * (math.cos if rising else math.sin)(0.5 * math.pi * S) * dS
 
 
-@lru_cache(maxsize=256)
-def _ramp_grad_sup(beta, u_lo, u_hi, rising):
-    """sup over u in [u_lo, u_hi] of ``_ramp_slope``, which is unimodal on
-    (0, 1), so a bounded scalar maximisation plus the two end points finds
-    the sup."""
-    _, fun, _ = _minimize_bounded(lambda u: -_ramp_slope(beta, rising, u), u_lo, u_hi, 1e-12)
-    return max(-fun, _ramp_slope(beta, rising, u_lo), _ramp_slope(beta, rising, u_hi))
-
-
-_MINIMIZE_MAXFUN = 500
-
-
-def _minimize_bounded(f, x1, x2, xatol):
-    """(x, f(x), evaluations) at the minimum of f on [x1, x2] by Brent's
-    golden-section and parabolic steps.
-
-    This is scipy 1.17's ``_minimize_scalar_bounded`` line for line, in plain
-    floats, so it visits the same iterates as ``minimize_scalar(f,
-    bounds=(x1, x2), method="bounded", options={"xatol": xatol})``.  Where
-    scipy would report failure, the evaluation cap of 500 or a NaN, this
-    raises NonConvergence."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (1.0 if xm >= xf else -1.0)
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MINIMIZE_MAXFUN:
-            raise NonConvergence(
-                f"bounded minimisation on [{x1}, {x2}] took {num} evaluations", value=fx
-            )
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        raise NonConvergence(f"bounded minimisation on [{x1}, {x2}] met a NaN", value=fx)
-    return xf, fx, num
+# ``_ramp_slope`` is pi/(4 beta) times a unimodal function of u alone; a
+# rising ramp peaks at the root u* of d/du [cos(pi S/2) S'(u)] (to 50 digits
+# 0.38691095718772377592...), a falling one at 1 - u* since S(1-u) = 1 - S(u)
+_RAMP_ARGMAX = 0.3869109571877238
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Radial partition of unity chi_1^2 + chi_2^2 + chi_3^2 = 1."""
+    """Radial partition of unity chi_1^2 + chi_2^2 + chi_3^2 = 1.
+
+    theta_1^2 + theta_2^2 = 1 holds identically, so the three chi's
+    square-sum to one wherever the two ramps stay disjoint; the constructor
+    refuses params where they overlap (DomainError)."""
 
     params: PartitionParams
+
+    def __post_init__(self):
+        self.params.check_support_ordering()
 
     def _sigma(self, xi):
         beta = self.params.beta
@@ -319,9 +240,6 @@ class Partition:
     def chi3(self, radius):
         return self._theta2(np.asarray(radius, dtype=float) / self.params.outer_scale)
 
-    def chi(self, j, radius):
-        return (self.chi1, self.chi2, self.chi3)[j - 1](radius)
-
     def sum_of_squares(self, radius):
         return self.chi1(radius) ** 2 + self.chi2(radius) ** 2 + self.chi3(radius) ** 2
 
@@ -331,8 +249,8 @@ class Partition:
 
         On its alpha^e ramp chi_j is theta(radius/alpha^e), the other factor
         of chi_2 being 1 there because the ramps are disjoint.  So sup is the
-        scale-free ``_ramp_grad_sup`` over the part of the ramp that the
-        region's split 2 alpha^r leaves."""
+        scale-free ``_ramp_slope`` at its argmax clipped to the part of the
+        ramp that the region's split 2 alpha^r leaves: the slope is unimodal."""
         pp = self.params
         if region not in (REGION_INNER, REGION_OUTER) or j not in (1, 2, 3):
             raise DomainError(f"unknown region {region!r} or index j = {j!r}")
@@ -345,16 +263,9 @@ class Partition:
             else:
                 u_lo, u_hi = max(0.0, u_split), 1.0
             if u_lo < u_hi:
-                sups.append((e, _ramp_grad_sup(pp.beta, u_lo, u_hi, rising)))
+                peak = _RAMP_ARGMAX if rising else 1.0 - _RAMP_ARGMAX
+                sups.append((e, _ramp_slope(pp.beta, rising, min(max(peak, u_lo), u_hi))))
         return sups
-
-
-def make_partition(pp: PartitionParams) -> Partition:
-    """Build the cosine/sine partition; theta_1^2 + theta_2^2 = 1 holds
-    identically, so the three chi's square-sum to one wherever the two
-    ramps stay disjoint (DomainError otherwise)."""
-    pp.check_support_ordering()
-    return Partition(params=pp)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +336,9 @@ def inner_zone_bound(pp: PartitionParams, q_spin: int):
     inner region, taken from the scale-free ramp sups, so it is the same at
     every alpha where the inner region meets only the alpha^r ramp.
     """
-    part = make_partition(pp)
+    if q_spin < 1:
+        raise DomainError(f"q_spin must be >= 1, got {q_spin!r}")
+    part = Partition(pp)
     C = 1.5 * sum(
         max((sup * pp.alpha ** (pp.r - e) for e, sup in part.ramp_sups(REGION_INNER, j)),
             default=0.0) ** 2
@@ -717,7 +630,7 @@ def assemble_error_budget(
 
     izb = inner_zone_bound(pp, q_spin)
     # each outer-region ramp is an alpha^t ramp: N (3/2) sup^2 alpha^{1-2t}
-    sup2 = sum(sup**2 for j in (2, 3) for _, sup in make_partition(pp).ramp_sups(REGION_OUTER, j))
+    sup2 = sum(sup**2 for j in (2, 3) for _, sup in Partition(pp).ramp_sups(REGION_OUTER, j))
 
     gamma_sep = 1.0 - (1.0 + pp.beta) / 2.0
 

@@ -357,7 +357,7 @@ def check_bounds():
         beta = rng.uniform(0.05, 0.45)
         alpha = 10.0 ** rng.uniform(-5, -2.2)
         pp = bd.PartitionParams(r=r, t=t, s=0.5 * (t + 2.0 / 3.0), beta=beta, alpha=alpha)
-        part = bd.make_partition(pp)
+        part = bd.Partition(pp)
         radii = np.geomspace(0.01 * pp.inner_scale, 100.0 * pp.outer_scale, 1000)
         worst = max(worst, float(np.max(np.abs(part.sum_of_squares(radii) - 1.0))))
     out.append(_bound("partition sum of squares == 1 (5 random params)", worst, 1e-12))

@@ -123,9 +123,6 @@ def _budget_inputs(args):
 
 
 def cmd_budget(args, argv):
-    if args.alpha is None and args.Z is None:
-        print("budget: need --alpha or --Z (with --delta)", file=sys.stderr)
-        return EXIT_USAGE
     from . import bounds as bd
     from . import semiclassics as sc
 
@@ -302,15 +299,16 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("budget", help="assemble the error budget")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--Z", type=float, default=None)
+    at = p.add_mutually_exclusive_group(required=True)
+    at.add_argument("--alpha", type=float, default=None)
+    at.add_argument("--Z", type=float, default=None, help="sets alpha = delta / Z")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--r", type=float, default=DEFAULT_PARTITION["r"])
     p.add_argument("--t", type=float, default=DEFAULT_PARTITION["t"])
     p.add_argument("--s", type=float, default=DEFAULT_PARTITION["s"])
     p.add_argument("--beta", type=float, default=DEFAULT_PARTITION["beta"])
-    p.add_argument("--q", type=int, default=2, help="spin multiplicity")
+    p.add_argument("--q", type=int, default=2, help="spin multiplicity, >= 1")
     p.add_argument("--csv", type=str, default=None)
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=cmd_budget)

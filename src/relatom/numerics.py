@@ -370,9 +370,13 @@ class RadialFunction:
             raise DomainError("grid radii must be positive")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
             raise DomainError("grid and values must be finite")
+        with np.errstate(all="ignore"):
+            interp = Pchip(grid, values)
+        if not all(np.all(np.isfinite(c)) for c in interp.c):
+            raise DomainError("the interpolant's coefficients leave float range")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", Pchip(grid, values))
+        object.__setattr__(self, "_interp", interp)
         v0, v1 = values[0], values[1]
         same_sign = (v0 > 0 and v1 > 0) or (v0 < 0 and v1 < 0)
         head_exp = math.log(v1 / v0) / math.log(grid[1] / grid[0]) if same_sign else 0.0

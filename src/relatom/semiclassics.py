@@ -493,10 +493,11 @@ def coherent_potential_check(f, cs: CoherentSpec, alpha: float) -> dict:
 
 def coherent_kinetic_error_bound(cs: CoherentSpec, alpha: float) -> float:
     """3 alpha ||grad g_alpha||_inf^2 Vol(supp g_alpha) per unit ||f||^2
-    = 4 pi ||grad g||_inf^2 alpha^{1-2s}."""
+    = 3 Vol(supp g) ||grad g||_inf^2 alpha^{1-2s}, which is
+    4 pi ||grad g||_inf^2 alpha^{1-2s} for the unit-ball bump."""
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return 4.0 * math.pi * cs.grad_sup**2 * alpha ** (1.0 - 2.0 * cs.s_exponent)
+    return 3.0 * cs.support_volume * cs.grad_sup**2 * alpha ** (1.0 - 2.0 * cs.s_exponent)
 
 
 def newton_smearing_check(alpha, s_exponent, cs: CoherentSpec, radius) -> float:

@@ -510,14 +510,15 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     mu = 0.0 if prof.x_edge is None else Z * (1.0 - params.lam) / (b * prof.x_edge)
     # past Z ~ 1e148 the density overflows (inf, or inf * 0 at an ion's edge),
     # and from Z ~ 1e92 its PCHIP coefficients do (up to rho/h^3 on the
-    # finest grid steps, its secants from Z ~ 1e147)
+    # finest grid steps, its secants from Z ~ 1e147): RadialFunction refuses both
     with np.errstate(all="ignore"):
         rho_vals = params.gamma_kin**-1.5 * (Z / (b * prof.xi)) ** 1.5 * prof.phi_values**1.5
-        finite = np.all(np.isfinite(rho_vals)) and all(
-            np.all(np.isfinite(c)) for c in Pchip(b * prof.xi, rho_vals).c)
-    if not finite:
-        raise DomainError(f"Z = {Z!r} is too large: the TF density leaves float range")
-    sol = _solution(params, prof, mu, rho_vals, _energy_terms(params, prof))
+        try:
+            rho = _density(params, prof, rho_vals)
+        except DomainError:
+            raise DomainError(
+                f"Z = {Z!r} is too large: the TF density leaves float range") from None
+    sol = _solution(params, prof, mu, rho, _energy_terms(params, prof))
     residual = tf_equation_residual(sol)
     if residual > tol:
         raise ToleranceFailure(
@@ -526,11 +527,17 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     return sol
 
 
-def _solution(params, prof, mu, rho_vals, energy_terms):
+def _density(params, prof, rho_vals):
+    """rho on the physical grid, with the Sommerfeld tail rho ~ r^-6 on the
+    neutral branch and zero past an ion's edge."""
+    return RadialFunction(params.length_scale * prof.xi, rho_vals,
+                          -6.0 if prof.x_edge is None else None)
+
+
+def _solution(params, prof, mu, rho, energy_terms):
     """The TFSolution of the universal profile ``prof`` at ``params``: phi on
-    the universal grid, rho on the physical one, both with the Sommerfeld
-    tails phi ~ xi^-3, rho ~ r^-6 on the neutral branch and zero past an
-    ion's edge."""
+    the universal grid with the Sommerfeld tail phi ~ xi^-3 on the neutral
+    branch and zero past an ion's edge, and the density ``rho``."""
     neutral = prof.x_edge is None
     return TFSolution(
         params=params,
@@ -538,7 +545,7 @@ def _solution(params, prof, mu, rho_vals, energy_terms):
         mu=mu,
         edge_radius=math.inf if neutral else prof.x_edge,
         phi=RadialFunction(prof.xi, prof.phi_values, -3.0 if neutral else None),
-        rho=RadialFunction(params.length_scale * prof.xi, rho_vals, -6.0 if neutral else None),
+        rho=rho,
         energy_terms=energy_terms,
         profile=prof,
     )
@@ -718,7 +725,8 @@ def solution_from_json(text: str) -> TFSolution:
         xi=xi,
         phi_values=phi_vals,
     )
-    return _solution(params, prof, doc["mu"], rho_vals, doc["energy_terms"])
+    return _solution(params, prof, doc["mu"], _density(params, prof, rho_vals),
+                     doc["energy_terms"])
 
 
 def _fit_tail_amplitude(xi, phi_vals):

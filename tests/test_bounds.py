@@ -67,13 +67,13 @@ class TestPartition:
     def test_sum_of_squares(self):
         rng = np.random.default_rng(1)
         pp = make_pp()
-        part = bd.make_partition(pp)
+        part = bd.Partition(pp)
         radii = np.exp(rng.uniform(math.log(1e-5), math.log(1.0), 200))
         assert np.max(np.abs(part.sum_of_squares(radii) - 1.0)) < 1e-12
 
     def test_plateaus(self):
         pp = make_pp()
-        part = bd.make_partition(pp)
+        part = bd.Partition(pp)
         assert part.chi1(0.5 * (1 - pp.beta) * pp.inner_scale) == 1.0
         assert part.chi3(2.0 * pp.outer_scale) == 1.0
 
@@ -82,7 +82,7 @@ class TestPartition:
         # ~ alpha^-t on the outer ramp (j = 2, 3)
         sups = {}
         for alpha in (1e-2, 1e-3):
-            part = bd.make_partition(make_pp(alpha=alpha))
+            part = bd.Partition(make_pp(alpha=alpha))
             sups[alpha] = {
                 "1-": grad_sup(part, "inner", 1),
                 "2-": grad_sup(part, "inner", 2),
@@ -107,17 +107,18 @@ class TestPartition:
             if (1.0 + pp.beta) * pp.inner_scale < (1.0 - pp.beta) * pp.outer_scale:
                 zones.append(pp)
         for pp in zones:
-            part = bd.make_partition(pp)
+            part = bd.Partition(pp)
             for region, j in (("inner", 1), ("inner", 2), ("outer", 2), ("outer", 3)):
                 oracle = fd_grad_sup(part, region, j)
                 got = grad_sup(part, region, j)
                 assert abs(got - oracle) <= 1e-7 * oracle, (pp, region, j)
-        part = bd.make_partition(make_pp(alpha=0.3))
+        part = bd.Partition(make_pp(alpha=0.3))
         assert grad_sup(part, "outer", 2) == grad_sup(part, "outer", 3) == 0.0
 
     def test_support_ordering_guard(self):
-        with pytest.raises(DomainError):
-            bd.make_partition(make_pp(alpha=0.9))
+        # the plain constructor checks it: the chi_1 plateau meets the chi_3 ramp
+        with pytest.raises(DomainError, match="overlap the chi_3 ramp"):
+            bd.Partition(make_pp(alpha=0.9))
 
     def test_full_validation(self):
         make_pp().validate()
@@ -219,6 +220,12 @@ class TestInnerZone:
         for k in range(3, 301):
             at_k = bd.inner_zone_bound(make_pp(alpha=10.0**-k), 2).alpha_threshold
             assert abs(at_k / threshold - 1.0) < 1e-12, k
+
+    @pytest.mark.parametrize("q_spin", (0, -2))
+    def test_spin_multiplicity_below_one_is_refused(self, q_spin):
+        # q = 0 would zero the inner-zone term and q < 0 flip its sign
+        with pytest.raises(DomainError, match="q_spin"):
+            bd.inner_zone_bound(make_pp(), q_spin)
 
 
 class TestDaubechiesSum:
@@ -383,7 +390,7 @@ class TestLocalisationGradient:
     # (3/2) sup|grad chi_j|^2 alpha per unit ||f chi||^2 over the region
     @staticmethod
     def bound(alpha, region, j):
-        return 1.5 * grad_sup(bd.make_partition(make_pp(alpha=alpha)), region, j) ** 2 * alpha
+        return 1.5 * grad_sup(bd.Partition(make_pp(alpha=alpha)), region, j) ** 2 * alpha
 
     def test_outer_chi3_exponent(self):
         vals = {a: self.bound(a, "outer", 3) for a in (1e-2, 1e-3)}
@@ -397,7 +404,7 @@ class TestLocalisationGradient:
 
     def test_invalid_combinations(self):
         # chi_1 is constant outside 2 alpha^r and chi_3 inside it: no ramp
-        part = bd.make_partition(make_pp())
+        part = bd.Partition(make_pp())
         for region, j in (("outer", 1), ("inner", 3)):
             assert part.ramp_sups(region, j) == []
             assert grad_sup(part, region, j) == 0.0

@@ -1,12 +1,15 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import relatom
 from relatom import bounds as bd
 from relatom import cli
 from relatom import thomas_fermi as tf
@@ -34,6 +37,15 @@ def scipy_modules_after(tmp_path, *argv):
     done = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, check=True)
     return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "name", ["relatom"] + [f"relatom.{m.name}" for m in pkgutil.iter_modules(relatom.__path__)])
+def test_every_exported_name_resolves(name):
+    # a deleted function must take its __all__ entry with it
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
 
 
 def test_import_and_tf_solve_load_no_scipy(tmp_path):
@@ -224,6 +236,25 @@ class TestBudget:
         assert len(doc["terms"]) == 9
         assert doc["total"] > 0
 
+    @pytest.mark.parametrize("flags", ((), ("--alpha", "1e-3", "--Z", "10")))
+    def test_exactly_one_of_alpha_and_z(self, capsys, tmp_path, flags):
+        path = tmp_path / "never.csv"
+        code, out, err = run(capsys, "budget", *flags, "--csv", str(path))
+        assert code == 1
+        assert "--alpha" in err and "--Z" in err
+        assert not path.exists()
+        assert out == ""
+
+    @pytest.mark.parametrize("q", ("0", "-2"))
+    def test_spin_multiplicity_below_one_is_refused(self, capsys, tmp_path, q):
+        csv_path, json_path = tmp_path / "never.csv", tmp_path / "never.json"
+        code, out, err = run(capsys, "budget", "--alpha", "1e-3", "--q", q,
+                             "--csv", str(csv_path), "--json", str(json_path))
+        assert code == 2
+        assert "q_spin must be >= 1" in err
+        assert not csv_path.exists() and not json_path.exists()
+        assert out == ""
+
 
 class TestAsymptotics:
     def test_single_row_smoke(self, capsys, tmp_path):
@@ -352,20 +383,20 @@ class TestAsymptotics:
         assert code == 1
         assert "t < r < 1" in err
 
-    # the default sweep and its lambda = 0.7 sibling, as written before the
-    # budget and the sweep stopped loading scipy
+    # the default sweep and its lambda = 0.7 sibling, with every ramp sup
+    # taken at the slope's clipped argmax
     RECORDED = {
         (): """\
 10.0,0.06366197723675814,-178630.0890889783,-82.81055817000338,0.0004635868379864839,11366.672781513433,-11371.944665382614,-5.27188386918199,ok
-100.0,0.006366197723675814,-21912342.0748291,-17840.99392223585,0.000814198402950726,139384.72294228693,-139498.3022371828,-113.57929489585192,ok
-1000.0,0.0006366197723675814,-2777815917.276143,-3843725.6210712907,0.0013837222247759138,1765965.5452054527,-1768412.5369353825,-2446.9917299298454,ok
+100.0,0.006366197723675814,-21912342.074829087,-17840.99392223585,0.0008141984029507265,139384.72294228684,-139498.3022371827,-113.57929489585192,ok
+1000.0,0.0006366197723675814,-2777815917.2761416,-3843725.6210712907,0.0013837222247759147,1765965.5452054518,-1768412.5369353816,-2446.9917299298454,ok
 10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000337,0.002274569916448167,23124778.722755972,-23177497.561447788,-52718.838691819896,ok
 """,
         ("--lambda", "0.7"): """\
-10.0,0.06366197723675814,-148261.0970762693,-82.0240973564011,0.0005532408634087323,9433.372770947477,-9438.594587166244,-5.22181621876884,ok
-100.0,0.006366197723675814,-18742206.286650684,-17671.556076318317,0.0009428749105650946,119204.09037867126,-119316.59099873812,-112.50062006686717,ok
+10.0,0.06366197723675814,-148261.09707626922,-82.0240973564011,0.0005532408634087326,9433.372770947472,-9438.594587166239,-5.22181621876884,ok
+100.0,0.006366197723675814,-18742206.286650676,-17671.556076318317,0.0009428749105650949,119204.0903786712,-119316.59099873807,-112.50062006686717,ok
 1000.0,0.0006366197723675814,-2443947128.054549,-3807221.3437663894,0.0015578165746969513,1553441.3119552701,-1555865.0643404915,-2423.7523852215563,ok
-10000.0,6.366197723675813e-05,-328558090903.64465,-820240973.5640111,0.0024964869113649705,20864439.541872848,-20916657.704060536,-52218.1621876884,ok
+10000.0,6.366197723675813e-05,-328558090903.64453,-820240973.5640111,0.0024964869113649714,20864439.54187284,-20916657.70406053,-52218.1621876884,ok
 """,
     }
 

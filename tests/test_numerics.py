@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -271,6 +272,14 @@ class TestRadialFunction:
         for grid, values in (([1.0, math.inf], [1.0, 1.0]), ([1.0, 2.0], [1.0, math.nan])):
             with pytest.raises(DomainError):
                 RadialFunction(np.array(grid), np.array(values))
+
+    def test_overflowing_interpolant_is_refused_without_a_warning(self):
+        # finite samples whose PCHIP secant 1e300/1e-10 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="leave float range"):
+                RadialFunction(np.array([1.0, 1.0 + 1e-10, 2.0, 3.0]),
+                               np.array([1.0, 1e300, 1.0, 0.5]))
 
     def test_grid_quadrature_matches_adaptive(self):
         grid = np.geomspace(1e-3, 20.0, 400)

@@ -1,9 +1,11 @@
 """No relatom command imports scipy: DOP853, the two bracketing
-root-finders, PCHIP, the Bernstein readout, the bounded scalar minimiser,
-QUADPACK's dqagse and digamma at integers are ports, the coherent bump's
-norm is a fixed Gauss-Legendre rule, and the two 2F1s are elementary
-closed forms with a Pfaff series near zero.  scipy is their oracle here:
-each port must agree with it to the last bit, each closed form to 2e-15."""
+root-finders, PCHIP, the Bernstein readout, QUADPACK's dqagse and digamma
+at integers are ports, the coherent bump's norm is a fixed Gauss-Legendre
+rule, the two 2F1s are elementary closed forms with a Pfaff series near
+zero, and each partition ramp's sup is its slope at one fixed argmax.
+scipy is their oracle here: each port must agree with it to the last bit,
+each closed form to 2e-15, and the argmax with scipy's bounded minimiser
+to 1e-8."""
 
 import math
 import warnings
@@ -150,35 +152,34 @@ def test_bracket_without_sign_change_fails_as_scipy_does(find, oracle):
 
 
 # whole ramps, ramps cut by the split 2 alpha^r on either side, and pieces
-# on which the slope is monotone, so the minimiser ends at a bound
+# on which the slope is monotone, so its sup sits at an end
 RAMP_PIECES = ((0.0, 1.0), (0.0, 0.3), (0.0, 0.62), (0.3, 1.0), (0.71, 1.0), (0.05, 0.2),
                (0.8, 0.95), (0.45, 0.55))
 
 
+def ramp_peak(rising):
+    return bd._RAMP_ARGMAX if rising else 1.0 - bd._RAMP_ARGMAX
+
+
+@pytest.mark.parametrize("rising", (True, False))
+def test_ramp_argmax_is_where_minimize_scalar_finds_it(rising):
+    best = minimize_scalar(lambda u: -bd._ramp_slope(0.1, rising, u), bounds=(0.0, 1.0),
+                           method="bounded", options={"xatol": 1e-14})
+    assert best.success
+    assert abs(best.x - ramp_peak(rising)) < 1e-8
+
+
 @pytest.mark.parametrize("beta", (0.05, 0.1, 0.25, 0.45))
 @pytest.mark.parametrize("rising", (True, False))
-def test_bounded_minimiser_matches_minimize_scalar(beta, rising):
-    def f(u):
-        return -bd._ramp_slope(beta, rising, u)
-
+def test_no_grid_point_of_a_piece_beats_the_clipped_argmax(beta, rising):
     for lo, hi in RAMP_PIECES:
-        x, fun, nfev = bd._minimize_bounded(f, lo, hi, 1e-12)
-        best = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-        assert best.success
-        assert (x, fun, nfev) == (best.x, best.fun, best.nfev), (lo, hi)
-
-
-def test_bounded_minimiser_refuses_where_scipy_fails(monkeypatch):
-    def f(u):
-        return -bd._ramp_slope(0.1, True, u)
-
-    best = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded",
-                           options={"xatol": 1e-12, "maxiter": 5})
-    assert not best.success and best.nfev == 5
-    monkeypatch.setattr(bd, "_MINIMIZE_MAXFUN", 5)
-    with pytest.raises(NonConvergence) as info:
-        bd._minimize_bounded(f, 0.0, 1.0, 1e-12)
-    assert info.value.value == best.fun
+        sup = bd._ramp_slope(beta, rising, min(max(ramp_peak(rising), lo), hi))
+        u = np.linspace(lo, hi, 20_001)
+        u = u[(u > 0.0) & (u < 1.0)]     # the slope is 0 at the ends of the ramp
+        S = bd._smooth_step(u)
+        dS = S * (1.0 - S) * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2)
+        slope = 0.25 * math.pi / beta * (np.cos if rising else np.sin)(0.5 * math.pi * S) * dS
+        assert np.max(slope) <= sup * (1.0 + 1e-15), (lo, hi)
 
 
 def test_bump_norm_matches_quadpack():

@@ -318,6 +318,13 @@ class TestCoherent:
         ratio = sc.coherent_kinetic_error_bound(cs6, 0.001) / sc.coherent_kinetic_error_bound(cs6, 0.01)
         assert abs(ratio - 10.0 ** 0.2) < 1e-10
 
+    def test_kinetic_error_bound_reads_the_support_volume(self):
+        # 3 Vol(supp g) ||grad g||^2 alpha^{1-2s}; the reference unit ball gives 4 pi
+        cs = dataclasses.replace(sc.CoherentSpec.reference(0.5), support_volume=1.0)
+        assert sc.coherent_kinetic_error_bound(cs, 0.01) == 3.0 * cs.grad_sup**2
+        ref = sc.CoherentSpec.reference(0.5)
+        assert sc.coherent_kinetic_error_bound(ref, 0.01) == 4.0 * math.pi * ref.grad_sup**2
+
     def test_kinetic_error_below_third_power(self):
         cs = sc.CoherentSpec.reference(0.6)
         vals = [sc.coherent_kinetic_error_bound(cs, a) * a ** (1.0 / 3.0)
