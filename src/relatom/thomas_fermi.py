@@ -15,29 +15,32 @@ and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 (lambda < 1).  The chemical potential is mu = Z (1-lambda) / (b x0) for
 ions and 0 otherwise.
 
-Shooting is on slope0 = phi'(0), with ports of scipy's bracketing
-root-finders (bisection and Brent's method, same iterates).  Every shot is
-one :func:`numerics.shoot`: pure-Python DOP853 whose outward shots stop
-after the first accepted step where phi has hit zero or turned upward.
-The whole solve path runs on numpy and plain floats.  For ions, Brent's
-method solves for the edge flux -x0 phi'(x0) = 1 - lambda.  The edge
-comes from the stop step's end: the clamped right-hand side vanishes for
-phi < 0, so phi is linear past its zero and x0 = x - phi/phi' with
-phi'(x0) = phi' holds exactly.  A shot that never reaches phi = 0 counts
-as flux 0, the flux's limit at the critical (neutral) slope, so the miss
-is continuous.  The neutral slope
-separates shots that hit zero from shots that turn upward: a discrete
-classification, read from the signs at the stop step, so it is bisected.
-The neutral outward trajectory is then matched, at xi = 20, against an
-inward integration launched from xi = 1000 on the two-term decaying
+Shooting is on slope0 = phi'(0), with a port of scipy's Brent's method
+(same iterates).  Every shot is one :func:`numerics.shoot`: pure-Python
+DOP853 whose outward shots stop after the first accepted step where phi
+has hit zero or turned upward.  The whole solve path runs on numpy and
+plain floats.  For ions, Brent's method solves for the edge flux
+-x0 phi'(x0) = 1 - lambda.  The edge comes from the stop step's end: the
+clamped right-hand side vanishes for phi < 0, so phi is linear past its
+zero and x0 = x - phi/phi' with phi'(x0) = phi' holds exactly.  A shot
+that never reaches phi = 0 counts as flux 0, the flux's limit at the
+critical (neutral) slope, so the miss is continuous.
+
+The neutral profile searches nothing: its two roots are pinned constants.
+An outward shot with slope0 = _NEUTRAL_SLOPE0 runs to xi = 20 and meets
+an inward shot launched from xi = 1000 on the two-term decaying
 Sommerfeld manifold phi = 144 xi^-3 (1 + a eta + c2 (a eta)^2),
-eta = xi^(-s1), whose amplitude a Brent's method finds from the inward
-shot's end value; outward shooting alone cannot carry the profile far
-enough for 1e-6 mass accuracy because the growing perturbation mode
-amplifies the last digit of slope0.
+eta = xi^(-s1), a = _NEUTRAL_TAIL_AMPLITUDE.  Both are the exact roots of
+the search in tests/test_scipy_oracles.py, which must reproduce them bit
+for bit: slope0 bisects the discrete classification of outward shots to
+xi = 150 into those that hit zero and those that turn upward, and a is
+Brent's root of the inward shot's miss of the outward phi at xi = 20.
+Outward shooting alone cannot carry the profile far enough for 1e-6 mass
+accuracy because the growing perturbation mode amplifies the last digit
+of slope0.
 
 The profile's grid values come from the final shots themselves, so they
-lie on the trajectories the root-finders converged on.  Each accepted
+lie on the trajectories of the roots.  Each accepted
 step of a shot gets one septic Hermite interpolant: phi and phi' at both
 step ends are recorded, phi'' = phi^{3/2}/sqrt(xi) and
 phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi) follow from the
@@ -97,6 +100,17 @@ _MASS_TOL = 1e-6       # |int phi^{3/2} sqrt(t) / min(lambda, 1) - 1| that solve
 _PTS_PER_DECADE = 120
 _RTOL = 4.0 * np.finfo(float).eps  # relative bracket width the root-finders stop at
 _ROOT_ITER = 100
+
+# The neutral slope0 and Sommerfeld tail amplitude: the exact roots of the
+# neutral search, bisection on [-1.7, -1.5] of whether the outward shot to
+# xi = 150 hits zero or turns upward, then Brent's method on [-40, -1] for
+# the inward shot from _XI_FAR that meets the outward one's phi at
+# _XI_MATCH, both to xtol 1e-16 and _RTOL.  They depend on _XI0, _XI_MATCH,
+# _XI_FAR, _ODE_TOL, _RTOL and the two brackets; re-pin them from the reprs
+# that tests/test_scipy_oracles.py::test_pinned_neutral_roots_are_the_search_roots
+# prints when it fails.
+_NEUTRAL_SLOPE0 = -1.5880710226134398
+_NEUTRAL_TAIL_AMPLITUDE = -13.292467649087229
 
 
 @dataclass(frozen=True)
@@ -233,37 +247,15 @@ def _edge(shot):
     return x - phi / dphi, dphi
 
 
-def _root(find, f, lo, hi, what):
-    """Root of f on [lo, hi] by a bracketing method (_brentq or _bisect);
-    a bracket without a sign change, or no convergence, is a ShootingFailure.
-    Both methods are scipy's C routines (zeros.c) line for line, with the
-    same error messages, so they visit the same iterates as scipy's
-    brentq/bisect and return the same root."""
+def _root(f, lo, hi, what):
+    """Root of f on [lo, hi] by Brent's method; a bracket without a sign
+    change, or no convergence, is a ShootingFailure.  _brentq is scipy's C
+    routine (zeros.c) line for line, with the same error messages, so it
+    visits the same iterates as scipy's brentq and returns the same root."""
     try:
-        return find(f, lo, hi, xtol=1e-16, rtol=_RTOL)
+        return _brentq(f, lo, hi, xtol=1e-16, rtol=_RTOL)
     except (ValueError, RuntimeError) as exc:
         raise ShootingFailure(f"{what} in [{lo}, {hi}]: {exc}") from None
-
-
-def _bisect(f, xa, xb, xtol, rtol):
-    """Bisection that halves a running step from the fixed left end."""
-    fa, fb = f(xa), f(xb)
-    if fa * fb > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    if fa == 0:
-        return xa
-    if fb == 0:
-        return xb
-    dm = xb - xa
-    for _ in range(_ROOT_ITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm)
-        if fm * fa >= 0:
-            xa = xm
-        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise RuntimeError(f"Failed to converge after {_ROOT_ITER} iterations, value is {xa}")
 
 
 def _brentq(f, xa, xb, xtol, rtol):
@@ -407,29 +399,17 @@ def _solve_universal(lam_key: float) -> _UniversalProfile:
 
 
 def _solve_neutral():
-    def classify(B):
-        phi, dphi = _shoot(B, 150.0).y_end
-        return -1.0 if phi <= 0.0 else 1.0 if dphi > 0.0 else 0.0
-
-    slope0 = _root(_bisect, classify, -1.7, -1.5, "neutral slope")
     xi = _log_grid(_XI0, _XI_FAR)
     near = xi <= _XI_MATCH
-    out = _shoot(slope0, _XI_MATCH)
-    target = out.y_end[0]
-
-    def inner_miss(a):
-        return _shoot_in(a).y_end[0] - target
-
-    a = _root(_brentq, inner_miss, -40.0, -1.0, "neutral tail amplitude")
     phi_vals = np.empty_like(xi)
-    phi_vals[near] = _readout(out, xi[near])
-    phi_vals[~near] = _readout(_shoot_in(a), xi[~near])
+    phi_vals[near] = _readout(_shoot(_NEUTRAL_SLOPE0, _XI_MATCH), xi[near])
+    phi_vals[~near] = _readout(_shoot_in(_NEUTRAL_TAIL_AMPLITUDE), xi[~near])
     return _UniversalProfile(
         lam_eff=1.0,
-        slope0=slope0,
+        slope0=_NEUTRAL_SLOPE0,
         x_edge=None,
         edge_slope=None,
-        tail_amplitude=a,
+        tail_amplitude=_NEUTRAL_TAIL_AMPLITUDE,
         xi=xi,
         phi_values=np.maximum(phi_vals, 0.0),
     )
@@ -441,7 +421,7 @@ def _solve_ion(lam):
         x_e, dphi_e = _edge(_shoot(B, 2000.0)) or (0.0, 0.0)
         return -x_e * dphi_e - (1.0 - lam)
 
-    slope0 = _root(_brentq, flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
+    slope0 = _root(flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
     shot = _shoot(slope0, 2000.0)
     edge = _edge(shot)
     if edge is None:

@@ -1,11 +1,11 @@
-"""No relatom command imports scipy: DOP853, the two bracketing
-root-finders, PCHIP, the Bernstein readout, QUADPACK's dqagse and digamma
+"""No relatom command imports scipy: DOP853, Brent's method, PCHIP, the Bernstein readout, QUADPACK's dqagse and digamma
 at integers are ports, the coherent bump's norm is a fixed Gauss-Legendre
 rule, the two 2F1s are elementary closed forms with a Pfaff series near
 zero, and each partition ramp's sup is its slope at one fixed argmax.
 scipy is their oracle here: each port must agree with it to the last bit,
 each closed form to 2e-15, and the argmax with scipy's bounded minimiser
-to 1e-8."""
+to 1e-8.  The neutral TF profile's two pinned roots are re-derived here,
+bit for bit, by scipy's bisect and brentq."""
 
 import math
 import warnings
@@ -62,14 +62,55 @@ def test_dop853_inward_tf_shot_matches_scipy():
     assert shoot(*args).steps == scipy_shoot(*args).steps
 
 
+# the search whose roots thomas_fermi pins as _NEUTRAL_SLOPE0 and
+# _NEUTRAL_TAIL_AMPLITUDE: bisection of the escape classification of
+# outward shots to xi = 150, then Brent's method for the tail amplitude
+# whose inward shot meets the outward phi at _XI_MATCH
+NEUTRAL_SLOPE_BRACKET = (-1.7, -1.5)
+NEUTRAL_AMPLITUDE_BRACKET = (-40.0, -1.0)
+
+
+def neutral_classification(B):
+    """-1 if the outward shot with slope0 = B hits zero by xi = 150, +1 if
+    it turns upward first, 0 if it does neither."""
+    phi, dphi = tf._shoot(B, 150.0).y_end
+    return -1.0 if phi <= 0.0 else 1.0 if dphi > 0.0 else 0.0
+
+
+def neutral_amplitude_miss(slope0):
+    target = tf._shoot(slope0, tf._XI_MATCH).y_end[0]
+    return lambda a: tf._shoot_in(a).y_end[0] - target
+
+
+def neutral_roots():
+    """(slope0, tail amplitude) of the neutral search by scipy's bisect and brentq."""
+    slope0 = bisect(neutral_classification, *NEUTRAL_SLOPE_BRACKET, xtol=1e-16, rtol=tf._RTOL)
+    a = brentq(neutral_amplitude_miss(slope0), *NEUTRAL_AMPLITUDE_BRACKET,
+               xtol=1e-16, rtol=tf._RTOL)
+    return slope0, a
+
+
+@pytest.mark.parametrize("integrator", ("package", "scipy"))
+def test_pinned_neutral_roots_are_the_search_roots(monkeypatch, integrator):
+    if integrator == "scipy":
+        monkeypatch.setattr(tf, "shoot", scipy_shoot)
+    slope0, a = neutral_roots()
+    assert (slope0, a) == (tf._NEUTRAL_SLOPE0, tf._NEUTRAL_TAIL_AMPLITUDE), (
+        f"re-pin: _NEUTRAL_SLOPE0 = {slope0!r}, _NEUTRAL_TAIL_AMPLITUDE = {a!r}")
+
+
 @pytest.mark.parametrize("lam", PROFILE_LAMBDAS)
 def test_universal_profile_matches_the_scipy_pipeline(monkeypatch, lam):
-    # the same profile solved with scipy's DOP853, brentq, bisect and BPoly
+    # the same profile solved with scipy's DOP853, brentq and BPoly; the
+    # neutral one from the roots of the search run on scipy's shots
     ours = tf._solve_universal.__wrapped__(lam)
     monkeypatch.setattr(tf, "shoot", scipy_shoot)
     monkeypatch.setattr(tf, "_brentq", brentq)
-    monkeypatch.setattr(tf, "_bisect", bisect)
     monkeypatch.setattr(tf, "_bernstein", lambda c, x, xi: BPoly(c, x)(xi))
+    if lam == 1.0:
+        slope0, a = neutral_roots()
+        monkeypatch.setattr(tf, "_NEUTRAL_SLOPE0", slope0)
+        monkeypatch.setattr(tf, "_NEUTRAL_TAIL_AMPLITUDE", a)
     theirs = tf._solve_universal.__wrapped__(lam)
     for field in ("slope0", "x_edge", "edge_slope", "tail_amplitude"):
         assert getattr(ours, field) == getattr(theirs, field), field
@@ -103,17 +144,17 @@ def test_bernstein_readout_matches_bpoly(monkeypatch, lam):
 
 
 def _miss_functions(monkeypatch, lam):
-    """(find, f, lo, hi) of every root the solve of ``lam`` asks for."""
+    """(f, lo, hi) of every root the solve of ``lam`` asks _brentq for."""
     roots = []
-    real = tf._root
+    real = tf._brentq
 
-    def recording(find, f, lo, hi, what):
-        roots.append((find, f, lo, hi))
-        return real(find, f, lo, hi, what)
+    def recording(f, lo, hi, xtol, rtol):
+        roots.append((f, lo, hi))
+        return real(f, lo, hi, xtol, rtol)
 
-    monkeypatch.setattr(tf, "_root", recording)
+    monkeypatch.setattr(tf, "_brentq", recording)
     tf._solve_universal.__wrapped__(lam)
-    monkeypatch.setattr(tf, "_root", real)
+    monkeypatch.setattr(tf, "_brentq", real)
     return roots
 
 
@@ -129,24 +170,27 @@ def _iterates(find, f, lo, hi):
 
 @pytest.mark.parametrize("lam", (1.0, 0.9, 0.5, 1e-3))
 def test_root_finders_take_scipys_iterates_on_the_tf_misses(monkeypatch, lam):
-    # neutral: the slope classification (bisect) and the tail amplitude
-    # (brentq); ion: the edge flux (brentq)
+    # ion: the edge flux of the solve; neutral: the solve searches nothing,
+    # so the tail amplitude miss of the search behind its pinned roots
     roots = _miss_functions(monkeypatch, lam)
-    assert [find for find, *_ in roots] == ([tf._bisect, tf._brentq] if lam == 1.0 else [tf._brentq])
-    for find, f, lo, hi in roots:
-        oracle = bisect if find is tf._bisect else brentq
-        assert _iterates(find, f, lo, hi) == _iterates(oracle, f, lo, hi)
+    if lam == 1.0:
+        assert not roots
+        roots = [(neutral_amplitude_miss(tf._NEUTRAL_SLOPE0), *NEUTRAL_AMPLITUDE_BRACKET)]
+    assert len(roots) == 1
+    for f, lo, hi in roots:
+        assert _iterates(tf._brentq, f, lo, hi) == _iterates(brentq, f, lo, hi)
 
 
-@pytest.mark.parametrize("find, oracle", ((tf._brentq, brentq), (tf._bisect, bisect)))
-def test_bracket_without_sign_change_fails_as_scipy_does(find, oracle):
+@pytest.mark.parametrize("find, oracle", ((tf._brentq, brentq),))
+def test_bracket_without_sign_change_fails_as_scipy_does(monkeypatch, find, oracle):
     def f(x):
         return x * x + 1.0
 
     messages = []
     for method in (find, oracle):
+        monkeypatch.setattr(tf, "_brentq", method)
         with pytest.raises(ShootingFailure) as info:
-            tf._root(method, f, -1.0, 2.0, "test root")
+            tf._root(f, -1.0, 2.0, "test root")
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
