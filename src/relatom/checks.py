@@ -205,6 +205,11 @@ def _worst_oracle_gap(closed, oracle):
                          for x in np.geomspace(1e-8, 10.0 / d.alpha, 8)]))
 
 
+# phi'(0) of the neutral TF screening function, J. P. Boyd, J. Comput. Appl.
+# Math. (2013): B = -1.588071022611375312718684509
+_LITERATURE_SLOPE0 = -1.588071022611375312718684509
+
+
 def check_thomas_fermi():
     out = []
     base = {}
@@ -248,6 +253,10 @@ def check_thomas_fermi():
     pot = tf.tf_potential(sol)
     excess = float(np.max(pot.values - sol.params.Z / pot.grid))
     out.append(_bound("V_TF <= Z/r at every grid point", excess, 1e-12))
+
+    slope0 = tf.solve(tf.TFParams(lam=1.0, Z=1.0), tol=1e-5).slope0
+    out.append(_bound("|slope0 - B| of the neutral atom, B from the literature",
+                      abs(slope0 - _LITERATURE_SLOPE0), 1e-11))
     return out
 
 
