@@ -67,7 +67,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
-from .numerics import Pchip, RadialFunction, grid_quadrature, newton_potential, shoot
+from .numerics import RadialFunction, grid_quadrature, newton_potential, shoot
 
 __all__ = [
     "GAMMA_TF_PAPER",
@@ -316,14 +316,18 @@ class _UniversalProfile:
     phi_values: np.ndarray
 
     @cached_property
-    def interp(self):
-        return Pchip(self.xi, self.phi_values)
+    def phi_function(self):
+        """phi on the grid as the TFSolution's RadialFunction, with the
+        tail phi ~ xi^-3 on the neutral branch and zero past an ion's edge."""
+        return RadialFunction(self.xi, self.phi_values, -3.0 if self.x_edge is None else None)
 
     def phi(self, xi):
+        """phi_function's PCHIP inside the grid; below it the series head,
+        beyond it the two-term Sommerfeld manifold (neutral) or zero."""
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
         inside = (xi >= self.xi[0]) & (xi <= self.xi[-1])
-        out[inside] = np.maximum(self.interp(xi[inside]), 0.0)
+        out[inside] = np.maximum(self.phi_function(xi[inside]), 0.0)
         below = xi < self.xi[0]
         if np.any(below):
             x = xi[below]
@@ -515,16 +519,14 @@ def _density(params, prof, rho_vals):
 
 
 def _solution(params, prof, mu, rho, energy_terms):
-    """The TFSolution of the universal profile ``prof`` at ``params``: phi on
-    the universal grid with the Sommerfeld tail phi ~ xi^-3 on the neutral
-    branch and zero past an ion's edge, and the density ``rho``."""
-    neutral = prof.x_edge is None
+    """The TFSolution of the universal profile ``prof`` at ``params``: the
+    profile's phi on the universal grid and the density ``rho``."""
     return TFSolution(
         params=params,
         slope0=prof.slope0,
         mu=mu,
-        edge_radius=math.inf if neutral else prof.x_edge,
-        phi=RadialFunction(prof.xi, prof.phi_values, -3.0 if neutral else None),
+        edge_radius=math.inf if prof.x_edge is None else prof.x_edge,
+        phi=prof.phi_function,
         rho=rho,
         energy_terms=energy_terms,
         profile=prof,

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relatom import numerics
 from relatom import thomas_fermi as tf
 from relatom.errors import DivergentIntegral, DomainError, ShootingFailure, ToleranceFailure
 from relatom.numerics import RadialFunction, grid_quadrature
@@ -107,6 +108,23 @@ class TestSolve:
         monkeypatch.setattr(tf, "_rhs", counting)
         tf._solve_universal.__wrapped__(lam)
         assert 0 < calls[0] <= max_rhs
+
+    @pytest.mark.parametrize("lam", (0.5, 1.0))
+    def test_phi_interpolant_is_built_once_per_lambda(self, monkeypatch, lam):
+        prof = tf._solve_universal.__wrapped__(lam)  # fresh: no interpolant cached yet
+        monkeypatch.setattr(tf, "_solve_universal", lambda key: prof)
+        builds = []
+        real = numerics.Pchip
+
+        class Counting(real):
+            def __init__(self, x, y):
+                builds.append(x.size)
+                super().__init__(x, y)
+
+        monkeypatch.setattr(numerics, "Pchip", Counting)
+        for Z in (1.0, 10.0, 100.0):
+            assert tf.solve(tf.TFParams(lam=lam, Z=Z)).phi is prof.phi_function
+        assert builds == [prof.xi.size] * 4  # phi once, then rho once per Z
 
     def test_repulsion_quadrature_runs_once_per_lambda(self, monkeypatch):
         prof = tf._solve_universal.__wrapped__(0.5)  # fresh: no integral cached yet
