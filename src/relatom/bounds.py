@@ -298,7 +298,7 @@ def mean_field_constant_routes(cs: CoherentSpec):
     # is far past the level where |phihat|^2 falls below 1e-30
     p, w_p = gl_rule(np.linspace(0.0, 400.0, 401))
     phihat = radial_fourier(_density(cs), np.linspace(0.0, 1.0, 65), p)
-    mom = np.dot(w_p, phihat**2) / math.pi
+    mom = np.sum(w_p * phihat**2) / math.pi
     return mean_field_constant(cs), float(mom)
 
 

@@ -164,9 +164,11 @@ def gl_rule(knots):
 
 
 def grid_quadrature(f, knots):
-    """Composite 12-point Gauss-Legendre of the vectorized ``f`` over knot segments."""
+    """Composite 12-point Gauss-Legendre of the vectorized ``f`` over knot
+    segments, summed by numpy rather than a BLAS dot, whose order of
+    summation depends on the BLAS thread count."""
     x, w = gl_rule(knots)
-    return float(np.dot(w, np.asarray(f(x), dtype=float)))
+    return float(np.sum(w * np.asarray(f(x), dtype=float)))
 
 
 # entry (j, k) is w_j P_k(x_j): for values y at the nodes, (y @ _GL_MOMENTS)[k]
@@ -284,7 +286,7 @@ def radial_fourier(f, knots, k):
         s += km
         out[i:i + rows] = s.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = 4.0 * math.pi * np.where(flat == 0.0, np.vdot(fv, v), out / flat)
+        out = 4.0 * math.pi * np.where(flat == 0.0, np.sum(fv * v), out / flat)
     return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
 

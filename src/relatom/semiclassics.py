@@ -253,7 +253,7 @@ def domain_change_error(sol: TFSolution, alpha: float, t_exponent: float) -> flo
     v = V1(w)
     log_moments = []
     for p in (3.5, 4.5):
-        moment = np.dot(weights, w * w * v**p) + V.tail_integral(p, 2)
+        moment = np.sum(weights * (w * w * v**p)) + V.tail_integral(p, 2)
         if W < grid[0]:
             # int_W^w0 w^2 (v0 (w/w0)^h)^p dw = v0^p w0^3 (1 - (W/w0)^n)/n, n = p h + 3
             n = p * V.head_exponent + 3.0
@@ -327,10 +327,10 @@ def _bump_unnormalized(r):
 
 @lru_cache(maxsize=1)
 def _bump_norm_constant():
-    # c with int (c g)^2 d^3x = 1 over the unit ball, on 64 GL-12 panels:
-    # QUADPACK's value to the last bit (32 panels are 1 ulp off), and
+    # c with int (c g)^2 d^3x = 1 over the unit ball, on 48 GL-12 panels:
+    # QUADPACK's value to the last bit (40 and 64 panels are 1 ulp off), and
     # CoherentSpec.check_normalization keeps QUADPACK as the oracle
-    val = grid_quadrature(lambda r: _bump_unnormalized(r) ** 2 * r * r, np.linspace(0.0, 1.0, 65))
+    val = grid_quadrature(lambda r: _bump_unnormalized(r) ** 2 * r * r, np.linspace(0.0, 1.0, 49))
     return 1.0 / math.sqrt(4.0 * math.pi * val)
 
 
@@ -486,7 +486,7 @@ def coherent_potential_check(f, cs: CoherentSpec, alpha: float) -> dict:
     r, w = gl_rule(np.concatenate([[0.0], np.geomspace(min(1e-4, 0.01 * a_s), top, 65)]))
     weight = 4.0 * math.pi * np.array([f(x) for x in r]) ** 2 * r * r * w
     return {
-        key: float(np.dot(weight, smeared_coulomb(cs, alpha, route)(r)))
+        key: float(np.sum(weight * smeared_coulomb(cs, alpha, route)(r)))
         for key, route in (("route_newton", "newton_split"), ("route_momentum", "momentum"))
     }
 

@@ -66,6 +66,23 @@ def test_commands_load_no_scipy(tmp_path, argv):
     assert scipy_modules_after(tmp_path, *argv) == "0 [] []"
 
 
+@pytest.mark.parametrize("argv", (
+    ("tf-solve", "--lambda", "1.3", "--Z", "47.5", "--out"),
+    ("asymptotics", "--Z", "10", "1000", "--csv"),
+))
+def test_data_files_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # every reduction is numpy's own sum, not a BLAS dot that OpenBLAS
+    # splits across threads in a thread-count-dependent order
+    files = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "relatom.cli", *argv, str(path)],
+                       capture_output=True, env=env, check=True)
+        files.append(path.read_bytes())
+    assert files[0] == files[1]
+
+
 def test_verify_suites_run_with_scipy_blocked(monkeypatch):
     # in this process, with scipy hidden and its import refused, every suite
     # still runs and loads none of it
@@ -384,19 +401,20 @@ class TestAsymptotics:
         assert "t < r < 1" in err
 
     # the default sweep and its lambda = 0.7 sibling, with every ramp sup
-    # taken at the slope's clipped argmax
+    # taken at the slope's clipped argmax and every quadrature summed by
+    # numpy's pairwise sum, not a BLAS dot
     RECORDED = {
         (): """\
-10.0,0.06366197723675814,-178630.0890889783,-82.81055817000338,0.0004635868379864839,11366.672781513433,-11371.944665382614,-5.27188386918199,ok
-100.0,0.006366197723675814,-21912342.074829087,-17840.99392223585,0.0008141984029507265,139384.72294228684,-139498.3022371827,-113.57929489585192,ok
-1000.0,0.0006366197723675814,-2777815917.2761416,-3843725.6210712907,0.0013837222247759147,1765965.5452054518,-1768412.5369353816,-2446.9917299298454,ok
-10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000337,0.002274569916448167,23124778.722755972,-23177497.561447788,-52718.838691819896,ok
+10.0,0.06366197723675814,-178630.0890889783,-82.8105581700034,0.00046358683798648407,11366.672781513433,-11371.944665382614,-5.271883869181992,ok
+100.0,0.006366197723675814,-21912342.074829087,-17840.993922235855,0.0008141984029507267,139384.72294228684,-139498.3022371827,-113.57929489585194,ok
+1000.0,0.0006366197723675814,-2777815917.2761416,-3843725.621071292,0.001383722224775915,1765965.5452054518,-1768412.5369353816,-2446.9917299298463,ok
+10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000339,0.002274569916448168,23124778.722755972,-23177497.561447788,-52718.83869181991,ok
 """,
         ("--lambda", "0.7"): """\
-10.0,0.06366197723675814,-148261.09707626922,-82.0240973564011,0.0005532408634087326,9433.372770947472,-9438.594587166239,-5.22181621876884,ok
+10.0,0.06366197723675814,-148261.09707626922,-82.02409735640111,0.0005532408634087327,9433.372770947472,-9438.594587166239,-5.221816218768841,ok
 100.0,0.006366197723675814,-18742206.286650676,-17671.556076318317,0.0009428749105650949,119204.0903786712,-119316.59099873807,-112.50062006686717,ok
 1000.0,0.0006366197723675814,-2443947128.054549,-3807221.3437663894,0.0015578165746969513,1553441.3119552701,-1555865.0643404915,-2423.7523852215563,ok
-10000.0,6.366197723675813e-05,-328558090903.64453,-820240973.5640111,0.0024964869113649714,20864439.54187284,-20916657.70406053,-52218.1621876884,ok
+10000.0,6.366197723675813e-05,-328558090903.64453,-820240973.5640113,0.0024964869113649722,20864439.54187284,-20916657.70406053,-52218.162187688424,ok
 """,
     }
 
