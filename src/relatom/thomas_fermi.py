@@ -40,9 +40,9 @@ accuracy because the growing perturbation mode amplifies the last digit
 of slope0.
 
 The profile's grid values come from the final shots themselves, so they
-lie on the trajectories of the roots.  Each accepted
-step of a shot gets one septic Hermite interpolant: phi and phi' at both
-step ends are recorded, phi'' = phi^{3/2}/sqrt(xi) and
+lie on the trajectories of the roots.  Each accepted step of a shot gets
+one septic Hermite interpolant: phi and phi' at both step ends are
+recorded, phi'' = phi^{3/2}/sqrt(xi) and
 phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi) follow from the
 ODE, and all steps are evaluated as one Bernstein-form piecewise
 polynomial, term by term as scipy's BPoly does.  An ion's last step

@@ -1,6 +1,6 @@
-"""No relatom command imports scipy: DOP853, Brent's method, PCHIP, the Bernstein readout, QUADPACK's dqagse and digamma
-at integers are ports, the coherent bump's norm is a fixed Gauss-Legendre
-rule, the two 2F1s are elementary closed forms with a Pfaff series near
+"""No relatom command imports scipy: DOP853, Brent's method, PCHIP, the
+Bernstein readout, QUADPACK's dqagse and digamma at integers are ports,
+the coherent bump's norm is a fixed Gauss-Legendre rule, the two 2F1s are elementary closed forms with a Pfaff series near
 zero, and each partition ramp's sup is its slope at one fixed argmax.
 scipy is their oracle here: each port must agree with it to the last bit,
 each closed form to 2e-15, and the argmax with scipy's bounded minimiser

@@ -67,7 +67,8 @@ class TestSolve:
     @pytest.mark.parametrize("lam, max_shots", ((0.5, 30), (1.0, 2)))
     def test_shot_budget(self, monkeypatch, lam, max_shots):
         # Brent's method needs far fewer shots than fixed 80-step bisection;
-        # the neutral roots are pinned, so only the two shots it is read off
+        # the neutral roots are pinned, so its profile searches nothing and
+        # is read off one outward and one inward shot
         shots = []
         real = tf.shoot
 
@@ -78,20 +79,9 @@ class TestSolve:
         monkeypatch.setattr(tf, "shoot", counting)
         tf._solve_universal.__wrapped__(lam)
         assert 0 < len(shots) <= max_shots
-
-    def test_neutral_profile_searches_nothing(self, monkeypatch):
-        # one outward shot to the matching radius, one inward shot from the far end
-        shots = []
-        real = tf.shoot
-
-        def counting(rhs, y0, x0, x1, *args, **kwargs):
-            shots.append((x0, x1))
-            return real(rhs, y0, x0, x1, *args, **kwargs)
-
-        monkeypatch.setattr(tf, "shoot", counting)
-        monkeypatch.setattr(tf, "_root", None)
-        tf._solve_universal.__wrapped__(1.0)
-        assert shots == [(tf._XI0, tf._XI_MATCH), (tf._XI_FAR, tf._XI_MATCH)]
+        if lam == 1.0:
+            ends = [(tf._XI0, tf._XI_MATCH), (tf._XI_FAR, tf._XI_MATCH)]
+            assert [args[2:4] for args in shots] == ends
 
     @pytest.mark.parametrize("lam, max_rhs", ((0.5, 40_000), (1.0, 2_863)))
     def test_rhs_budget(self, monkeypatch, lam, max_rhs):
