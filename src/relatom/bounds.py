@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetViolation, DivergentIntegral, DomainError
+from .errors import BudgetViolation, DomainError
 from .kinetic import Dispersion, daubechies_F, daubechies_F_upper
 from .numerics import (
     QuadratureSpec,
@@ -358,61 +358,28 @@ def daubechies_eigenvalue_sum_bound(
     V: RadialFunction,
     q_spin: int,
     f_form: str = "exact",
-    support: tuple | None = None,
+    *,
+    support: tuple,
 ) -> float:
-    """-q 0.163 int F(|V(x)|) d^3x by radial quadrature.
+    """-q 0.163 int_{lo < |x| < hi} F(|V(x)|) d^3x over the shell
+    ``support=(lo, hi)``, by radial Gauss-Legendre quadrature on V's knots.
 
     ``f_form="exact"`` composes the exact F (a closed form);
     ``"taylor_upper"`` uses the closed-form majorant instead, which is the
-    route the intermediary-zone computation takes.  ``support=(lo, hi)``
-    restricts the integral to a shell, for potentials (like the chi_2-zone
-    Coulomb) whose inner cutoff the RadialFunction extrapolation cannot
-    encode.
+    route the intermediary-zone computation takes.  The shell carries the
+    cutoffs (like the chi_2 zone's inner one for its Coulomb potential)
+    that the RadialFunction extrapolation cannot encode.
     """
-    has_tail = V.tail_exponent is not None and V.values[-1] != 0.0
-    # F(s) ~ s^{5/2} at small s: the radial integrand goes like
-    # u^{5 e/2 + 2}, integrable only for tail exponent e < -6/5
-    if support is None and has_tail and V.tail_exponent >= -1.2:
-        raise DivergentIntegral("int F(|V|) diverges: V must be compactly supported or cut off")
-    # F(s) ~ s^k at large s: k = 4 for the exact F, 9/2 for the majorant
     if f_form == "exact":
-        F, k = daubechies_F, 4.0
+        F = daubechies_F
     elif f_form == "taylor_upper":
-        F, k = daubechies_F_upper, 4.5
+        F = daubechies_F_upper
     else:
         raise DomainError(f"unknown f_form {f_form!r}")
-
-    def integrand(u):
-        return F(disp, np.abs(V(u))) * u * u
-
-    if support is not None:
-        lo, hi = support
-        knots = V.grid[(V.grid >= lo) & (V.grid <= hi)]
-        knots = np.unique(np.concatenate([[lo], knots, [hi]]))
-        value = grid_quadrature(integrand, knots)
-        return -q_spin * DAUBECHIES_CONSTANT * 4.0 * math.pi * value
-
-    # a growing head V ~ u^h makes the integrand ~ u^{k h + 2} at the origin
-    h = V.head_exponent
-    if h < 0.0 and k * h + 2.0 <= -1.0:
-        raise DivergentIntegral("int F(|V|) diverges: V too singular at the origin")
-    value = grid_quadrature(integrand, V.grid)
-    if has_tail:
-        tail, _ = integrate_1d(
-            integrand,
-            V.r_max,
-            math.inf,
-            QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, semi_infinite_transform="algebraic_map"),
-        )
-        value += tail
-    # head below the first grid point: V extrapolates by its head power law
-    head, _ = integrate_1d(
-        integrand,
-        0.0,
-        V.r_min,
-        QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=200),
-    )
-    value += head
+    lo, hi = support
+    knots = V.grid[(V.grid >= lo) & (V.grid <= hi)]
+    knots = np.unique(np.concatenate([[lo], knots, [hi]]))
+    value = grid_quadrature(lambda u: F(disp, np.abs(V(u))) * u * u, knots)
     return -q_spin * DAUBECHIES_CONSTANT * 4.0 * math.pi * value
 
 

@@ -8,16 +8,17 @@ Four layers:
   (r/R)^tail_exponent (or zero) beyond; its
   ``head_integral``/``tail_integral`` give int f^p u^k over both
   continuations in closed form.
-* :func:`integrate_1d` / :func:`integrate_radial_3d` -- adaptive
-  Gauss-Kronrod quadrature behind a small spec object: QUADPACK's dqagse
-  (:mod:`relatom.quadpack`), equal to scipy's ``quad`` to the last bit.
-  Semi-infinite integrals are mapped to (0, 1) first; exponentially
-  decaying integrands use the logarithmic map, algebraically decaying
-  ones the rational map u/(1+u).
+* :func:`integrate_1d` -- globally adaptive bisection with QUADPACK's
+  21-point Gauss-Kronrod rule and error heuristic (no extrapolation),
+  behind a small spec object.  Semi-infinite integrals are mapped to
+  (0, 1) by x = a + u/(1-u) first.  ``tf-solve``, ``budget`` and
+  ``asymptotics`` make no adaptive call; ``verify`` runs it on the second
+  routes it compares with closed forms.
 * :func:`grid_quadrature` -- vectorized composite 12-point Gauss-Legendre
-  over an explicit knot sequence.  Adaptive extrapolation misbehaves on
-  interpolants with hundreds of knots, so every integral whose integrand
-  is built from a :class:`RadialFunction` goes through this instead.
+  over an explicit knot sequence.  Adaptive bisection would spend its
+  work hunting the hundreds of knots of an interpolant, so every integral
+  whose integrand is built from a :class:`RadialFunction` goes through
+  this instead.
   :func:`newton_potential` builds the radial shell split M(r)/r + T(r)
   on the same rule, and :func:`radial_fourier` the 3-D Fourier transform
   of a radial function (its own inverse up to (2 pi)^3) on equally
@@ -32,14 +33,17 @@ Four layers:
   ends without integrating again.  Failures surface as
   :class:`StepFailure`.
 
-Nothing here imports scipy: PCHIP, DOP853 and QUADPACK are ports, and
-scipy is only the tests' oracle for them.  All operations are pure;
-:class:`RadialFunction` and :class:`Shot` are immutable after construction.
+Nothing here imports scipy: PCHIP and DOP853 are ports, and scipy is
+only the tests' oracle for them and for the adaptive rule.  All
+operations are pure; :class:`RadialFunction` and :class:`Shot` are
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,7 +56,6 @@ __all__ = [
     "RadialFunction",
     "Shot",
     "integrate_1d",
-    "integrate_radial_3d",
     "gl_rule",
     "grid_quadrature",
     "newton_potential",
@@ -63,18 +66,16 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-EXP_DECAY_MAP = "exp_decay_map"
-ALGEBRAIC_MAP = "algebraic_map"
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and transform choice for adaptive quadrature."""
+    """Tolerances and subdivision budget of :func:`integrate_1d`.  A
+    semi-infinite interval always takes its one map, x = a + u/(1-u), which
+    handles tails that decay faster than x^-2."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    semi_infinite_transform: str = EXP_DECAY_MAP
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -83,39 +84,95 @@ class QuadratureSpec:
             raise DomainError("abs_tol must be >= 0")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.semi_infinite_transform not in (EXP_DECAY_MAP, ALGEBRAIC_MAP):
-            raise DomainError(
-                f"unknown semi-infinite transform {self.semi_infinite_transform!r}"
-            )
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21): the positive Kronrod
+# abscissae, whose odd entries are the 10-point Gauss ones, their Kronrod
+# weights, the Kronrod weight of the centre, and the Gauss weights
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+       0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+       0.2943928627014602, 0.14887433898163122)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+       0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+       0.14277593857706009, 0.14773910490133849)
+_WK_CENTRE = 0.1494455540029169
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_EPS, _UFLOW = sys.float_info.epsilon, sys.float_info.min
+
+
+def _gk21(f, a, b):
+    """(value, error) of the 21-point Kronrod rule on (a, b).  The error is
+    QUADPACK's heuristic: the spread of f about its mean, times
+    min(1, (200 |K21 - G10| / spread)^1.5), floored at 50 eps int |f|."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = float(f(c))
+    pairs = [(float(f(c - h * x)), float(f(c + h * x))) for x in _XK]
+    kronrod = _WK_CENTRE * fc + sum(w * (y1 + y2) for w, (y1, y2) in zip(_WK, pairs))
+    gauss = sum(w * (y1 + y2) for w, (y1, y2) in zip(_WG, pairs[1::2]))
+    mean = 0.5 * kronrod
+    spread = h * (_WK_CENTRE * abs(fc - mean)
+                  + sum(w * (abs(y1 - mean) + abs(y2 - mean)) for w, (y1, y2) in zip(_WK, pairs)))
+    absolute = h * (_WK_CENTRE * abs(fc) + sum(w * (abs(y1) + abs(y2))
+                                                for w, (y1, y2) in zip(_WK, pairs)))
+    err = abs((kronrod - gauss) * h)
+    if spread != 0.0 and err != 0.0:
+        err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
+    if absolute > _UFLOW / (50.0 * _EPS):
+        err = max(50.0 * _EPS * absolute, err)
+    return kronrod * h, err
+
 
 def _quad(f, a, b, spec):
-    from .quadpack import MESSAGES, qagse  # only the adaptive routes load the port
-
-    limit = max(spec.max_subdivisions, 10)
-    value, abserr, _, ier = qagse(f, a, b, spec.abs_tol, spec.rel_tol, limit)
-    if ier == 6:
-        raise DomainError(MESSAGES[6])
-    # Roundoff-limited convergence is tolerated when the reported estimate
-    # still meets the requested tolerance.
-    if ier and abserr > max(spec.rel_tol * abs(value), spec.abs_tol) * 10.0:
-        raise NonConvergence(f"quadrature failed on ({a}, {b}): "
-                             f"{MESSAGES[ier].format(limit=limit)}", value, abserr)
-    return value, abserr
+    """Globally adaptive 21-point Gauss-Kronrod quadrature on the finite (a, b):
+    bisect the interval with the largest error estimate until the summed
+    estimate meets max(abs_tol, rel_tol |value|), the budget of
+    ``max_subdivisions`` intervals is spent, or the worst interval is down
+    to rounding.  A sum still above ten times the tolerance, or one that is
+    not finite, raises :class:`NonConvergence`."""
+    if spec.abs_tol <= 0.0 and spec.rel_tol < 50.0 * _EPS:
+        raise DomainError(f"with abs_tol = 0, rel_tol must be at least 50 machine epsilons "
+                          f"({50.0 * _EPS:.3g}), got {spec.rel_tol!r}")
+    value, err = _gk21(f, a, b)
+    heap = [(-err, a, b, value)]
+    total, errsum = value, err
+    limit = spec.max_subdivisions
+    while errsum > max(spec.abs_tol, spec.rel_tol * abs(total)) and len(heap) < limit:
+        worst, lo, hi, part = heap[0]
+        mid = 0.5 * (lo + hi)
+        if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW):
+            break
+        v1, e1 = _gk21(f, lo, mid)
+        v2, e2 = _gk21(f, mid, hi)
+        heapq.heapreplace(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        total += v1 + v2 - part
+        errsum += e1 + e2 + worst
+    tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+    if not (math.isfinite(total) and math.isfinite(errsum)) or errsum > 10.0 * tol:
+        raise NonConvergence(f"quadrature failed on ({a}, {b}) after {len(heap)} intervals: "
+                             f"error estimate {errsum:.3g} against tolerance {tol:.3g}",
+                             total, errsum)
+    return total, errsum
 
 
 def integrate_1d(f, a, b, spec: QuadratureSpec | None = None):
     """Integrate ``f`` on (a, b), b possibly infinite.
+
+    A semi-infinite (a, inf) is mapped onto (0, 1) by x = a + u/(1-u),
+    dx = du/(1-u)^2, with u = 1 contributing 0.  That handles every tail
+    that decays faster than x^-2, exponential or algebraic; a slower tail
+    leaves the mapped integrand singular at u = 1, which the rule (no
+    extrapolation) does not resolve, so it raises :class:`NonConvergence`.
 
     Parameters
     ----------
     f : callable
         Scalar integrand, finite on the open interval.
     a, b : float
-        Interval endpoints; ``b = inf`` selects the semi-infinite maps.
+        Interval endpoints; ``a`` finite, ``b`` finite or ``inf``.
     spec : QuadratureSpec, optional
 
     Returns
@@ -125,29 +182,15 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None):
     spec = spec or DEFAULT_SPEC
     if not b > a:
         raise DomainError(f"need a < b, got ({a}, {b})")
-
+    if not math.isfinite(a):
+        raise DomainError(f"the lower limit must be finite, got {a}")
     if math.isinf(b):
-        if math.isinf(a):
-            raise DomainError("doubly infinite intervals are not supported")
-        if spec.semi_infinite_transform == EXP_DECAY_MAP:
-            # x = a - log(1-u), dx = du/(1-u)
-            def g(u):
-                return f(a - math.log1p(-u)) / (1.0 - u)
-        else:
-            # x = a + u/(1-u), dx = du/(1-u)^2
-            def g(u):
-                w = 1.0 - u
-                return f(a + u / w) / (w * w)
+        def g(u):
+            w = 1.0 - u
+            return f(a + u / w) / (w * w) if w > 0.0 else 0.0
 
         return _quad(g, 0.0, 1.0, spec)
-
     return _quad(f, a, b, spec)
-
-
-def integrate_radial_3d(f, spec: QuadratureSpec | None = None):
-    """3-D integral of the spherically symmetric f: 4 pi int_0^inf f(u) u^2 du."""
-    value, err = integrate_1d(lambda u: f(u) * u * u, 0.0, math.inf, spec)
-    return 4.0 * math.pi * value
 
 
 def gl_rule(knots):

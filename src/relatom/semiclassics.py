@@ -205,12 +205,7 @@ def phase_space_energy(
                 integrand,
                 R,
                 math.inf,
-                QuadratureSpec(
-                    rel_tol=1e-8,
-                    abs_tol=1e-12,
-                    max_subdivisions=200,
-                    semi_infinite_transform="algebraic_map",
-                ),
+                QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200),
             )
             err += terr
             value += tail
@@ -328,8 +323,8 @@ def _bump_unnormalized(r):
 @lru_cache(maxsize=1)
 def _bump_norm_constant():
     # c with int (c g)^2 d^3x = 1 over the unit ball, on 48 GL-12 panels:
-    # QUADPACK's value to the last bit (40 and 64 panels are 1 ulp off), and
-    # CoherentSpec.check_normalization keeps QUADPACK as the oracle
+    # scipy's quad value to the last bit (40 and 64 panels are 1 ulp off);
+    # CoherentSpec.check_normalization re-checks it by adaptive quadrature
     val = grid_quadrature(lambda r: _bump_unnormalized(r) ** 2 * r * r, np.linspace(0.0, 1.0, 49))
     return 1.0 / math.sqrt(4.0 * math.pi * val)
 

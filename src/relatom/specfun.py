@@ -26,7 +26,7 @@ from enum import Enum
 from functools import reduce
 
 from .errors import DomainError
-from .numerics import QuadratureSpec, integrate_1d, integrate_radial_3d
+from .numerics import QuadratureSpec, integrate_1d
 
 __all__ = [
     "K2Method",
@@ -155,11 +155,10 @@ def k2_upper_envelope(t):
     return 4.0 * math.sqrt(math.pi / (2.0 * t)) * math.exp(-t) * (1.0 + u + u * u)
 
 
-def k2_second_moment(spec: QuadratureSpec | None = None):
-    """int_0^inf t^2 K2(t) dt; equals 3 pi / 2."""
-    spec = spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12)
-    value, err = integrate_1d(lambda t: t * t * k2(t), 0.0, math.inf, spec)
-    return value, err
+def k2_second_moment():
+    """(value, error) of int_0^inf t^2 K2(t) dt; equals 3 pi / 2."""
+    return integrate_1d(lambda t: t * t * k2(t), 0.0, math.inf,
+                        QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12))
 
 
 def localisation_kernel(x_dist, alpha):
@@ -187,6 +186,6 @@ def heat_kernel(t, d, alpha):
 
 def heat_kernel_normalization(t, alpha):
     """int heat_kernel(t, |x|, alpha) d^3x, to be compared with e^{-t/alpha}."""
-    return integrate_radial_3d(
-        lambda u: heat_kernel(t, u, alpha), QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13)
-    )
+    value, _ = integrate_1d(lambda u: heat_kernel(t, u, alpha) * u * u, 0.0, math.inf,
+                            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-13))
+    return 4.0 * math.pi * value

@@ -61,8 +61,8 @@ def test_import_and_tf_solve_load_no_scipy(tmp_path):
     ("verify", "all"),
 ))
 def test_commands_load_no_scipy(tmp_path, argv):
-    # no command needs scipy: QUADPACK, hyp2f1 and digamma are ports or
-    # closed forms too
+    # no command needs scipy: verify's adaptive quadrature is the package's
+    # own Gauss-Kronrod rule, hyp2f1 and digamma are closed forms or ports
     assert scipy_modules_after(tmp_path, *argv) == "0 [] []"
 
 

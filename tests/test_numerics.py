@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from relatom.errors import DivergentIntegral, DomainError, StepFailure
+from relatom.errors import DivergentIntegral, DomainError, NonConvergence, StepFailure
 from relatom.numerics import (
     QuadratureSpec,
     RadialFunction,
     gl_rule,
     grid_quadrature,
     integrate_1d,
-    integrate_radial_3d,
     newton_potential,
     radial_fourier,
     shoot,
@@ -35,9 +34,21 @@ def test_exponential_integral():
 
 
 def test_endpoint_singular_power_law():
-    # QAGS extrapolation copes with an integrable endpoint singularity
+    # bisection alone resolves an integrable endpoint singularity
     plain, _ = integrate_1d(lambda x: x**-0.5, 0.0, 1.0)
     assert abs(plain - 2.0) < 1e-10
+
+
+def test_slow_algebraic_tail_raises_nonconvergence():
+    # (1 + x)^-1.5 leaves the mapped integrand singular at u = 1, where the
+    # floats run out before bisection resolves it
+    with pytest.raises(NonConvergence):
+        integrate_1d(lambda x: (1.0 + x) ** -1.5, 0.0, math.inf)
+
+
+def test_algebraic_tail_faster_than_x_squared():
+    value, _ = integrate_1d(lambda x: (1.0 + x) ** -3, 0.0, math.inf)
+    assert abs(value - 0.5) < 1e-12
 
 
 def test_k2_second_moment_from_quadrature():
@@ -50,26 +61,25 @@ def test_k2_second_moment_from_quadrature():
 
 
 def test_radial_gaussian():
-    assert abs(integrate_radial_3d(lambda u: math.exp(-u * u)) - math.pi**1.5) < 1e-10
+    value, _ = integrate_1d(lambda u: math.exp(-u * u) * u * u, 0.0, math.inf)
+    assert abs(4.0 * math.pi * value - math.pi**1.5) < 1e-10
 
 
 def test_radial_k2_kernel_total():
     # int K2(|x|/alpha) d^3x = 6 pi^2 alpha^3 at alpha = 1
     from relatom.specfun import k2
 
-    value = integrate_radial_3d(lambda u: k2(u),
-                                QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12))
-    assert abs(value - 6.0 * math.pi**2) < 1e-6 * 6.0 * math.pi**2
+    value, _ = integrate_1d(lambda u: k2(u) * u * u, 0.0, math.inf,
+                            QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12))
+    assert abs(4.0 * math.pi * value - 6.0 * math.pi**2) < 1e-6 * 6.0 * math.pi**2
 
 
 def test_radial_unit_ball():
-    value = integrate_radial_3d(lambda u: 1.0 if u < 1.0 else 0.0)
-    assert abs(value - 4.0 * math.pi / 3.0) < 1e-8
+    value, _ = integrate_1d(lambda u: u * u if u < 1.0 else 0.0, 0.0, math.inf)
+    assert abs(4.0 * math.pi * value - 4.0 * math.pi / 3.0) < 1e-8
 
 
 def test_nonconvergence_with_exhausted_budget():
-    from relatom.errors import NonConvergence
-
     # rapidly oscillating integrand with almost no subdivision budget
     with pytest.raises(NonConvergence) as info:
         integrate_1d(
@@ -86,6 +96,23 @@ def test_integrate_domain_error():
         integrate_1d(lambda x: x, 1.0, 1.0)
     with pytest.raises(DomainError):
         integrate_1d(lambda x: x, 2.0, 1.0)
+    with pytest.raises(DomainError, match="lower limit"):
+        integrate_1d(math.exp, -math.inf, 0.0)
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf))
+def test_non_finite_integrand_raises_nonconvergence(value):
+    with pytest.raises(NonConvergence):
+        integrate_1d(lambda x: value, 0.0, 1.0)
+
+
+def test_relative_tolerance_below_50_eps_needs_an_absolute_one():
+    eps = np.finfo(float).eps
+    with pytest.raises(DomainError, match="50 machine epsilons"):
+        integrate_1d(math.sqrt, 0.0, 1.0, QuadratureSpec(rel_tol=1e-15, abs_tol=0.0))
+    spec = QuadratureSpec(rel_tol=50.0 * eps, abs_tol=0.0)
+    value, _ = integrate_1d(lambda x: x * x, 0.0, 1.0, spec)
+    assert abs(value - 1.0 / 3.0) < 1e-15
 
 
 _TF_B = -1.588071
@@ -207,8 +234,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(semi_infinite_transform="nope")
 
 
 class TestRadialFunction:
@@ -236,7 +261,7 @@ class TestRadialFunction:
     def test_end_integrals_match_quadrature(self, p, k):
         grid = np.geomspace(0.1, 10.0, 50)
         rf = RadialFunction(grid, 2.0 * grid**-0.5 * np.exp(-0.01 * grid), tail_exponent=-4.0)
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, semi_infinite_transform="algebraic_map")
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
         head, _ = integrate_1d(lambda u: rf(u) ** p * u**k, 0.0, rf.r_min, spec)
         tail, _ = integrate_1d(lambda u: rf(u) ** p * u**k, rf.r_max, math.inf, spec)
         assert rf.head_integral(p, k) == pytest.approx(head, rel=1e-12)

@@ -6,7 +6,7 @@ from scipy.special import kv
 
 from relatom import numerics
 from relatom.errors import DomainError
-from relatom.numerics import QuadratureSpec, integrate_1d, integrate_radial_3d
+from relatom.numerics import QuadratureSpec, integrate_1d
 from relatom.specfun import (
     SERIES_CUTOFF,
     K2Method,
@@ -97,10 +97,6 @@ class TestSecondMoment:
         value, _ = k2_second_moment()
         assert abs(value - 1.5 * math.pi) < 1e-8
 
-    def test_coarse_spec(self):
-        value, _ = k2_second_moment(QuadratureSpec(rel_tol=1e-4, abs_tol=1e-6))
-        assert abs(value - 1.5 * math.pi) < 5e-4
-
     def test_envelope_moment_dominates(self):
         value, _ = integrate_1d(lambda t: t * t * k2_upper_envelope(t), 0.0, math.inf)
         assert value >= 1.5 * math.pi
@@ -142,10 +138,11 @@ class TestHeatKernel:
     def test_semigroup_at_origin(self):
         # (HK_t * HK_s)(0) = HK_{t+s}(0) via radial convolution quadrature
         t, s, alpha = 0.7, 0.5, 1.0
-        conv = integrate_radial_3d(
-            lambda u: heat_kernel(t, u, alpha) * heat_kernel(s, u, alpha),
-            QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13),
+        conv, _ = integrate_1d(
+            lambda u: heat_kernel(t, u, alpha) * heat_kernel(s, u, alpha) * u * u,
+            0.0, math.inf, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13),
         )
+        conv *= 4.0 * math.pi
         target = heat_kernel(t + s, 0.0, alpha)
         assert abs(conv - target) < 1e-6 * target
 
@@ -159,19 +156,20 @@ class TestHeatKernel:
         # (f, e^{-t sqrt(p^2+1/a^2)} f) two ways for a unit Gaussian f:
         # position route uses the kernel and the analytic Gaussian
         # autocorrelation int f(x) f(x+z) d^3x = exp(-z^2/4w^2); momentum
-        # route integrates |fhat|^2 against the symbol directly
+        # route integrates |fhat|^2 against the symbol directly; both radial
+        # integrals drop the common 4 pi
         t, alpha, w = 0.8, 1.0, 1.2
         auto = lambda z: math.exp(-z * z / (4.0 * w * w))
-        position = integrate_radial_3d(
-            lambda u: heat_kernel(t, u, alpha) * auto(u),
-            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14),
+        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+        position, _ = integrate_1d(
+            lambda u: heat_kernel(t, u, alpha) * auto(u) * u * u, 0.0, math.inf, spec
         )
         # fhat(p) = (w^2/pi)^{3/4} exp(-w^2 p^2 / 2)
-        momentum = integrate_radial_3d(
+        momentum, _ = integrate_1d(
             lambda p: (w * w / math.pi) ** 1.5
             * math.exp(-w * w * p * p)
-            * math.exp(-t * math.sqrt(p * p + alpha**-2)),
-            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14),
+            * math.exp(-t * math.sqrt(p * p + alpha**-2)) * p * p,
+            0.0, math.inf, spec,
         )
         assert abs(position - momentum) < 1e-9 * momentum
 
@@ -181,17 +179,20 @@ class TestLocalisationEnergyForm:
         # (f, (sqrt(p^2 + 1/a^2) - 1/a) f)
         #   = iint |f(x)-f(y)|^2 kappa(|x-y|), kappa the localisation kernel,
         # checked for a unit Gaussian: the double integral collapses to
-        # 2 int kappa(z) (1 - exp(-z^2/4w^2)) d^3z via the autocorrelation
+        # 2 int kappa(z) (1 - exp(-z^2/4w^2)) d^3z via the autocorrelation;
+        # both radial integrals drop the common 4 pi
         alpha, w = 0.7, 1.1
-        rhs = 2.0 * integrate_radial_3d(
+        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+        rhs, _ = integrate_1d(
             lambda u: localisation_kernel(u, alpha)
-            * (1.0 - math.exp(-u * u / (4.0 * w * w))),
-            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14),
+            * (1.0 - math.exp(-u * u / (4.0 * w * w))) * u * u,
+            0.0, math.inf, spec,
         )
-        lhs = integrate_radial_3d(
+        rhs *= 2.0
+        lhs, _ = integrate_1d(
             lambda p: (w * w / math.pi) ** 1.5
             * math.exp(-w * w * p * p)
-            * (math.sqrt(p * p + alpha**-2) - 1.0 / alpha),
-            QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14),
+            * (math.sqrt(p * p + alpha**-2) - 1.0 / alpha) * p * p,
+            0.0, math.inf, spec,
         )
         assert abs(rhs - lhs) < 1e-8 * lhs

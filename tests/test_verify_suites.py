@@ -3,7 +3,7 @@
 
 import pytest
 
-from relatom import checks
+from relatom import checks, numerics
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
@@ -26,3 +26,25 @@ def test_all_alias_covers_every_module_suite(monkeypatch):
     monkeypatch.setattr(checks, "SUITES", {k: stub(k) for k in checks.SUITES})
     checks.run_suite("all")
     assert set(ran) == set(checks.SUITES)
+
+
+def test_quadrature_budget(monkeypatch):
+    # the adaptive integrals of `verify all` and their integrand
+    # evaluations, at the measured count: a rule or a route that spends
+    # more fails here
+    calls, evals = [0], [0]
+    real = numerics._quad
+
+    def counting(f, a, b, spec):
+        calls[0] += 1
+
+        def g(x):
+            evals[0] += 1
+            return f(x)
+
+        return real(g, a, b, spec)
+
+    monkeypatch.setattr(numerics, "_quad", counting)
+    checks.run_suite("all")
+    assert calls[0] == 170
+    assert evals[0] <= 54_600
