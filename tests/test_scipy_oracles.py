@@ -289,9 +289,17 @@ def test_quad_is_right_or_raises_on_the_battery(case, limit):
         assert abs(value - exact) <= 10.0 * max(epsabs, epsrel * abs(exact)), (epsabs, epsrel)
 
 
+def test_quad_is_right_or_raises_where_quadpack_flags_roundoff():
+    # QUADPACK's error flag 2: sqrt on [0, 1] asked for 1e-14 in 50 pieces
+    try:
+        value, _ = numerics._quad(math.sqrt, 0.0, 1.0, _spec(1e-300, 1e-14, 50))
+    except NonConvergence:
+        return
+    assert abs(value - 2.0 / 3.0) <= 10.0 * 1e-14 * (2.0 / 3.0)
+
+
 # the divergent and nearly divergent integrands on which QUADPACK ends
-# with its error flags 1, 3, 4 and 5 (flag 2, roundoff on sqrt, is battery
-# case 4 at limit 50)
+# with its error flags 1, 3, 4 and 5 (flag 2 has its own test above)
 @pytest.mark.parametrize("f, epsabs, epsrel, limit", (
     (lambda x: 1.0 / x, 1.49e-8, 1.49e-8, 50),
     (lambda x: 1.0 / x, 1.49e-8, 1.49e-8, 2000),
