@@ -104,9 +104,10 @@ _EPS, _UFLOW = sys.float_info.epsilon, sys.float_info.min
 
 
 def _gk21(f, a, b):
-    """(value, error) of the 21-point Kronrod rule on (a, b).  The error is
-    QUADPACK's heuristic: the spread of f about its mean, times
-    min(1, (200 |K21 - G10| / spread)^1.5), floored at 50 eps int |f|."""
+    """(value, error, floor) of the 21-point Kronrod rule on (a, b).  The
+    error is QUADPACK's heuristic: the spread of f about its mean, times
+    min(1, (200 |K21 - G10| / spread)^1.5), floored at the rounding floor
+    50 eps int |f| (0 where that underflows)."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     fc = float(f(c))
     pairs = [(float(f(c - h * x)), float(f(c + h * x))) for x in _XK]
@@ -120,9 +121,8 @@ def _gk21(f, a, b):
     err = abs((kronrod - gauss) * h)
     if spread != 0.0 and err != 0.0:
         err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
-    if absolute > _UFLOW / (50.0 * _EPS):
-        err = max(50.0 * _EPS * absolute, err)
-    return kronrod * h, err
+    floor = 50.0 * _EPS * absolute if absolute > _UFLOW / (50.0 * _EPS) else 0.0
+    return kronrod * h, max(floor, err), floor
 
 
 def _quad(f, a, b, spec):
@@ -130,24 +130,27 @@ def _quad(f, a, b, spec):
     bisect the interval with the largest error estimate until the summed
     estimate meets max(abs_tol, rel_tol |value|), the budget of
     ``max_subdivisions`` intervals is spent, or the worst interval is down
-    to rounding.  A sum still above ten times the tolerance, or one that is
-    not finite, raises :class:`NonConvergence`."""
+    to rounding: either its error estimate is its own rounding floor, which
+    bisection cannot lower, or its ends are as close as floats allow.  A
+    sum still above ten times the tolerance, or one that is not finite,
+    raises :class:`NonConvergence`."""
     if spec.abs_tol <= 0.0 and spec.rel_tol < 50.0 * _EPS:
         raise DomainError(f"with abs_tol = 0, rel_tol must be at least 50 machine epsilons "
                           f"({50.0 * _EPS:.3g}), got {spec.rel_tol!r}")
-    value, err = _gk21(f, a, b)
-    heap = [(-err, a, b, value)]
+    value, err, floor = _gk21(f, a, b)
+    heap = [(-err, a, b, value, floor)]
     total, errsum = value, err
     limit = spec.max_subdivisions
     while errsum > max(spec.abs_tol, spec.rel_tol * abs(total)) and len(heap) < limit:
-        worst, lo, hi, part = heap[0]
+        worst, lo, hi, part, floor = heap[0]
         mid = 0.5 * (lo + hi)
-        if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW):
+        if -worst <= floor or (max(abs(lo), abs(hi))
+                               <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW)):
             break
-        v1, e1 = _gk21(f, lo, mid)
-        v2, e2 = _gk21(f, mid, hi)
-        heapq.heapreplace(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
+        v1, e1, f1 = _gk21(f, lo, mid)
+        v2, e2, f2 = _gk21(f, mid, hi)
+        heapq.heapreplace(heap, (-e1, lo, mid, v1, f1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, f2))
         total += v1 + v2 - part
         errsum += e1 + e2 + worst
     tol = max(spec.abs_tol, spec.rel_tol * abs(total))

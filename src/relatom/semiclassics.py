@@ -228,32 +228,21 @@ def domain_change_error(sol: TFSolution, alpha: float, t_exponent: float) -> flo
     does not cancel as Y -> 0.  That is A I_{7/2}(W) + B I_{9/2}(W) with the
     Z-independent moments I_p(W) = int_W^inf w^2 V1^p dw and the monomials
     A = (4 pi)^2 2^{3/2} delta^{11/3} alpha^{-2/3} / 4 and
-    B = (4 pi)^2 2^{3/2} delta^5 / 32, combined in logs.  I_p takes the
-    power law through V1's first two samples below its grid and the w^-4
-    tail of a neutral V1 beyond it, both in closed form.
+    B = (4 pi)^2 2^{3/2} delta^5 / 32, combined in logs.  In w = b1 t, b1
+    the Z = 1 length scale, V1 = phi(t)/w and
+    I_p(W) = b1^{3-p} int_{W/b1}^inf phi^p t^{2-p} dt: one moment of the
+    universal profile, whose series head takes over once W falls below
+    the grid and whose Sommerfeld tail closes it beyond.  A cutoff W beyond
+    the grid raises DomainError.
     """
     delta = sol.params.Z * alpha
     prof = sol.profile
     b1 = sol.params.gamma_kin * (4.0 * math.pi) ** (-2.0 / 3.0)  # Z = 1 length scale
-
-    def V1(w):
-        return np.maximum(prof.phi(np.asarray(w, dtype=float) / b1), 0.0) / w
-
-    grid = b1 * prof.xi
     W = 0.25 * delta ** (1.0 / 3.0) * alpha ** (t_exponent - 1.0 / 3.0)
-    if W >= grid[-1]:
+    if W >= b1 * prof.xi[-1]:
         raise DomainError("cutoff W beyond the tabulated potential")
-    V = RadialFunction(grid, V1(grid), -4.0 if prof.x_edge is None else None)
-    w, weights = gl_rule(np.concatenate([[W], grid[grid > W]]) if W > grid[0] else grid)
-    v = V1(w)
-    log_moments = []
-    for p in (3.5, 4.5):
-        moment = np.sum(weights * (w * w * v**p)) + V.tail_integral(p, 2)
-        if W < grid[0]:
-            # int_W^w0 w^2 (v0 (w/w0)^h)^p dw = v0^p w0^3 (1 - (W/w0)^n)/n, n = p h + 3
-            n = p * V.head_exponent + 3.0
-            moment += V.values[0] ** p * grid[0] ** 3 * -math.expm1(n * math.log(W / grid[0])) / n
-        log_moments.append(math.log(moment))
+    log_moments = [(3.0 - p) * math.log(b1) + math.log(prof.moment(p, 2.0 - p, W / b1))
+                   for p in (3.5, 4.5)]
     log_c = 2.0 * math.log(4.0 * math.pi) + 1.5 * math.log(2.0)
     log_delta, log_alpha = math.log(delta), math.log(alpha)
     log_A = log_c - math.log(4.0) + (11.0 / 3.0) * log_delta - (2.0 / 3.0) * log_alpha
@@ -269,6 +258,11 @@ def tf_identity_chain(sol: TFSolution) -> dict:
     ``phase_space`` = (1/(2 pi)^3) iint [p^2/2 - V_TF]_- (signed),
     ``repulsion``  = (1/2) D(rho, rho),  ``mu_times_N`` = mu N,
     ``lhs`` = phase_space - repulsion - mu_times_N, ``rhs`` = tf_energy.
+
+    On the grid, [V_TF]_+ comes from rho by :func:`coulomb_potential`, the
+    route independent of the profile's own potential.  Below and beyond the
+    grid V_TF = (Z/u) phi(u/b), so those ends are Z^{5/2} b^{1/2} times the
+    profile's head and tail moments of phi^{5/2} t^{-1/2}.
     """
     Z = sol.params.Z
     rho = sol.rho
@@ -278,22 +272,12 @@ def tf_identity_chain(sol: TFSolution) -> dict:
     def w_plus(u):
         return np.maximum(Z / u - pot(u) - sol.mu, 0.0)
 
-    ps = -PHASE_SPACE_COEFF * 4.0 * math.pi * grid_quadrature(
-        lambda u: w_plus(u) ** 2.5 * u * u, grid
+    prof = sol.profile
+    ends = prof.head_moment(2.5, -0.5) + prof.tail_moment(2.5, -0.5)
+    ps = -PHASE_SPACE_COEFF * 4.0 * math.pi * (
+        grid_quadrature(lambda u: w_plus(u) ** 2.5 * u * u, grid)
+        + Z**2.5 * math.sqrt(sol.b) * ends
     )
-    # head: V ~ Z/u below the first grid point
-    ps += -PHASE_SPACE_COEFF * 4.0 * math.pi * 2.0 * Z**2.5 * math.sqrt(grid[0])
-    if math.isinf(sol.edge_radius):
-        # tail: [V]_+ ~ c u^-4, integrand c^{5/2} u^{-8}
-        c4 = w_plus(grid[-1]) * grid[-1] ** 4
-        ps += (
-            -PHASE_SPACE_COEFF
-            * 4.0
-            * math.pi
-            * c4**2.5
-            * grid[-1] ** (-7.0)
-            / 7.0
-        )
     repulsion = sol.energy_terms["repulsion"]
     mu_n = sol.mu * sol.params.N
     lhs = ps - repulsion - mu_n

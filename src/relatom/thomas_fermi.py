@@ -54,7 +54,13 @@ than 1e-6 relative.
 
 The ODE is started at xi = 1e-8 from the series
 phi = 1 + B xi + (4/3) xi^{3/2} + (2B/5) xi^{5/2} + xi^3/3 to sidestep
-the sqrt singularity.
+the sqrt singularity.  The profile has one continuation past its grid:
+that series below it, and the two-term Sommerfeld manifold (zero for
+ions) beyond it.  Every integral of phi^p t^e the package takes over the
+profile (mass, energy terms, Newton potential, the identity chain's
+phase-space sum, the budget's domain change) is one of its moments: a
+closed-form head (the series to first order), the composite GL-12 rule on
+the grid, and a closed-form tail (the manifold to second order in a eta).
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ __all__ = [
     "tf_functional",
     "tf_energy_slope_identity",
     "tf_equation_residual",
-    "tf_equation_residual_density",
     "tf_potential",
     "mu_times_mass_identity",
     "coulomb_potential",
@@ -142,7 +147,7 @@ class TFParams:
 
 def _series_init(B, x0):
     phi = 1.0 + B * x0 + (4.0 / 3.0) * x0**1.5 + 0.4 * B * x0**2.5 + x0**3 / 3.0
-    dphi = B + 2.0 * math.sqrt(x0) + B * x0**1.5 + x0**2
+    dphi = B + 2.0 * np.sqrt(x0) + B * x0**1.5 + x0**2
     return (phi, dphi)
 
 
@@ -322,35 +327,50 @@ class _UniversalProfile:
         return RadialFunction(self.xi, self.phi_values, -3.0 if self.x_edge is None else None)
 
     def phi(self, xi):
-        """phi_function's PCHIP inside the grid; below it the series head,
-        beyond it the two-term Sommerfeld manifold (neutral) or zero."""
+        """phi_function's PCHIP inside the grid; below it the series of
+        _series_init, beyond it the two-term Sommerfeld manifold (neutral)
+        or zero."""
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
         inside = (xi >= self.xi[0]) & (xi <= self.xi[-1])
         out[inside] = np.maximum(self.phi_function(xi[inside]), 0.0)
         below = xi < self.xi[0]
         if np.any(below):
-            x = xi[below]
-            out[below] = 1.0 + self.slope0 * x + (4.0 / 3.0) * x**1.5
+            out[below] = _series_init(self.slope0, xi[below])[0]
         beyond = xi > self.xi[-1]
         if np.any(beyond) and self.x_edge is None:
             out[beyond] = _tail_phi(self.tail_amplitude, xi[beyond])[0]
         return out
 
-    def _phi32_sqrt(self, t):
-        return self.phi(t) ** 1.5 * np.sqrt(t)
+    def head_moment(self, p, e, lo=0.0):
+        """int_lo^xi0 phi^p t^e dt below the grid, with phi = 1 + slope0 t,
+        the series to first order (its next term, (4/3) t^{3/2}, is 1e-12
+        of phi at xi0 = 1e-8)."""
+        x0, B = self.xi[0], self.slope0
+        return ((x0 ** (e + 1.0) - lo ** (e + 1.0)) / (e + 1.0)
+                + p * B * (x0 ** (e + 2.0) - lo ** (e + 2.0)) / (e + 2.0))
 
-    def _phi32_invsqrt(self, t):
-        return self.phi(t) ** 1.5 / np.sqrt(t)
-
-    def _sommerfeld_tail(self, p, k):
-        """int_X^inf phi^p t^{3p-k-1} dt beyond the last grid point X, to first
-        order in the tail amplitude; 0 for ions (phi vanishes past the edge)."""
+    def tail_moment(self, p, e):
+        """int_X^inf phi^p t^e dt beyond the last grid point X on the
+        two-term manifold, to second order in a eta; every term is a power
+        of t.  0 for ions (phi vanishes past the edge)."""
         if self.x_edge is not None:
             return 0.0
-        a = self.tail_amplitude
-        X = self.xi[-1]
-        return 144.0**p * (X**-k / k + p * a * X ** (-k - _S1) / (k + _S1))
+        a, X = self.tail_amplitude, self.xi[-1]
+        k = 3.0 * p - 1.0 - e
+        return 144.0**p * (X**-k / k + p * a * X ** (-k - _S1) / (k + _S1)
+                           + (p * _C2 + 0.5 * p * (p - 1.0)) * a * a
+                           * X ** (-k - 2.0 * _S1) / (k + 2.0 * _S1))
+
+    def moment(self, p, e, lo=0.0):
+        """int_lo^inf phi^p t^e dt: the head below the grid, the grid from
+        lo by the composite GL-12 rule, and the tail."""
+        if lo < self.xi[0]:
+            head, knots = self.head_moment(p, e, lo), self.xi
+        else:
+            head, knots = 0.0, np.concatenate([[lo], self.xi[self.xi > lo]])
+        grid = grid_quadrature(lambda t: self.phi(t) ** p * t**e, knots)
+        return head + grid + self.tail_moment(p, e)
 
     @cached_property
     def potential(self):
@@ -360,34 +380,29 @@ class _UniversalProfile:
         return newton_potential(
             lambda t: self.phi(t) ** 1.5 * t**-1.5,
             self.xi,
-            m_head=(2.0 / 3.0) * self.xi[0] ** 1.5,  # phi ~ 1 below the series start
-            t_tail=self._sommerfeld_tail(1.5, 4.0),
+            m_head=self.head_moment(1.5, 0.5),
+            t_tail=self.tail_moment(1.5, -0.5),
         )
 
     @cached_property
     def mass(self):
         """int_0^inf phi^{3/2} sqrt(t) dt; equals min(lambda, 1) exactly."""
-        head = (2.0 / 3.0) * self.xi[0] ** 1.5
-        val = head + grid_quadrature(self._phi32_sqrt, self.xi)
-        return val + self._sommerfeld_tail(1.5, 3.0)
+        return self.moment(1.5, 0.5)
 
     @cached_property
     def I32(self):
-        head = 2.0 * math.sqrt(self.xi[0])
-        val = head + grid_quadrature(self._phi32_invsqrt, self.xi)
-        return val + self._sommerfeld_tail(1.5, 4.0)
+        return self.moment(1.5, -0.5)
 
     @cached_property
     def I52(self):
-        head = 2.0 * math.sqrt(self.xi[0])
-        val = head + grid_quadrature(lambda t: self.phi(t) ** 2.5 / np.sqrt(t), self.xi)
-        return val + self._sommerfeld_tail(2.5, 7.0)
+        return self.moment(2.5, -0.5)
 
     @cached_property
     def repulsion(self):
         """int phi^{3/2} sqrt(t) P(t) dt over the grid, P the Newton
         ``potential``: (Z^2/b)/2 times it is the repulsion inside the grid."""
-        return grid_quadrature(lambda t: self._phi32_sqrt(t) * self.potential(t), self.xi)
+        return grid_quadrature(lambda t: self.phi(t) ** 1.5 * np.sqrt(t) * self.potential(t),
+                               self.xi)
 
 
 def _log_grid(lo, hi, per_decade=_PTS_PER_DECADE):
@@ -543,8 +558,8 @@ def _energy_terms(params, prof):
     attraction = -X * prof.I32
     # repulsion = (1/2) int rho (rho * 1/|.|): in xi variables
     rep = 0.5 * X * prof.repulsion
-    # tail: phi^{3/2} sqrt(t) * (mass/t) with phi from the Sommerfeld form
-    rep += 0.5 * X * prof.mass * prof._sommerfeld_tail(1.5, 4.0)
+    # tail: phi^{3/2} sqrt(t) * (mass/t) on the Sommerfeld manifold
+    rep += 0.5 * X * prof.mass * prof.tail_moment(1.5, -0.5)
     return {
         "kinetic": float(kinetic),
         "attraction": float(attraction),
@@ -641,19 +656,6 @@ def tf_equation_residual(sol: TFSolution) -> float:
     pot = (Z / b) * prof.potential(xi)
     lhs = sol.params.gamma_kin * sol.rho.values ** (2.0 / 3.0)
     rhs = np.maximum(Z / (b * xi) - pot - sol.mu, 0.0)
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
-
-
-def tf_equation_residual_density(params: TFParams, rho: RadialFunction, mu: float) -> float:
-    """Residual of the TF equation for an arbitrary density profile (used to
-    reject non-solutions); the convolution comes straight from the
-    RadialFunction via :func:`coulomb_potential`."""
-    r = rho.grid
-    lhs = params.gamma_kin * np.maximum(rho.values, 0.0) ** (2.0 / 3.0)
-    if np.all(rho.values == 0.0):
-        rhs = np.maximum(params.Z / r - mu, 0.0)
-    else:
-        rhs = np.maximum(params.Z / r - coulomb_potential(rho)(r) - mu, 0.0)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
 
 

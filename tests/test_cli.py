@@ -401,18 +401,19 @@ class TestAsymptotics:
         assert "t < r < 1" in err
 
     # the default sweep and its lambda = 0.7 sibling, with every ramp sup
-    # taken at the slope's clipped argmax and every quadrature summed by
-    # numpy's pairwise sum, not a BLAS dot
+    # taken at the slope's clipped argmax, every quadrature summed by
+    # numpy's pairwise sum, not a BLAS dot, and every end of the TF profile
+    # integrated on its one continuation
     RECORDED = {
         (): """\
-10.0,0.06366197723675814,-178630.0890889783,-82.8105581700034,0.00046358683798648407,11366.672781513433,-11371.944665382614,-5.271883869181992,ok
-100.0,0.006366197723675814,-21912342.074829087,-17840.993922235855,0.0008141984029507267,139384.72294228684,-139498.3022371827,-113.57929489585194,ok
-1000.0,0.0006366197723675814,-2777815917.2761416,-3843725.621071292,0.001383722224775915,1765965.5452054518,-1768412.5369353816,-2446.9917299298463,ok
-10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000339,0.002274569916448168,23124778.722755972,-23177497.561447788,-52718.83869181991,ok
+10.0,0.06366197723675814,-178630.0890889783,-82.81055817000342,0.0004635868379864842,11366.672781513433,-11371.944665382614,-5.271883869181993,ok
+100.0,0.006366197723675814,-21912342.074829087,-17840.99392223586,0.0008141984029507268,139384.72294228684,-139498.3022371827,-113.57929489585196,ok
+1000.0,0.0006366197723675814,-2777815917.2761416,-3843725.6210712926,0.0013837222247759153,1765965.5452054518,-1768412.5369353816,-2446.9917299298468,ok
+10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000341,0.0022745699164481684,23124778.722755972,-23177497.561447788,-52718.838691819925,ok
 """,
         ("--lambda", "0.7"): """\
-10.0,0.06366197723675814,-148261.09707626922,-82.02409735640111,0.0005532408634087327,9433.372770947472,-9438.594587166239,-5.221816218768841,ok
-100.0,0.006366197723675814,-18742206.286650676,-17671.556076318317,0.0009428749105650949,119204.0903786712,-119316.59099873807,-112.50062006686717,ok
+10.0,0.06366197723675814,-148261.09707626922,-82.02409735640116,0.000553240863408733,9433.372770947472,-9438.594587166239,-5.2218162187688435,ok
+100.0,0.006366197723675814,-18742206.286650676,-17671.55607631832,0.0009428749105650951,119204.0903786712,-119316.59099873807,-112.5006200668672,ok
 1000.0,0.0006366197723675814,-2443947128.054549,-3807221.3437663894,0.0015578165746969513,1553441.3119552701,-1555865.0643404915,-2423.7523852215563,ok
 10000.0,6.366197723675813e-05,-328558090903.64453,-820240973.5640113,0.0024964869113649722,20864439.54187284,-20916657.70406053,-52218.162187688424,ok
 """,

@@ -115,6 +115,20 @@ def test_relative_tolerance_below_50_eps_needs_an_absolute_one():
     assert abs(value - 1.0 / 3.0) < 1e-15
 
 
+def test_quadrature_stops_at_its_rounding_floor():
+    # 1e-15 is below the rule's floor 50 eps int |f|, and bisection cannot
+    # lower a floor: the first interval's estimate is final
+    evals = [0]
+
+    def f(x):
+        evals[0] += 1
+        return x * x
+
+    with pytest.raises(NonConvergence):
+        integrate_1d(f, 0.0, 1.0, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300))
+    assert evals[0] <= 100
+
+
 _TF_B = -1.588071
 _TF_X0 = 1e-6
 _TF_Y0 = (1.0 + _TF_B * _TF_X0 + (4.0 / 3.0) * _TF_X0**1.5, _TF_B + 2.0 * math.sqrt(_TF_X0))

@@ -12,7 +12,7 @@ from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
 from relatom.errors import DomainError, PreconditionFailure
 from relatom.kinetic import Dispersion, t_rel
-from relatom.numerics import RadialFunction
+from relatom.numerics import RadialFunction, grid_quadrature
 
 from conftest import gaussian
 
@@ -201,6 +201,33 @@ class TestDomainChange:
         for e, v, v_next in zip(range(20, 300), vals, vals[1:]):
             slope = math.log10(v / v_next)
             assert abs(slope + 0.75) < 0.01, (e, slope)
+
+    @pytest.mark.parametrize("alpha", (1e-100, 1e-300))
+    def test_head_below_the_grid_is_the_series(self, neutral_solution, alpha):
+        # W/b1 lies some 40 decades below the grid: I_p's head is the ODE
+        # series, here integrated by quadrature in log t, next to the grid's
+        # GL-12 sum and the quadrature of the Sommerfeld manifold beyond it
+        delta, t = 2.0 / math.pi, 0.5
+        sol = dataclasses.replace(neutral_solution, params=tf.TFParams(lam=1.0, Z=delta / alpha))
+        prof = sol.profile
+        b1 = sol.params.gamma_kin * (4.0 * math.pi) ** (-2.0 / 3.0)
+        lo = 0.25 * delta ** (1.0 / 3.0) * alpha ** (t - 1.0 / 3.0) / b1
+        log_moments = []
+        for p in (3.5, 4.5):
+            head, _ = quad(lambda s: tf._series_init(prof.slope0, math.exp(s))[0] ** p
+                           * math.exp((3.0 - p) * s),
+                           math.log(lo), math.log(prof.xi[0]), epsabs=0.0, epsrel=1e-13,
+                           limit=200)
+            rest = grid_quadrature(lambda u: prof.phi(u) ** p * u ** (2.0 - p), prof.xi)
+            rest += quad(lambda u: tf._tail_phi(prof.tail_amplitude, u)[0] ** p * u ** (2.0 - p),
+                         prof.xi[-1], math.inf, epsabs=0.0, epsrel=1e-12)[0]
+            log_moments.append((3.0 - p) * math.log(b1) + math.log(head + rest))
+        log_c = 2.0 * math.log(4.0 * math.pi) + 1.5 * math.log(2.0)
+        log_A = (log_c - math.log(4.0) + (11.0 / 3.0) * math.log(delta)
+                 - (2.0 / 3.0) * math.log(alpha))
+        log_B = log_c - math.log(32.0) + 5.0 * math.log(delta)
+        expected = math.exp(log_A + log_moments[0]) + math.exp(log_B + log_moments[1])
+        assert abs(sc.domain_change_error(sol, alpha, t) / expected - 1.0) <= 1e-10
 
     def test_majorizes_exact_crescent_integral(self):
         # same integral with the exact (1+Y)^{3/2}-1 instead of its Taylor

@@ -32,6 +32,11 @@ class TestSolve:
         assert neutral_solution.mu == 0.0
         assert math.isinf(neutral_solution.edge_radius)
 
+    def test_neutral_mass_error(self, neutral_solution):
+        # -1.27e-9 with the series head and the second-order Sommerfeld tail;
+        # a phi = 1 head and a first-order tail gave -3.33e-9
+        assert abs(neutral_solution.profile.mass - 1.0) <= 2e-9
+
     def test_over_charged_matches_neutral(self, neutral_solution):
         sol = tf.solve(tf.TFParams(lam=1.5, Z=1.0))
         assert sol.mu == 0.0
@@ -250,18 +255,6 @@ class TestEnergy:
         rho = dataclasses.replace(neutral_solution.rho, tail_exponent=-2.0)
         with pytest.raises(DivergentIntegral):
             tf.tf_functional(neutral_solution.params, rho)
-
-
-class TestResidual:
-    def test_scaled_density_detected(self, neutral_solution):
-        sol = neutral_solution
-        rho_bad = dataclasses.replace(sol.rho, values=1.1 * sol.rho.values)
-        assert tf.tf_equation_residual_density(sol.params, rho_bad, sol.mu) > 1e-2
-
-    def test_zero_density_detected(self, neutral_solution):
-        sol = neutral_solution
-        rho0 = RadialFunction(sol.rho.grid, np.zeros_like(sol.rho.values))
-        assert tf.tf_equation_residual_density(sol.params, rho0, 0.0) > 0.0
 
 
 class TestPotential:
