@@ -39,7 +39,7 @@ from .numerics import (
     radial_fourier,
 )
 from .semiclassics import CoherentSpec, coherent_kinetic_error_bound, domain_change_error
-from .specfun import k2
+from .specfun import localisation_kernel
 from .thomas_fermi import TFParams, TFSolution
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "mean_field_constant",
     "mean_field_constant_routes",
     "mean_field_error",
-    "lieb_yau_ball_bound",
     "inner_zone_bound",
     "daubechies_eigenvalue_sum_bound",
     "intermediary_zone_closed_form",
@@ -311,15 +310,6 @@ def mean_field_error(lam, delta, s_exponent, c_phi) -> PowerSum:
 # inner zone (Lieb-Yau ball bound)
 
 
-def lieb_yau_ball_bound(C0, R, q_spin, chi_mass_fraction) -> float:
-    """-4.4827 C0^4 R^-1 q {(3/4 pi R^3) int |chi|^2}."""
-    if C0 <= 0 or R <= 0 or q_spin < 1:
-        raise DomainError("C0, R must be positive and q_spin >= 1")
-    if not 0.0 <= chi_mass_fraction <= 1.0:
-        raise DomainError("chi_mass_fraction must lie in [0, 1]")
-    return -LIEB_YAU_CONSTANT * C0**4 / R * q_spin * chi_mass_fraction
-
-
 @dataclass(frozen=True)
 class InnerZoneBound:
     bound: PowerSum
@@ -327,8 +317,9 @@ class InnerZoneBound:
 
 
 def inner_zone_bound(pp: PartitionParams, q_spin: int):
-    """Lower bound near the nucleus with R = (1+beta) alpha^r and
-    C0 = 2(1+beta) alpha^{r-1}: -4.4827 * 16 (1+beta)^3 q alpha^{3r-4}.
+    """Lower bound near the nucleus: the Lieb-Yau ball bound
+    -4.4827 C0^4 R^-1 q over the whole ball, with R = (1+beta) alpha^r and
+    C0 = 2(1+beta) alpha^{r-1}, is -4.4827 * 16 (1+beta)^3 q alpha^{3r-4}.
 
     The bound drops a C alpha^{1-2r} localisation term against alpha^{-1},
     valid only for alpha below the reported threshold C^{-1/(2-2r)};
@@ -460,27 +451,21 @@ def lemma_decay_envelope(pp: PartitionParams, gamma_sep: float, log: bool = Fals
 def kernel_offdiag_numeric(pp: PartitionParams, a_out: float, b_in: float):
     """Brute-force Cauchy-Schwarz route for the decay lemma:
 
-    ||chi_-||_2 (alpha gamma)^-2 / (4 pi^2)
-        ( int_{|x| > a_out alpha^r} (K2(gamma |x|/alpha)/|x|^2)^2 d^3x )^{1/2},
+    ||chi_-||_2 ( int_{|x| > a_out alpha^r} kappa(gamma |x|)^2 d^3x )^{1/2},
 
-    gamma = 1 - b_in/a_out; the exact K2 (``specfun.k2``) under an adaptive
-    outer quadrature.
+    kappa = ``specfun.localisation_kernel`` at alpha (the exact K2 inside)
+    and gamma = 1 - b_in/a_out, under an adaptive outer quadrature.
     """
     gamma = 1.0 - b_in / a_out
     if gamma <= 0.0:
         raise DomainError("need b_in < a_out (gamma = 1 - b_in/a_out > 0)")
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=400)
     a = pp.alpha
-    # z = gamma u / alpha scales the kernel to O(1) decay length:
-    # int_{lo}^inf K2(gamma u/a)^2 u^-2 du = (gamma/a) int_{z0}^inf K2(z)^2 z^-2 dz
+    # z = gamma |x| / alpha scales the kernel to O(1) decay length:
+    # int kappa(gamma |x|)^2 d^3x = 4 pi (alpha/gamma)^3 int_{z0}^inf (z kappa(alpha z))^2 dz
     z0 = gamma * a_out * pp.inner_scale / a
-    val, _ = integrate_1d(lambda z: (k2(z) / z) ** 2, z0, math.inf, spec)
-    integral = 4.0 * math.pi * (gamma / a) * val
-    return (
-        _chi_minus_norm(pp)
-        / (4.0 * math.pi**2 * (a * gamma) ** 2)
-        * math.sqrt(integral)
-    )
+    val, _ = integrate_1d(lambda z: (z * localisation_kernel(a * z, a)) ** 2, z0, math.inf, spec)
+    return _chi_minus_norm(pp) * math.sqrt(4.0 * math.pi * (a / gamma) ** 3 * val)
 
 
 def quartic_correction_bound(delta, t_exponent) -> PowerSum:

@@ -281,9 +281,9 @@ def check_coherent():
 
     alpha, s = 0.1, 0.5
     a_s = alpha**s
-    good = sc.newton_smearing_check(alpha, s, sc.CoherentSpec.reference(s), 2.0 * a_s)
+    good = sc.newton_smearing_check(alpha, sc.CoherentSpec.reference(s), 2.0 * a_s)
     out.append(_bound("Newton smearing outside the support", good, 1e-10 / (2.0 * a_s)))
-    inside = sc.newton_smearing_check(alpha, s, sc.CoherentSpec.reference(s), 0.5 * a_s)
+    inside = sc.newton_smearing_check(alpha, sc.CoherentSpec.reference(s), 0.5 * a_s)
     out.append(_bound("smearing differs inside the support", inside, 1e-3, sense=">="))
 
     worst = -math.inf

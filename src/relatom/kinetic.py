@@ -3,7 +3,9 @@
 Units follow the scaled Hamiltonian H = alpha * H_rel throughout: the
 non-relativistic comparison operator is alpha p^2 / 2, the quartic lower
 bound is alpha p^2/2 - alpha^3 p^4/8, and the Daubechies F-function is
-built from T^-1(t) = sqrt(t^2 + 2t/alpha).
+built from T^-1(t) = sqrt(t^2 + 2t/alpha).  The two inequalities
+alpha p^2/2 - alpha^3 p^4/8 <= T(p) <= alpha p^2/2 have no function of
+their own: the ``verify kinetic`` ordering line checks them on t_rel.
 F is elementary (a polynomial times sqrt plus an asinh), summed as a Pfaff
 series near s = 0 where that form cancels; its quadrature definition is an
 oracle in ``checks``.
@@ -21,8 +23,6 @@ __all__ = [
     "Dispersion",
     "t_rel",
     "t_rel_inverse",
-    "nonrel_domination_check",
-    "quartic_lower_check",
     "daubechies_F",
     "daubechies_F_upper",
     "pfaff_integral",
@@ -57,24 +57,6 @@ def t_rel_inverse(disp: Dispersion, t):
     t = np.asarray(t, dtype=float)
     out = np.sqrt(t * t + 2.0 * t / disp.alpha)
     return float(out) if out.ndim == 0 else out
-
-
-def nonrel_domination_check(disp: Dispersion, q):
-    """True iff t_rel(q) <= alpha q^2 / 2 (+ rounding slack)."""
-    q = float(q)
-    if q < 0:
-        raise DomainError("q must be >= 0")
-    return t_rel(disp, q) <= 0.5 * disp.alpha * q * q + 1e-15 * (1.0 + q * q)
-
-
-def quartic_lower_check(disp: Dispersion, p):
-    """True iff t_rel(p) >= alpha p^2/2 - alpha^3 p^4/8 (- rounding slack)."""
-    p = float(p)
-    if p < 0:
-        raise DomainError("p must be >= 0")
-    a = disp.alpha
-    lower = 0.5 * a * p * p - 0.125 * a**3 * p**4
-    return t_rel(disp, p) >= lower - 1e-15 * (1.0 + p**4)
 
 
 def pfaff_integral(x, a, closed_form):

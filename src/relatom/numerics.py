@@ -462,14 +462,6 @@ class RadialFunction:
         n = -(p * self.tail_exponent + (k + 1))
         return _power_moment(self.values[-1], self.grid[-1], p, k, n, "tail")
 
-    @property
-    def r_min(self):
-        return float(self.grid[0])
-
-    @property
-    def r_max(self):
-        return float(self.grid[-1])
-
 
 def _power_moment(v, r, p, k, n, end):
     """v^p r^(k+1) / n: the integral of (v (u/r)^e)^p u^k over the head

@@ -2,7 +2,8 @@
 connects the semiclassical sum to the Thomas-Fermi energy.
 
 Sign convention: the negative part [f]_- means min(f, 0) throughout, so
-phase-space sums of [T(p) - v]_- are returned as signed energies <= 0.
+phase-space sums of [T(p) - v]_- are returned as signed energies <= 0,
+plain floats without an error estimate.
 The momentum integral over the classically allowed region with the
 non-relativistic dispersion p^2/2 has the closed form
 -(16 sqrt(2) pi / 15) v^{5/2}; the relativistic one is elementary too.
@@ -21,7 +22,7 @@ exposed rather than silently reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +43,6 @@ from .thomas_fermi import TFSolution, coulomb_potential, tf_energy
 __all__ = [
     "PHASE_SPACE_COEFF",
     "CoherentSpec",
-    "PhaseSpaceResult",
     "momentum_integral_nonrel",
     "momentum_integral_rel",
     "phase_space_energy",
@@ -107,31 +107,22 @@ def momentum_integral_rel(disp: Dispersion, v):
     return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
-@dataclass(frozen=True)
-class PhaseSpaceResult:
-    """Signed semiclassical energy (<= 0) with its quadrature error and the
-    momentum-space domain marker."""
-
-    value: float
-    quadrature_error: float
-    domain: str
-
-
 def phase_space_energy(
     disp: Dispersion | None,
     V: RadialFunction,
     mu_shift: float = 0.0,
     q_min: float = 0.0,
-    spec: QuadratureSpec | None = None,
-) -> PhaseSpaceResult:
-    """-(1/(2 pi)^3) iint_{|q| > q_min} [T(p) - ([V(q)]-mu_shift)]_- d^3p d^3q.
+) -> float:
+    """-(1/(2 pi)^3) iint_{|q| > q_min} [T(p) - ([V(q)]-mu_shift)]_- d^3p d^3q,
+    a signed energy (<= 0).
 
     ``disp=None`` selects the non-relativistic dispersion p^2/2; either
     inner momentum integral is a closed form, so one vectorized integrand
     serves grid, head and tail.  The relativistic path with a
     Coulomb-singular V requires q_min > 0 (hyper-relativistic collapse).
+    A V whose last sample is at or below mu_shift contributes nothing
+    beyond the grid.  No error estimate is computed, so none is returned.
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
     if q_min < 0:
         raise DomainError("q_min must be >= 0")
 
@@ -151,7 +142,7 @@ def phase_space_energy(
     if q_min > 0.0 and q_min < grid[0]:
         grid = np.concatenate([[q_min], grid])
     value = grid_quadrature(integrand, grid)
-    err = abs(value) * spec.rel_tol * 10.0
+    end_spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200)
 
     # head: below the first grid point V follows its power-law head
     if q_min == 0.0:
@@ -174,46 +165,26 @@ def phase_space_energy(
                         "relativistic phase-space head diverges for this "
                         "potential; use q_min > 0"
                     )
-                head, herr = integrate_1d(
-                    integrand,
-                    0.0,
-                    grid[0],
-                    QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200),
-                )
-                err += herr
+                head = integrate_1d(integrand, 0.0, grid[0], end_spec)[0]
             value += head
 
-    # tail: beyond the grid V uses its declared tail model
-    if V.tail_exponent is not None and V.values[-1] != 0.0:
+    # tail: beyond the grid V uses its declared tail model, which stays at or
+    # below mu_shift (so outside the allowed region) once its last sample is
+    if V.tail_exponent is not None and V.values[-1] > mu_shift:
         R = grid[-1]
         if mu_shift > 0.0:
             # the allowed region ends where the tail crosses mu_shift
             u_star = R * (mu_shift / V.values[-1]) ** (1.0 / V.tail_exponent)
             if u_star > R:
-                tail, terr = integrate_1d(
-                    integrand, R, u_star,
-                    QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200),
-                )
-                err += terr
-                value += tail
+                value += integrate_1d(integrand, R, u_star, end_spec)[0]
         elif disp is None:
             value += -NONREL_52_COEFF * V.tail_integral(2.5, 2)
         else:
             if 2.5 * V.tail_exponent + 3.0 >= 0.0:
                 raise DivergentIntegral("phase-space tail diverges: V decays too slowly")
-            tail, terr = integrate_1d(
-                integrand,
-                R,
-                math.inf,
-                QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200),
-            )
-            err += terr
-            value += tail
+            value += integrate_1d(integrand, R, math.inf, end_spec)[0]
 
-    value = value / (2.0 * math.pi) ** 3 * 4.0 * math.pi
-    err = err / (2.0 * math.pi) ** 3 * 4.0 * math.pi
-    domain = "full" if q_min == 0.0 else f"outside_radius({q_min!r})"
-    return PhaseSpaceResult(value=float(value), quadrature_error=float(err), domain=domain)
+    return float(value / (2.0 * math.pi) ** 3 * 4.0 * math.pi)
 
 
 def domain_change_error(sol: TFSolution, alpha: float, t_exponent: float) -> float:
@@ -479,10 +450,11 @@ def coherent_kinetic_error_bound(cs: CoherentSpec, alpha: float) -> float:
     return 3.0 * cs.support_volume * cs.grad_sup**2 * alpha ** (1.0 - 2.0 * cs.s_exponent)
 
 
-def newton_smearing_check(alpha, s_exponent, cs: CoherentSpec, radius) -> float:
-    """|1/R - (g_alpha^2 * 1/|.|)(R)| by radial quadrature; vanishes (to
-    quadrature accuracy) for R outside the smearing support."""
+def newton_smearing_check(alpha, cs: CoherentSpec, radius) -> float:
+    """|1/R - (g_alpha^2 * 1/|.|)(R)| by radial quadrature, with g_alpha
+    supported on the ball of radius alpha^s, s = ``cs.s_exponent``; vanishes
+    (to quadrature accuracy) for R outside that support."""
     if radius <= 0:
         raise DomainError("radius must be positive")
-    conv = smeared_coulomb(replace(cs, s_exponent=s_exponent), alpha, "newton_split")
+    conv = smeared_coulomb(cs, alpha, "newton_split")
     return abs(1.0 / radius - conv(radius))

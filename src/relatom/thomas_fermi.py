@@ -85,7 +85,6 @@ __all__ = [
     "tf_energy_slope_identity",
     "tf_equation_residual",
     "tf_potential",
-    "mu_times_mass_identity",
     "coulomb_potential",
     "solution_to_json",
     "solution_from_json",
@@ -665,11 +664,6 @@ def tf_potential(sol: TFSolution) -> RadialFunction:
     r = sol.rho.grid
     vals = (Z / r) * sol.phi.values
     return RadialFunction(r, vals, -4.0 if math.isinf(sol.edge_radius) else None)
-
-
-def mu_times_mass_identity(sol: TFSolution) -> float:
-    """|mu int rho - mu N|; zero in exact arithmetic by the TF trichotomy."""
-    return abs(sol.mu * sol.electron_count - sol.mu * sol.params.N)
 
 
 def solution_to_json(sol: TFSolution) -> str:

@@ -15,13 +15,7 @@ from relatom import cli
 from relatom import semiclassics as sc
 from relatom import specfun as sf
 from relatom import thomas_fermi as tf
-from relatom.kinetic import (
-    Dispersion,
-    daubechies_F,
-    daubechies_F_upper,
-    nonrel_domination_check,
-    quartic_lower_check,
-)
+from relatom.kinetic import Dispersion, daubechies_F, daubechies_F_upper, t_rel
 from relatom.numerics import QuadratureSpec, integrate_1d
 
 
@@ -177,17 +171,13 @@ def test_criterion_09_inequality_battery():
     rng = np.random.default_rng(2024)
     violations = 0
     for alpha in (0.1, 0.01):
-        d = Dispersion(alpha)
-        violations += sum(
-            0 if nonrel_domination_check(d, q) else 1
-            for q in rng.uniform(0.0, 100.0, 200)
-        )
+        q = rng.uniform(0.0, 100.0, 200)
+        upper = 0.5 * alpha * q * q + 1e-15 * (1.0 + q * q)
+        violations += int(np.sum(t_rel(Dispersion(alpha), q) > upper))
     for alpha in (1.0, 0.1, 0.01):
-        d = Dispersion(alpha)
-        violations += sum(
-            0 if quartic_lower_check(d, p) else 1
-            for p in np.geomspace(1e-3, 100.0 / alpha, 300)
-        )
+        p = np.geomspace(1e-3, 100.0 / alpha, 300)
+        lower = 0.5 * alpha * p * p - 0.125 * alpha**3 * p**4 - 1e-15 * (1.0 + p**4)
+        violations += int(np.sum(t_rel(Dispersion(alpha), p) < lower))
     x = np.geomspace(1e-4, 1e3, 300)
     violations += int(np.sum(1.0 + 1.5 * x + 0.375 * x * x < (1.0 + x) ** 1.5))
     for _ in range(100):

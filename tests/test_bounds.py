@@ -13,6 +13,7 @@ from relatom import thomas_fermi as tf
 from relatom.errors import BudgetViolation, DomainError
 from relatom.kinetic import Dispersion, daubechies_F
 from relatom.numerics import RadialFunction
+from relatom.specfun import k2
 
 
 def make_pp(alpha=1e-3, r=0.95, t=0.5, s=0.55, beta=0.1):
@@ -174,24 +175,6 @@ class TestMeanField:
         assert err.exponent == -0.5
         seq = [err.value(a) * a ** (2.0 / 3.0) for a in (1e-2, 1e-3, 1e-4)]
         assert all(x > y for x, y in zip(seq, seq[1:]))
-
-
-class TestLiebYau:
-    def test_full_ball_fraction(self):
-        v = bd.lieb_yau_ball_bound(1.0, 1.0, 1, 1.0)
-        assert abs(v + 4.4827) < 1e-12
-
-    def test_section_six_parameters(self):
-        alpha, r, beta = 1e-3, 0.95, 0.1
-        C0 = 2 * (1 + beta) * alpha ** (r - 1)
-        R = (1 + beta) * alpha**r
-        v = bd.lieb_yau_ball_bound(C0, R, 2, 1.0)
-        expected = -4.4827 * 16 * (1 + beta) ** 3 * 2 * alpha ** (3 * r - 4)
-        assert abs(v - expected) < 1e-9 * abs(expected)
-
-    def test_quartic_in_c0(self):
-        assert abs(bd.lieb_yau_ball_bound(2.0, 1.0, 1, 1.0)
-                   / bd.lieb_yau_ball_bound(1.0, 1.0, 1, 1.0) - 16.0) < 1e-12
 
 
 class TestInnerZone:
@@ -364,6 +347,23 @@ class TestDecayLemma:
     def test_offdiag_gamma_guard(self):
         with pytest.raises(DomainError):
             bd.kernel_offdiag_numeric(make_pp(), 2.0, 2.0)
+
+    @pytest.mark.parametrize("alpha,r,gam", (
+        (0.05, 0.93, 0.5), (1e-2, 0.95, 0.45), (1e-3, 0.95, 0.45),
+        (1e-4, 0.95, 0.45), (1e-5, 0.95, 0.45), (1e-8, 0.95, 0.45),
+    ))
+    def test_offdiag_matches_the_k2_form(self, alpha, r, gam):
+        # oracle: the kernel's prefactor written out by hand,
+        # ||chi_-|| (alpha gamma)^-2 / (4 pi^2) (4 pi (gamma/alpha) int_{z0}^inf (K2(z)/z)^2 dz)^{1/2}
+        pp = make_pp(alpha=alpha, r=r)
+        a_out, b_in = 2.0, (1.0 - gam) * 2.0
+        gamma = 1.0 - b_in / a_out
+        z0 = gamma * a_out * pp.inner_scale / alpha
+        spec = numerics.QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=400)
+        val, _ = numerics.integrate_1d(lambda z: (k2(z) / z) ** 2, z0, math.inf, spec)
+        oracle = (bd._chi_minus_norm(pp) / (4.0 * math.pi**2 * (alpha * gamma) ** 2)
+                  * math.sqrt(4.0 * math.pi * (gamma / alpha) * val))
+        assert bd.kernel_offdiag_numeric(pp, a_out, b_in) == pytest.approx(oracle, rel=1e-14)
 
 
 class TestLocalisationGradient:

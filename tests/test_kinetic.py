@@ -8,8 +8,6 @@ from relatom.kinetic import (
     Dispersion,
     daubechies_F,
     daubechies_F_upper,
-    nonrel_domination_check,
-    quartic_lower_check,
     t_rel,
     t_rel_inverse,
 )
@@ -46,21 +44,21 @@ def test_round_trip():
 
 
 def test_nonrel_domination():
-    assert nonrel_domination_check(Dispersion(1.0), 0.0)
-    assert nonrel_domination_check(Dispersion(1.0), 1.0)
+    # t_rel(q) <= alpha q^2 / 2, with a rounding slack
     rng = np.random.default_rng(6)
-    for alpha in (0.1, 0.01):
-        d = Dispersion(alpha)
-        assert all(nonrel_domination_check(d, q) for q in rng.uniform(0.0, 100.0, 50))
+    cases = [(1.0, np.array([0.0, 1.0]))]
+    cases += [(alpha, rng.uniform(0.0, 100.0, 50)) for alpha in (0.1, 0.01)]
+    for alpha, q in cases:
+        assert np.all(t_rel(Dispersion(alpha), q) <= 0.5 * alpha * q * q + 1e-15 * (1.0 + q * q))
 
 
 def test_quartic_lower():
-    assert quartic_lower_check(Dispersion(1.0), 0.0)
-    assert quartic_lower_check(Dispersion(1.0), 1.0)
-    for alpha in (1.0, 0.1, 0.01):
-        d = Dispersion(alpha)
-        for p in np.geomspace(1e-3, 100.0 / alpha, 200):
-            assert quartic_lower_check(d, p)
+    # t_rel(p) >= alpha p^2/2 - alpha^3 p^4/8, with a rounding slack
+    cases = [(1.0, np.array([0.0, 1.0]))]
+    cases += [(alpha, np.geomspace(1e-3, 100.0 / alpha, 200)) for alpha in (1.0, 0.1, 0.01)]
+    for alpha, p in cases:
+        lower = 0.5 * alpha * p * p - 0.125 * alpha**3 * p**4
+        assert np.all(t_rel(Dispersion(alpha), p) >= lower - 1e-15 * (1.0 + p**4))
 
 
 def test_taylor_32_bound():

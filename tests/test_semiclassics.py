@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,22 +80,21 @@ class TestPhaseSpaceEnergy:
     def test_zero_potential(self):
         grid = np.geomspace(0.01, 10.0, 50)
         V0 = RadialFunction(grid, np.zeros_like(grid))
-        res = sc.phase_space_energy(None, V0)
-        assert res.value == 0.0
+        assert sc.phase_space_energy(None, V0) == 0.0
 
     def test_matches_identity_chain_value(self, neutral_eq_solution):
         # nonrel dispersion, q_min = 0, V = V_TF: the 5/2-closed-form route
         ch = sc.tf_identity_chain(neutral_eq_solution)
         pot = tf.tf_potential(neutral_eq_solution)
-        res = sc.phase_space_energy(None, pot, mu_shift=0.0, q_min=0.0)
-        assert abs(res.value / ch["phase_space"] - 1.0) < 1e-5
+        value = sc.phase_space_energy(None, pot, mu_shift=0.0, q_min=0.0)
+        assert abs(value / ch["phase_space"] - 1.0) < 1e-5
 
     def test_cutoff_monotone_and_bounded_by_tail(self, neutral_eq_solution):
         sol = neutral_eq_solution
         pot = tf.tf_potential(sol)
         q_min = 0.05
-        full = sc.phase_space_energy(None, pot, 0.0, 0.0).value
-        cut = sc.phase_space_energy(None, pot, 0.0, q_min).value
+        full = sc.phase_space_energy(None, pot, 0.0, 0.0)
+        cut = sc.phase_space_energy(None, pot, 0.0, q_min)
         assert cut >= full  # dropping negative mass can only raise the value
         # the dropped piece is controlled by V <= Z/u on (0, q_min)
         Z = sol.params.Z
@@ -104,13 +104,13 @@ class TestPhaseSpaceEnergy:
 
     def test_mu_shift_monotone_and_continuous(self, neutral_eq_solution):
         pot = tf.tf_potential(neutral_eq_solution)
-        v0 = sc.phase_space_energy(None, pot, 0.0, 0.0).value
+        v0 = sc.phase_space_energy(None, pot, 0.0, 0.0)
         prev = v0
         for mu in (1e-12, 1e-6, 1e-3, 0.1):
-            v = sc.phase_space_energy(None, pot, mu, 0.0).value
+            v = sc.phase_space_energy(None, pot, mu, 0.0)
             assert v >= prev - 1e-12  # shrinking allowed region raises the value
             prev = v
-        tiny = sc.phase_space_energy(None, pot, 1e-12, 0.0).value
+        tiny = sc.phase_space_energy(None, pot, 1e-12, 0.0)
         assert abs(tiny - v0) < 1e-8 * abs(v0)
 
     def test_rel_path_rejects_coulomb_collapse(self, neutral_eq_solution):
@@ -125,10 +125,22 @@ class TestPhaseSpaceEnergy:
         alpha = 0.05
         pot = tf.tf_potential(sol)
         scaled = RadialFunction(pot.grid, alpha * pot.values, pot.tail_exponent)
-        res = sc.phase_space_energy(Dispersion(alpha), scaled, 0.0, q_min=0.1)
-        assert res.value < 0.0
-        assert res.quadrature_error < abs(res.value) * 1e-6
-        assert res.domain == "outside_radius(0.1)"
+        assert sc.phase_space_energy(Dispersion(alpha), scaled, 0.0, q_min=0.1) < 0.0
+
+    @pytest.mark.parametrize("disp,q_min", ((None, 0.0), (Dispersion(0.05), 0.2)))
+    @pytest.mark.parametrize("mu_shift", (0.0, 0.05))
+    def test_tail_below_mu_shift_adds_nothing(self, disp, q_min, mu_shift):
+        # V = 2/u on [0.1, 5), -0.1/u^4 beyond: the decaying negative tail
+        # stays below mu_shift, so [V - mu_shift]_+ vanishes past the grid
+        # and the declared tail must change nothing
+        grid = np.geomspace(0.1, 10.0, 60)
+        values = np.where(grid < 5.0, 2.0 / grid, -0.1 / grid**4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tailed = sc.phase_space_energy(disp, RadialFunction(grid, values, -4.0), mu_shift, q_min)
+            bare = sc.phase_space_energy(disp, RadialFunction(grid, values), mu_shift, q_min)
+        assert tailed == bare
+        assert tailed < 0.0
 
 
 class TestQuarticCorrection:
@@ -373,12 +385,12 @@ class TestCoherent:
         assert abs(reference_bump.grad_sup + best.fun) < 1e-15 * reference_bump.grad_sup
 
     def test_newton_smearing(self, reference_bump):
-        alpha, s = 0.1, 0.55
-        a_s = alpha**s
-        outside = sc.newton_smearing_check(alpha, s, reference_bump, 2.0 * a_s)
+        alpha = 0.1
+        a_s = alpha**reference_bump.s_exponent
+        outside = sc.newton_smearing_check(alpha, reference_bump, 2.0 * a_s)
         assert outside <= 1e-10 / (2.0 * a_s)
-        inside = sc.newton_smearing_check(alpha, s, reference_bump, 0.5 * a_s)
+        inside = sc.newton_smearing_check(alpha, reference_bump, 0.5 * a_s)
         assert inside > 0.0
         # once alpha^s < radius the difference collapses
-        tiny = sc.newton_smearing_check(1e-4, s, reference_bump, 0.5 * a_s)
+        tiny = sc.newton_smearing_check(1e-4, reference_bump, 0.5 * a_s)
         assert tiny <= 1e-10 / (0.5 * a_s)

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from relatom import bounds as bd
 from relatom import numerics
+from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
 from relatom.errors import DivergentIntegral, DomainError, ShootingFailure, ToleranceFailure
 from relatom.numerics import RadialFunction, grid_quadrature
@@ -293,17 +295,27 @@ class TestPotential:
 
 
 class TestMuIdentity:
+    # the budget's mu_mass_bookkeeping term alpha mu |int rho - N|, zero in
+    # exact arithmetic by the TF trichotomy; alpha = 0.5 puts delta = Z alpha
+    # inside (0, 2/pi] for these Z = 1 solutions
+    ALPHA = 0.5
+
+    def bookkeeping(self, sol):
+        pp = bd.PartitionParams(r=0.95, t=0.5, s=0.55, beta=0.1, alpha=self.ALPHA)
+        budget = bd.assemble_error_budget(pp, sol, sc.CoherentSpec.reference(0.55))
+        return {t.name: t for t in budget.terms}["mu_mass_bookkeeping"].value_at_alpha
+
     def test_neutral(self, neutral_solution):
-        assert tf.mu_times_mass_identity(neutral_solution) == 0.0
+        assert self.bookkeeping(neutral_solution) == 0.0
 
     def test_ion(self, ion_solution):
         sol = ion_solution
-        bound = 1e-8 * (1.0 + sol.mu * sol.params.N)
-        assert tf.mu_times_mass_identity(sol) <= bound
+        bound = self.ALPHA * 1e-8 * (1.0 + sol.mu * sol.params.N)
+        assert self.bookkeeping(sol) <= bound
 
     def test_over_charged(self):
         sol = tf.solve(tf.TFParams(lam=1.5, Z=1.0))
-        assert tf.mu_times_mass_identity(sol) == 0.0
+        assert self.bookkeeping(sol) == 0.0
 
 
 class TestSerialization:
