@@ -32,11 +32,10 @@ from .kinetic import Dispersion, daubechies_F, daubechies_F_upper
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
-    gl_rule,
+    coulomb_pairing,
     grid_quadrature,
     integrate_1d,
     newton_potential,
-    radial_fourier,
 )
 from .semiclassics import CoherentSpec, coherent_kinetic_error_bound, domain_change_error
 from .specfun import localisation_kernel
@@ -290,15 +289,13 @@ def mean_field_constant(cs: CoherentSpec) -> float:
 
 
 def mean_field_constant_routes(cs: CoherentSpec):
-    """c(phi) by the Newton route and by the momentum route
-    (1/2) (2 pi)^-3 int |phihat|^2 4 pi/p^2 d^3p, the oracle of the checks."""
-    # (1/2) (2 pi)^-3 (4 pi)^2 int |phihat|^2 dp = (1/pi) int |phihat|^2 dp on
-    # a fixed p-rule; the bump transform decays super-algebraically, and 400
-    # is far past the level where |phihat|^2 falls below 1e-30
-    p, w_p = gl_rule(np.linspace(0.0, 400.0, 401))
-    phihat = radial_fourier(_density(cs), np.linspace(0.0, 1.0, 65), p)
-    mom = np.sum(w_p * phihat**2) / math.pi
-    return mean_field_constant(cs), float(mom)
+    """c(phi) by the Newton route and by the momentum route, half the
+    Parseval self-pairing (1/pi) int |phihat|^2 dp, the oracle of the checks."""
+    # the bump transform decays super-algebraically, and p = 400 is far past
+    # the level where |phihat|^2 falls below 1e-30
+    mom = 0.5 * coulomb_pairing(_density(cs), np.linspace(0.0, 1.0, 65),
+                                np.linspace(0.0, 400.0, 401))
+    return mean_field_constant(cs), mom
 
 
 def mean_field_error(lam, delta, s_exponent, c_phi) -> PowerSum:
@@ -413,9 +410,12 @@ def lemma_decay_envelope(pp: PartitionParams, gamma_sep: float, log: bool = Fals
     with C = ||chi_-||_2 (gamma)^-2 / (4 pi^2) * sqrt(128 pi^2 gamma) and the
     alpha^{3r/2} of ||chi_-||_2 folded into the printed exponent.  The
     braces come from dominating e^{-t} by its value at the lower limit
-    T = 4 gamma alpha^{r-1} in int_T^inf t^-3 e^-t (1 + 1/t + 1/t^2)^2 dt;
-    this polynomial is what actually dominates the Cauchy-Schwarz route
-    (see the decisions ledger for the coefficient set it replaces).
+    T = 4 gamma alpha^{r-1} in int_T^inf t^-3 e^-t (1 + 1/t + 1/t^2)^2 dt.
+    All five terms of (1 + 1/t + 1/t^2)^2 = 1 + 2/t + 3/t^2 + 2/t^3 + t^-4
+    are kept, each integrated exactly to c_j T^{-2-j}/(2+j) (whence 1/2,
+    2/3, 3/4, 2/5, 1/6), because the braces must dominate the
+    Cauchy-Schwarz route: dropping any term leaves a value below it, by
+    most where T is small and the t^-4 term leads.
     ``log=True`` returns log(value), usable deep in the asymptotic regime
     where the linear form underflows.
     """

@@ -263,7 +263,7 @@ def check_coherent():
         worst = max(worst, abs(r["identity_rhs"] / r["identity_lhs"] - 1.0))
     out.append(_bound("resolution of identity on 5 Gaussians", worst, 1e-8))
 
-    pc = sc.coherent_potential_check(_gaussian(1.0), cs, 0.3)
+    pc = sc.coherent_potential_check(_gaussian(1.0), cs, 0.3, 1.0)
     out.append(
         _bound(
             "smeared-Coulomb routes relative gap",

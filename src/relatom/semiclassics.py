@@ -32,6 +32,7 @@ from .kinetic import Dispersion, pfaff_integral
 from .numerics import (
     QuadratureSpec,
     RadialFunction,
+    coulomb_pairing,
     gl_rule,
     grid_quadrature,
     integrate_1d,
@@ -173,7 +174,12 @@ def phase_space_energy(
     if V.tail_exponent is not None and V.values[-1] > mu_shift:
         R = grid[-1]
         if mu_shift > 0.0:
-            # the allowed region ends where the tail crosses mu_shift
+            # the allowed region ends where the tail crosses mu_shift, which
+            # a tail that does not decay never does
+            if V.tail_exponent >= 0.0:
+                raise DivergentIntegral(
+                    "phase-space tail diverges: V stays above mu_shift past the grid"
+                )
             u_star = R * (mu_shift / V.values[-1]) ** (1.0 / V.tail_exponent)
             if u_star > R:
                 value += integrate_1d(integrand, R, u_star, end_spec)[0]
@@ -351,6 +357,19 @@ def _inverse_fourier(fhat, p_knots, r):
     return radial_fourier(fhat, p_knots, r) / (2.0 * math.pi) ** 3
 
 
+def _state_density(f, width):
+    """f^2 of the scalar ``f`` on the length scale ``width``, vectorized,
+    with 129 equally spaced knots on [0, 12 width]."""
+    return (lambda r: np.array([f(x) for x in r]) ** 2), np.linspace(0.0, 12.0 * width, 129)
+
+
+def _smearing_density(cs: CoherentSpec, alpha: float):
+    """g_alpha^2, vectorized, with 65 equally spaced knots on its support
+    [0, alpha^s]."""
+    g_a, a_s = cs.g_scaled(alpha)
+    return (lambda r: np.asarray(g_a(r), dtype=float) ** 2), np.linspace(0.0, a_s, 65)
+
+
 def coherent_resolution_check(f, cs: CoherentSpec, alpha: float, width: float) -> dict:
     """Resolution of identity, int dq (f^2 * g_alpha^2)(q) = ||f||^2 for unit
     ||g_alpha||.  ``identity_lhs`` is ||f||^2 by adaptive quadrature;
@@ -364,23 +383,16 @@ def coherent_resolution_check(f, cs: CoherentSpec, alpha: float, width: float) -
     p = 12/width, where the p-rule ends."""
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
     cs.check_normalization()
-    g_a, a_s = cs.g_scaled(alpha)
     lhs, _ = integrate_1d(lambda r: f(r) ** 2 * r * r, 0.0, math.inf, spec)
-    f_knots = np.linspace(0.0, 12.0 * width, 129)
-    g_knots = np.linspace(0.0, a_s, 65)
-
-    def f2(r):
-        return np.array([f(x) for x in r]) ** 2
-
-    def g2(r):
-        return np.asarray(g_a(r), dtype=float) ** 2
+    f2, f_knots = _state_density(f, width)
+    g2, g_knots = _smearing_density(cs, alpha)
 
     def conv_hat(p):
         return radial_fourier(f2, f_knots, p) * radial_fourier(g2, g_knots, p)
 
     # p-segments of width 6/q_max put about 12 nodes on each period of
     # sin(p q) for every q <= q_max, and the q-rule mirrors them
-    q_max = 12.0 * width + a_s
+    q_max = f_knots[-1] + g_knots[-1]
     p_max = 12.0 / width
     segments = math.ceil(p_max * q_max / 6.0)
     p_knots = np.linspace(0.0, p_max, segments + 1)
@@ -392,52 +404,34 @@ def coherent_resolution_check(f, cs: CoherentSpec, alpha: float, width: float) -
     return {"identity_lhs": 4.0 * math.pi * lhs, "identity_rhs": rhs}
 
 
-def smeared_coulomb(cs: CoherentSpec, alpha: float, route: str = "newton_split"):
-    """(1/|.| * g_alpha^2) as a vectorized callable, by one of two independent
-    routes: the Newton shell split on the support [0, alpha^s], or the
-    inverse radial Fourier transform of 4 pi phihat/p^2 (phihat that of
-    g_alpha^2), which never uses Newton's theorem and sets its p-rule by
-    the largest radius of each call."""
-    g_a, a_s = cs.g_scaled(alpha)
-
-    def phi_a(r):
-        return np.asarray(g_a(r), dtype=float) ** 2
-
-    support = np.linspace(0.0, a_s, 65)
-    if route == "newton_split":
-        pot = newton_potential(phi_a, support)
-        return lambda r: 4.0 * math.pi * pot(r)
-
-    if route == "momentum":
-
-        def coulomb_hat(p):
-            return 4.0 * math.pi * radial_fourier(phi_a, support, p) / (p * p)
-
-        def conv(r):
-            # phihat decays super-algebraically on the scale 1/alpha^s (see
-            # bounds.mean_field_constant_routes); p-segments of width 6/R put
-            # about 12 nodes on each period of sin(p r) for every r <= R, and
-            # R >= 3 alpha^s keeps phihat itself resolved
-            p_max = 400.0 / a_s
-            R = max(float(np.max(np.abs(r))), 3.0 * a_s)
-            p_knots = np.linspace(0.0, p_max, math.ceil(p_max * R / 6.0) + 1)
-            return _inverse_fourier(coulomb_hat, p_knots, r)
-
-        return conv
-
-    raise DomainError(f"unknown convolution route {route!r}")
+def smeared_coulomb(cs: CoherentSpec, alpha: float):
+    """(1/|.| * g_alpha^2) as a vectorized callable: the Newton shell split
+    of g_alpha^2 on its support [0, alpha^s]."""
+    pot = newton_potential(*_smearing_density(cs, alpha))
+    return lambda r: 4.0 * math.pi * pot(r)
 
 
-def coherent_potential_check(f, cs: CoherentSpec, alpha: float) -> dict:
-    """(f, (1/|q| * g_alpha^2) f) by the two independent convolution routes,
-    both evaluated at the nodes of one radial rule on [0, max(12, 3 alpha^s)]."""
+def coherent_potential_check(f, cs: CoherentSpec, alpha: float, width: float) -> dict:
+    """(f, (1/|q| * g_alpha^2) f) by two independent routes.
+
+    ``route_newton`` weights :func:`smeared_coulomb` with f^2 at the nodes
+    of one radial rule on [0, max(12, 3 alpha^s)].  ``route_momentum``
+    never uses Newton's theorem: it is the Parseval pairing
+    (2/pi) int_0^inf fhat2 ghat2 dp of f^2 and g_alpha^2
+    (:func:`numerics.coulomb_pairing`), both on the knots of
+    :func:`coherent_resolution_check`, whose length scale ``width`` it
+    shares, and p on 48 GL-12 segments of [0, 12/width], where the
+    transform of f^2 has fallen to 2e-16."""
     _, a_s = cs.g_scaled(alpha)
     top = max(12.0, 3.0 * a_s)
     r, w = gl_rule(np.concatenate([[0.0], np.geomspace(min(1e-4, 0.01 * a_s), top, 65)]))
     weight = 4.0 * math.pi * np.array([f(x) for x in r]) ** 2 * r * r * w
+    f2, f_knots = _state_density(f, width)
+    g2, g_knots = _smearing_density(cs, alpha)
     return {
-        key: float(np.sum(weight * smeared_coulomb(cs, alpha, route)(r)))
-        for key, route in (("route_newton", "newton_split"), ("route_momentum", "momentum"))
+        "route_newton": float(np.sum(weight * smeared_coulomb(cs, alpha)(r))),
+        "route_momentum": coulomb_pairing(f2, f_knots, np.linspace(0.0, 12.0 / width, 49),
+                                          g2, g_knots),
     }
 
 
@@ -456,5 +450,5 @@ def newton_smearing_check(alpha, cs: CoherentSpec, radius) -> float:
     (to quadrature accuracy) for R outside that support."""
     if radius <= 0:
         raise DomainError("radius must be positive")
-    conv = smeared_coulomb(cs, alpha, "newton_split")
+    conv = smeared_coulomb(cs, alpha)
     return abs(1.0 / radius - conv(radius))

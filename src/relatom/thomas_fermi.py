@@ -73,7 +73,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
-from .numerics import RadialFunction, grid_quadrature, newton_potential, shoot
+from .numerics import RadialFunction, gl_rule, grid_quadrature, newton_potential, shoot
 
 __all__ = [
     "GAMMA_TF_PAPER",
@@ -372,36 +372,39 @@ class _UniversalProfile:
         return head + grid + self.tail_moment(p, e)
 
     @cached_property
-    def potential(self):
-        """xi -> M(xi)/xi + T(xi) with M = int_0^xi phi^{3/2} sqrt(t) dt and
-        T = int_xi^inf phi^{3/2}/sqrt(t) dt: the Newton potential of the
-        factored density phi^{3/2} t^{-3/2}, head and tail included."""
-        return newton_potential(
-            lambda t: self.phi(t) ** 1.5 * t**-1.5,
+    def _integrals(self):
+        """(mass, I32, I52, potential, repulsion) from one sampling of phi at
+        the GL-12 nodes of the grid, dropped once they are built.  The three
+        moments int_0^inf phi^p t^e dt, (p, e) = (3/2, 1/2), (3/2, -1/2),
+        (5/2, -1/2), are summed as :meth:`moment` sums them; the mass equals
+        min(lambda, 1) exactly.  The potential is xi -> M(xi)/xi + T(xi),
+        M = int_0^xi phi^{3/2} sqrt(t) dt and T = int_xi^inf phi^{3/2}/sqrt(t)
+        dt: the Newton potential of the factored density phi^{3/2} t^{-3/2},
+        head and tail included.  The repulsion is int phi^{3/2} sqrt(t) P(t)
+        dt over the grid, P that potential: (Z^2/b)/2 times it is the
+        repulsion inside the grid."""
+        t, w = gl_rule(self.xi)
+        ph = self.phi(t)
+
+        def moment(p, e):
+            grid = float(np.sum(w * (ph**p * t**e)))
+            return self.head_moment(p, e) + grid + self.tail_moment(p, e)
+
+        # newton_potential samples its density at these same nodes
+        potential = newton_potential(
+            lambda nodes: ph**1.5 * nodes**-1.5,
             self.xi,
             m_head=self.head_moment(1.5, 0.5),
             t_tail=self.tail_moment(1.5, -0.5),
         )
+        repulsion = float(np.sum(w * (ph**1.5 * np.sqrt(t) * potential(t))))
+        return moment(1.5, 0.5), moment(1.5, -0.5), moment(2.5, -0.5), potential, repulsion
 
-    @cached_property
-    def mass(self):
-        """int_0^inf phi^{3/2} sqrt(t) dt; equals min(lambda, 1) exactly."""
-        return self.moment(1.5, 0.5)
-
-    @cached_property
-    def I32(self):
-        return self.moment(1.5, -0.5)
-
-    @cached_property
-    def I52(self):
-        return self.moment(2.5, -0.5)
-
-    @cached_property
-    def repulsion(self):
-        """int phi^{3/2} sqrt(t) P(t) dt over the grid, P the Newton
-        ``potential``: (Z^2/b)/2 times it is the repulsion inside the grid."""
-        return grid_quadrature(lambda t: self.phi(t) ** 1.5 * np.sqrt(t) * self.potential(t),
-                               self.xi)
+    mass = property(lambda self: self._integrals[0])
+    I32 = property(lambda self: self._integrals[1])
+    I52 = property(lambda self: self._integrals[2])
+    potential = property(lambda self: self._integrals[3])
+    repulsion = property(lambda self: self._integrals[4])
 
 
 def _log_grid(lo, hi, per_decade=_PTS_PER_DECADE):
@@ -434,13 +437,21 @@ def _solve_neutral():
 
 
 def _solve_ion(lam):
+    latest = {}  # sign of the miss -> (slope, shot) of the latest shot with it
+
     def flux_miss(B):
+        shot = _shoot(B, 2000.0)
         # no hit: edge flux 0, its limit at the critical slope, so the miss is continuous
-        x_e, dphi_e = _edge(_shoot(B, 2000.0)) or (0.0, 0.0)
-        return -x_e * dphi_e - (1.0 - lam)
+        x_e, dphi_e = _edge(shot) or (0.0, 0.0)
+        miss = -x_e * dphi_e - (1.0 - lam)
+        latest[miss < 0.0] = B, shot
+        return miss
 
     slope0 = _root(flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
-    shot = _shoot(slope0, 2000.0)
+    # Brent's method returns a bracket end, the latest slope of one sign of
+    # the miss, so the root's shot is kept; only a miss of exactly 0 at the
+    # first bracket end could leave it to be shot again
+    shot = dict(latest.values()).get(slope0) or _shoot(slope0, 2000.0)
     edge = _edge(shot)
     if edge is None:
         raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")

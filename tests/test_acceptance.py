@@ -149,7 +149,7 @@ def test_criterion_08_coherent_states():
         f = lambda r, c=c, w=w: c * math.exp(-0.5 * (r / w) ** 2)
         rr = sc.coherent_resolution_check(f, cs, 0.1, w)
         worst_res = max(worst_res, abs(rr["identity_rhs"] / rr["identity_lhs"] - 1.0))
-        pp = sc.coherent_potential_check(f, cs, 0.3)
+        pp = sc.coherent_potential_check(f, cs, 0.3, w)
         worst_pot = max(worst_pot, abs(pp["route_momentum"] / pp["route_newton"] - 1.0))
     cs6 = sc.CoherentSpec.reference(0.6)
     alphas = np.geomspace(1e-4, 1e-2, 6)

@@ -10,6 +10,7 @@ from relatom.errors import DivergentIntegral, DomainError, NonConvergence, StepF
 from relatom.numerics import (
     QuadratureSpec,
     RadialFunction,
+    coulomb_pairing,
     gl_rule,
     grid_quadrature,
     integrate_1d,
@@ -393,7 +394,7 @@ class TestRadialFourier:
             (np.linspace(0.5, 2.0, 7), np.array([-7.0])),
             # k v up to 1e4
             (np.linspace(0.0, 8.0, 65), np.linspace(0.0, 1250.0, 2001)),
-            # 1,000 k: four blocks at 400 segments
+            # 1,000 k: 25 blocks at 400 segments
             (np.linspace(0.0, 400.0, 401), np.linspace(-25.0, 25.0, 1000)),
         ),
     )
@@ -429,3 +430,22 @@ class TestRadialFourier:
             lambda p: radial_fourier(bump, v_knots, p), np.linspace(0.0, 800.0, 801), r
         ) / (2.0 * math.pi) ** 3
         assert np.max(np.abs(back - bump(r))) < 1e-12
+
+
+def test_coulomb_pairing_of_two_gaussians():
+    # unit-mass Gaussians of widths sa, sb pair through 1/|x-y| to
+    # sqrt(2/pi) / sqrt(sa^2 + sb^2); their transforms are e^{-p^2 s^2/2}
+    def unit_gaussian(s):
+        return lambda v: (2.0 * math.pi * s * s) ** -1.5 * np.exp(-0.5 * (v / s) ** 2)
+
+    def knots(s):
+        return np.linspace(0.0, 12.0 * s, 129)
+
+    p_knots = np.linspace(0.0, 12.0, 49)
+    a, b = unit_gaussian(1.0), unit_gaussian(0.5)
+    pair = coulomb_pairing(a, knots(1.0), p_knots, b, knots(0.5))
+    assert abs(pair / (math.sqrt(2.0 / math.pi) / math.sqrt(1.25)) - 1.0) < 1e-13
+    # the self-pairing, on one transform, is the pairing of a with itself
+    self_pair = coulomb_pairing(a, knots(1.0), p_knots)
+    assert self_pair == coulomb_pairing(a, knots(1.0), p_knots, a, knots(1.0))
+    assert abs(self_pair * math.sqrt(math.pi) - 1.0) < 1e-13

@@ -11,9 +11,9 @@ from relatom import bounds as bd
 from relatom import checks
 from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
-from relatom.errors import DomainError, PreconditionFailure
+from relatom.errors import DivergentIntegral, DomainError, PreconditionFailure
 from relatom.kinetic import Dispersion, t_rel
-from relatom.numerics import RadialFunction, grid_quadrature
+from relatom.numerics import RadialFunction, grid_quadrature, radial_fourier
 
 from conftest import gaussian
 
@@ -114,8 +114,6 @@ class TestPhaseSpaceEnergy:
         assert abs(tiny - v0) < 1e-8 * abs(v0)
 
     def test_rel_path_rejects_coulomb_collapse(self, neutral_eq_solution):
-        from relatom.errors import DivergentIntegral
-
         pot = tf.tf_potential(neutral_eq_solution)
         with pytest.raises(DivergentIntegral):
             sc.phase_space_energy(Dispersion(0.05), pot, 0.0, q_min=0.0)
@@ -141,6 +139,17 @@ class TestPhaseSpaceEnergy:
             bare = sc.phase_space_energy(disp, RadialFunction(grid, values), mu_shift, q_min)
         assert tailed == bare
         assert tailed < 0.0
+
+    @pytest.mark.parametrize("disp,q_min", ((None, 0.0), (Dispersion(0.05), 0.2)))
+    @pytest.mark.parametrize("tail_exponent", (1.0, 0.0))
+    def test_tail_above_mu_shift_that_does_not_decay_diverges(self, disp, q_min, tail_exponent):
+        # V = 1/u + 1 on [0.1, 10]: the last sample 1.1 is above mu_shift = 0.5
+        # and the tail does not decay, so the allowed region reaches infinity
+        # (exponent 1.0 used to return -28.41, 0.0 a ZeroDivisionError)
+        grid = np.geomspace(0.1, 10.0, 50)
+        V = RadialFunction(grid, 1.0 / grid + 1.0, tail_exponent)
+        with pytest.raises(DivergentIntegral):
+            sc.phase_space_energy(disp, V, 0.5, q_min)
 
 
 class TestQuarticCorrection:
@@ -325,18 +334,37 @@ class TestCoherent:
     def test_potential_smearing_two_routes(self):
         # quad_ref: nested scipy quad of the Newton split at epsrel 1.2e-14
         for s, quad_ref in ((0.5, 1.0999646432199786), (0.55, 1.1030998391269518)):
-            res = sc.coherent_potential_check(gaussian(1.0), sc.CoherentSpec.reference(s), 0.3)
+            res = sc.coherent_potential_check(gaussian(1.0), sc.CoherentSpec.reference(s), 0.3, 1.0)
             assert abs(res["route_momentum"] / res["route_newton"] - 1.0) < 1e-8
             assert abs(res["route_newton"] - quad_ref) < 1e-12
+            assert abs(res["route_momentum"] - quad_ref) < 1e-12
+
+    def test_potential_check_fails_on_a_misnormalised_pairing(self, monkeypatch):
+        # the Parseval pairing's 2/pi off by 1e-7 must fail the verify line
+        pairing = sc.coulomb_pairing
+        monkeypatch.setattr(sc, "coulomb_pairing", lambda *args: pairing(*args) * (1.0 + 1e-7))
+        line = next(c for c in checks.check_coherent() if c.name.startswith("smeared-Coulomb"))
+        assert not line.passed
+        assert abs(line.measured - 1e-7) < 1e-9
 
     def test_smeared_coulomb_routes_agree_pointwise(self, reference_bump):
+        # oracle: the inverse radial transform of 4 pi ghat/p^2 (ghat that of
+        # g_alpha^2), which never uses Newton's theorem; ghat decays
+        # super-algebraically on the scale 1/alpha^s, and p-segments of
+        # width 6/R put about 12 nodes on each period of sin(p r), r <= R
+        g_a, a_s = reference_bump.g_scaled(0.3)
+        support = np.linspace(0.0, a_s, 65)
+
+        def coulomb_hat(p):
+            return 4.0 * math.pi * radial_fourier(lambda v: g_a(v) ** 2, support, p) / (p * p)
+
         # inside, across and far outside the support alpha^s = 0.52
         r = np.array([1e-3, 0.1, 0.3, 0.5, 0.6, 1.0, 3.0, 20.0])
+        p_max = 400.0 / a_s
+        p_knots = np.linspace(0.0, p_max, math.ceil(p_max * r[-1] / 6.0) + 1)
+        momentum = radial_fourier(coulomb_hat, p_knots, r) / (2.0 * math.pi) ** 3
         newton = sc.smeared_coulomb(reference_bump, 0.3)(r)
-        momentum = sc.smeared_coulomb(reference_bump, 0.3, "momentum")(r)
         assert np.max(np.abs(momentum / newton - 1.0)) < 1e-12
-        with pytest.raises(DomainError):
-            sc.smeared_coulomb(reference_bump, 0.3, "angular")
 
     def test_degenerate_profile_rejected(self):
         bad = sc.CoherentSpec(

@@ -86,6 +86,9 @@ class TestSolve:
         monkeypatch.setattr(tf, "shoot", counting)
         tf._solve_universal.__wrapped__(lam)
         assert 0 < len(shots) <= max_shots
+        # no slope is shot twice: the root's profile is read off its Brent shot
+        outward = [args[1] for args in shots if args[2] == tf._XI0]
+        assert len(set(outward)) == len(outward)
         if lam == 1.0:
             ends = [(tf._XI0, tf._XI_MATCH), (tf._XI_FAR, tf._XI_MATCH)]
             assert [args[2:4] for args in shots] == ends
@@ -126,17 +129,19 @@ class TestSolve:
     def test_repulsion_quadrature_runs_once_per_lambda(self, monkeypatch):
         prof = tf._solve_universal.__wrapped__(0.5)  # fresh: no integral cached yet
         monkeypatch.setattr(tf, "_solve_universal", lambda key: prof)
-        calls = []
-        real = tf.grid_quadrature
+        samples = []
+        real = tf._UniversalProfile.phi
 
-        def counting(f, knots):
-            calls.append(f)
-            return real(f, knots)
+        def counting(self, xi):
+            samples.append(np.size(xi))
+            return real(self, xi)
 
-        monkeypatch.setattr(tf, "grid_quadrature", counting)
+        monkeypatch.setattr(tf._UniversalProfile, "phi", counting)
         for Z in (1.0, 2.0, 10.0, 100.0):
             tf.solve(tf.TFParams(lam=0.5, Z=Z))
-        assert len(calls) == 4  # mass, I32, I52 and the repulsion, once each
+        # mass, I32, I52, the potential and the repulsion all come from one
+        # sampling of phi at the grid's GL-12 nodes
+        assert samples == [12 * (prof.xi.size - 1)]
 
     @pytest.mark.parametrize("lam", (0.5, 1.0))
     def test_mass_postcondition_is_enforced(self, monkeypatch, lam):

@@ -1,9 +1,11 @@
 """Every invariant suite must pass wholesale; these are the same checks the
 ``verify`` command runs, so `verify all` stays green iff this module does."""
 
+import numpy as np
 import pytest
 
 from relatom import checks, numerics
+from relatom import semiclassics as sc
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
@@ -48,3 +50,20 @@ def test_quadrature_budget(monkeypatch):
     checks.run_suite("all")
     assert calls[0] == 170
     assert evals[0] <= 54_600
+
+
+def test_smeared_coulomb_transform_budget(monkeypatch):
+    # (k, segment) pairs of the radial transforms behind the
+    # "smeared-Coulomb routes" line, at its arguments: the Parseval pairing
+    # spends 110,592; the r-space inverse transform it replaced, 2.26M
+    pairs = [0]
+    real = numerics.radial_fourier
+
+    def counting(f, knots, k):
+        pairs[0] += np.size(k) * (len(knots) - 1)
+        return real(f, knots, k)
+
+    monkeypatch.setattr(numerics, "radial_fourier", counting)
+    monkeypatch.setattr(sc, "radial_fourier", counting)
+    sc.coherent_potential_check(checks._gaussian(1.0), sc.CoherentSpec.reference(0.5), 0.3, 1.0)
+    assert 0 < pairs[0] <= 120_000
