@@ -367,6 +367,12 @@ class Pchip:
     """
 
     def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.c = self.coefficients(self.x, y)
+
+    @classmethod
+    def coefficients(cls, x, y):
+        """(c0, c1, c2, c3) of every interval; the first k need only x[:k+2], y[:k+2]."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         h = np.diff(x)
@@ -380,11 +386,10 @@ class Pchip:
             flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+            d[0] = cls._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = cls._end_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2 * m) / h
-        self.x = x
-        self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+        return (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
 
     @staticmethod
     def _end_slope(h0, h1, m0, m1):

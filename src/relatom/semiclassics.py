@@ -120,12 +120,15 @@ def phase_space_energy(
     ``disp=None`` selects the non-relativistic dispersion p^2/2; either
     inner momentum integral is a closed form, so one vectorized integrand
     serves grid, head and tail.  The relativistic path with a
-    Coulomb-singular V requires q_min > 0 (hyper-relativistic collapse).
-    A V whose last sample is at or below mu_shift contributes nothing
-    beyond the grid.  No error estimate is computed, so none is returned.
+    Coulomb-singular V requires q_min > 0 (hyper-relativistic collapse),
+    and mu_shift must be >= 0.  A V whose last sample is at or below
+    mu_shift contributes nothing beyond the grid.  No error estimate is
+    computed, so none is returned.
     """
     if q_min < 0:
         raise DomainError("q_min must be >= 0")
+    if not mu_shift >= 0:  # [V - mu_shift]_+ would tend to |mu_shift| at infinity
+        raise DomainError("mu_shift must be >= 0")
 
     def w_of(u):
         return np.maximum(np.asarray(V(u), dtype=float) - mu_shift, 0.0)

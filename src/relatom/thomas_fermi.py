@@ -13,7 +13,8 @@ screening function obeys the universal ODE
 with a Sommerfeld tail (phi ~ 144 xi^-3) for neutral atoms (lambda >= 1)
 and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 (lambda < 1).  The chemical potential is mu = Z (1-lambda) / (b x0) for
-ions and 0 otherwise.
+ions and 0 otherwise.  A :class:`TFSolution` is the profile of lambda seen
+at one Z: every per-Z quantity is an exact rescaling of it, taken on read.
 
 Shooting is on slope0 = phi'(0), with a port of scipy's Brent's method
 (same iterates).  Every shot is one :func:`numerics.shoot`: pure-Python
@@ -73,7 +74,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
-from .numerics import RadialFunction, gl_rule, grid_quadrature, newton_potential, shoot
+from .numerics import Pchip, RadialFunction, gl_rule, grid_quadrature, newton_potential, shoot
 
 __all__ = [
     "GAMMA_TF_PAPER",
@@ -475,36 +476,78 @@ def _solve_ion(lam):
 
 @dataclass(frozen=True)
 class TFSolution:
-    """A solved Thomas-Fermi atom.
-
-    ``phi`` lives on the universal (TF-scaled) radius xi = r / b; ``rho``
-    on the physical radius.  ``edge_radius`` is in xi units (inf for the
-    neutral branch).
+    """A Thomas-Fermi atom: the universal profile of min(lambda, 1) seen at
+    ``params``, every other attribute derived from the two.  ``phi`` and
+    ``edge_radius`` (inf when neutral) live on the universal radius
+    xi = r / b; ``rho`` = gamma^{-3/2} (Z/r)^{3/2} phi^{3/2}, on the
+    physical radius r = b xi, is built on first read.  :func:`solve` adds
+    the mass and residual gates.
     """
 
     params: TFParams
-    slope0: float
-    mu: float
-    edge_radius: float
-    phi: RadialFunction
-    rho: RadialFunction
-    energy_terms: dict
-    profile: _UniversalProfile = field(repr=False, compare=False)
+    profile: _UniversalProfile = field(repr=False)
+
+    slope0 = property(lambda self: self.profile.slope0)
+    phi = property(lambda self: self.profile.phi_function)
+    b = property(lambda self: self.params.length_scale)
 
     @property
-    def b(self):
-        return self.params.length_scale
+    def edge_radius(self):
+        return math.inf if self.profile.x_edge is None else self.profile.x_edge
+
+    @property
+    def mu(self):
+        """Z (1 - lambda) / (b x0) for ions, 0 otherwise."""
+        x_edge, Z = self.profile.x_edge, self.params.Z
+        return 0.0 if x_edge is None else Z * (1.0 - self.params.lam) / (self.b * x_edge)
 
     @property
     def electron_count(self):
         """int rho d^3x = Z * min(lambda, 1) up to solver accuracy."""
         return self.params.Z * self.profile.mass
 
+    @cached_property
+    def energy_terms(self):
+        """The three TF energy terms: the profile's Z-independent integrals
+        scaled by X = Z^2/b."""
+        prof, Z = self.profile, self.params.Z
+        X = Z * Z / self.b
+        # repulsion = (1/2) int rho (rho * 1/|.|) in xi variables, and its
+        # tail: phi^{3/2} sqrt(t) * (mass/t) on the Sommerfeld manifold
+        rep = 0.5 * X * prof.repulsion
+        rep += 0.5 * X * prof.mass * prof.tail_moment(1.5, -0.5)
+        return {"kinetic": float(0.6 * X * prof.I52), "attraction": float(-X * prof.I32),
+                "repulsion": float(rep)}
+
+    @cached_property
+    def density_samples(self):
+        """(r, rho(r)) on the physical grid r = b xi.  Past Z ~ 1e148 the
+        density overflows (inf, or inf * 0 at an ion's edge), and from
+        Z ~ 10^91.47 its PCHIP's coefficients do: they grow like Z^3, and the
+        largest is the first interval's cubic (finest step, steepest
+        density), exact from the first three samples.  Either is a
+        DomainError naming Z."""
+        Z = self.params.Z
+        r = self.b * self.profile.xi
+        with np.errstate(all="ignore"):
+            rho = self.params.gamma_kin**-1.5 * (Z / r) ** 1.5 * self.profile.phi_values**1.5
+            first = Pchip.coefficients(r[:3], rho[:3])
+        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(first))):
+            raise DomainError(f"Z = {Z!r} is too large: the TF density leaves float range")
+        return r, rho
+
+    @cached_property
+    def rho(self):
+        """rho as a RadialFunction, with the Sommerfeld tail rho ~ r^-6 on
+        the neutral branch and zero past an ion's edge."""
+        return RadialFunction(*self.density_samples, -6.0 if self.profile.x_edge is None else None)
+
 
 def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     """Solve the TF minimisation; the returned solution satisfies
     tf_equation_residual(sol) <= tol and carries the mass Z min(lambda, 1)
-    to _MASS_TOL relative (ToleranceFailure otherwise)."""
+    to _MASS_TOL relative (ToleranceFailure otherwise).  The residual reads
+    ``density_samples``, which refuse a Z whose density leaves float range."""
     if not (1e-12 < tol < 1e-3):
         raise DomainError("tol must lie in (1e-12, 1e-3)")
     prof = _solve_universal(round(min(params.lam, 1.0), 12))
@@ -514,67 +557,13 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
             f"TF mass error {mass_error:.3e} misses {_MASS_TOL:g} at lambda = {prof.lam_eff!r}",
             residual=abs(mass_error),
         )
-    b = params.length_scale
-    Z = params.Z
-    mu = 0.0 if prof.x_edge is None else Z * (1.0 - params.lam) / (b * prof.x_edge)
-    # past Z ~ 1e148 the density overflows (inf, or inf * 0 at an ion's edge),
-    # and from Z ~ 1e92 its PCHIP coefficients do (up to rho/h^3 on the
-    # finest grid steps, its secants from Z ~ 1e147): RadialFunction refuses both
-    with np.errstate(all="ignore"):
-        rho_vals = params.gamma_kin**-1.5 * (Z / (b * prof.xi)) ** 1.5 * prof.phi_values**1.5
-        try:
-            rho = _density(params, prof, rho_vals)
-        except DomainError:
-            raise DomainError(
-                f"Z = {Z!r} is too large: the TF density leaves float range") from None
-    sol = _solution(params, prof, mu, rho, _energy_terms(params, prof))
+    sol = TFSolution(params, prof)
     residual = tf_equation_residual(sol)
     if residual > tol:
         raise ToleranceFailure(
             f"TF residual {residual:.3e} misses tol {tol:.3e}", residual=residual
         )
     return sol
-
-
-def _density(params, prof, rho_vals):
-    """rho on the physical grid, with the Sommerfeld tail rho ~ r^-6 on the
-    neutral branch and zero past an ion's edge."""
-    return RadialFunction(params.length_scale * prof.xi, rho_vals,
-                          -6.0 if prof.x_edge is None else None)
-
-
-def _solution(params, prof, mu, rho, energy_terms):
-    """The TFSolution of the universal profile ``prof`` at ``params``: the
-    profile's phi on the universal grid and the density ``rho``."""
-    return TFSolution(
-        params=params,
-        slope0=prof.slope0,
-        mu=mu,
-        edge_radius=math.inf if prof.x_edge is None else prof.x_edge,
-        phi=prof.phi_function,
-        rho=rho,
-        energy_terms=energy_terms,
-        profile=prof,
-    )
-
-
-def _energy_terms(params, prof):
-    """The three TF energy terms: the profile's Z-independent integrals
-    scaled by X = Z^2/b."""
-    Z = params.Z
-    b = params.length_scale
-    X = Z * Z / b
-    kinetic = 0.6 * X * prof.I52
-    attraction = -X * prof.I32
-    # repulsion = (1/2) int rho (rho * 1/|.|): in xi variables
-    rep = 0.5 * X * prof.repulsion
-    # tail: phi^{3/2} sqrt(t) * (mass/t) on the Sommerfeld manifold
-    rep += 0.5 * X * prof.mass * prof.tail_moment(1.5, -0.5)
-    return {
-        "kinetic": float(kinetic),
-        "attraction": float(attraction),
-        "repulsion": float(rep),
-    }
 
 
 def tf_energy(sol: TFSolution) -> float:
@@ -659,21 +648,19 @@ def tf_equation_residual(sol: TFSolution) -> float:
     large Z, where the (1 + ...) normalisation turns any interpolation
     bias into a Z^{4/3}-amplified residual.
     """
-    prof = sol.profile
     Z = sol.params.Z
-    b = sol.b
-    xi = prof.xi
-    pot = (Z / b) * prof.potential(xi)
-    lhs = sol.params.gamma_kin * sol.rho.values ** (2.0 / 3.0)
-    rhs = np.maximum(Z / (b * xi) - pot - sol.mu, 0.0)
+    r, rho = sol.density_samples
+    pot = (Z / sol.b) * sol.profile.potential(sol.profile.xi)
+    lhs = sol.params.gamma_kin * rho ** (2.0 / 3.0)
+    rhs = np.maximum(Z / r - pot - sol.mu, 0.0)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
 
 
 def tf_potential(sol: TFSolution) -> RadialFunction:
     """V_TF(r) = Z/r - rho*1/|.| - mu = (Z/r) phi(r/b) as a radial profile."""
     Z = sol.params.Z
-    r = sol.rho.grid
-    vals = (Z / r) * sol.phi.values
+    r = sol.b * sol.profile.xi
+    vals = (Z / r) * sol.profile.phi_values
     return RadialFunction(r, vals, -4.0 if math.isinf(sol.edge_radius) else None)
 
 
@@ -687,22 +674,25 @@ def solution_to_json(sol: TFSolution) -> str:
         "slope0": sol.slope0,
         "mu": sol.mu,
         "edge_radius": None if math.isinf(sol.edge_radius) else sol.edge_radius,
-        "grid": sol.phi.grid.tolist(),
-        "phi": sol.phi.values.tolist(),
-        "rho": sol.rho.values.tolist(),
+        "grid": sol.profile.xi.tolist(),
+        "phi": sol.profile.phi_values.tolist(),
+        "rho": sol.density_samples[1].tolist(),
         "energy_terms": sol.energy_terms,
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def solution_from_json(text: str) -> TFSolution:
+    """The solution a :func:`solution_to_json` text records.  Only params,
+    slope0, edge_radius, grid and phi are read; mu, rho and the energy
+    terms are derived again from them (the neutral tail amplitude is
+    refitted from the last grid point)."""
     doc = json.loads(text)
     p = doc["params"]
     # files written before the spin_q field was dropped still carry it: ignored
     params = TFParams(lam=p["lambda"], Z=p["Z"], gamma_kin=p["gamma_kin"])
     xi = np.asarray(doc["grid"], dtype=float)
     phi_vals = np.asarray(doc["phi"], dtype=float)
-    rho_vals = np.asarray(doc["rho"], dtype=float)
     edge = doc["edge_radius"]
     neutral = edge is None
     prof = _UniversalProfile(
@@ -714,8 +704,7 @@ def solution_from_json(text: str) -> TFSolution:
         xi=xi,
         phi_values=phi_vals,
     )
-    return _solution(params, prof, doc["mu"], _density(params, prof, rho_vals),
-                     doc["energy_terms"])
+    return TFSolution(params, prof)
 
 
 def _fit_tail_amplitude(xi, phi_vals):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -399,9 +398,10 @@ def budget_inputs(reference_bump):
     return sol, reference_bump
 
 
-def relabelled(sol, alpha):
-    """The Z = 1 solution at Z = (2/pi)/alpha, exact by TF scaling."""
-    return dataclasses.replace(sol, params=tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha))
+def scaled(sol, alpha):
+    """The Z = 1 solution's profile viewed at Z = (2/pi)/alpha, exact by TF
+    scaling."""
+    return tf.TFSolution(tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha), sol.profile)
 
 
 # the exponent tags as they were declared by hand, beside each term's value
@@ -420,18 +420,33 @@ DECLARED_TAGS = {
 }
 
 
+def assert_declared_tags(sol, alpha, r, t, s, beta):
+    budget = bd.assemble_error_budget(
+        make_pp(alpha=alpha, r=r, t=t, s=s, beta=beta), scaled(sol, alpha),
+        sc.CoherentSpec.reference(s),
+    )
+    tags = {term.name: term.alpha_exponent for term in budget.terms}
+    assert set(tags) == set(DECLARED_TAGS) | {"localisation_exp_small"}
+    for name, declared in DECLARED_TAGS.items():
+        assert tags[name] == declared(r, t, s), (name, r, t, s, beta)  # bit for bit
+
+
 class TestBudget:
     @pytest.mark.parametrize("alpha", (1e-3, 1e-6))
     @pytest.mark.parametrize("r,t,s", ((0.95, 0.5, 0.55), (0.90, 0.5, 0.55), (0.95, 0.65, 0.655)))
     def test_derived_tags_equal_the_declared_ones(self, neutral_solution, alpha, r, t, s):
-        budget = bd.assemble_error_budget(
-            make_pp(alpha=alpha, r=r, t=t, s=s), relabelled(neutral_solution, alpha),
-            sc.CoherentSpec.reference(s),
-        )
-        tags = {term.name: term.alpha_exponent for term in budget.terms}
-        assert set(tags) == set(DECLARED_TAGS) | {"localisation_exp_small"}
-        for name, declared in DECLARED_TAGS.items():
-            assert tags[name] == declared(r, t, s), name  # bit for bit
+        assert_declared_tags(neutral_solution, alpha, r, t, s, beta=0.1)
+
+    def test_derived_tags_at_random_partitions(self, neutral_solution):
+        # seeded admissible partitions r in (8/9, 1), 1/3 < t < s < 2/3,
+        # beta in (0, 1/2): every tag is its declared formula, which has no beta
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            r = rng.uniform(8.0 / 9.0, 1.0)
+            t, s = np.sort(rng.uniform(1.0 / 3.0, 2.0 / 3.0, 2))
+            beta = rng.uniform(0.0, 0.5)
+            for alpha in (1e-3, 1e-6):
+                assert_declared_tags(neutral_solution, alpha, r, t, s, beta)
 
     def test_tiny_alpha_gives_finite_values_or_a_named_domain_error(
         self, neutral_solution, reference_bump
@@ -443,7 +458,7 @@ class TestBudget:
             for k in range(3, 301):
                 alpha = 10.0**-k
                 budget = bd.assemble_error_budget(
-                    make_pp(alpha=alpha), relabelled(neutral_solution, alpha), reference_bump
+                    make_pp(alpha=alpha), scaled(neutral_solution, alpha), reference_bump
                 )
                 for term in budget.terms:
                     # a neutral atom's bookkeeping term is exactly 0.0

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import relatom
 from relatom import bounds as bd
-from relatom import cli
+from relatom import cli, numerics
 from relatom import thomas_fermi as tf
 
 
@@ -152,6 +153,28 @@ def test_verify_suites_run_with_scipy_blocked(monkeypatch):
     for suite in checks.SUITES.values():
         suite()
     assert [m for m in sys.modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("lam,argv", (
+    (1.0, ("budget", "--alpha", "1e-3")),
+    (1.0, ("asymptotics",)),
+    (0.5, ("tf-solve", "--lambda", "0.5", "--Z", "10", "--out", "{tmp}/sol.json")),
+))
+def test_commands_build_one_interpolant(capsys, monkeypatch, tmp_path, lam, argv):
+    # from a fresh profile: phi's PCHIP, and no density PCHIP
+    fresh = functools.lru_cache(tf._solve_universal.__wrapped__)
+    monkeypatch.setattr(tf, "_solve_universal", fresh)
+    builds = []
+
+    class Counting(numerics.Pchip):
+        def __init__(self, x, y):
+            builds.append(len(x))
+            super().__init__(x, y)
+
+    monkeypatch.setattr(numerics, "Pchip", Counting)
+    code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 0
+    assert builds == [fresh(lam).xi.size]
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -151,6 +151,14 @@ class TestPhaseSpaceEnergy:
         with pytest.raises(DivergentIntegral):
             sc.phase_space_energy(disp, V, 0.5, q_min)
 
+    def test_negative_mu_shift_is_refused(self):
+        # [V - mu_shift]_+ tends to 0.5 at infinity: the allowed region is
+        # unbounded (the tail branch integrated V^{5/2} and returned -19.78)
+        grid = np.geomspace(0.1, 10.0, 50)
+        V = RadialFunction(grid, grid**-2.0, -2.0)
+        with pytest.raises(DomainError, match="mu_shift"):
+            sc.phase_space_energy(None, V, -0.5, 0.2)
+
 
 class TestQuarticCorrection:
     def test_three_forms_agree(self):
@@ -207,15 +215,14 @@ class TestDomainChange:
         assert all(x > y for x, y in zip(seq56, seq56[1:]))
 
     def test_log_slope_reaches_its_tag_at_tiny_alpha(self, neutral_solution):
-        # the Z = 1 solution relabelled to Z = delta/alpha is exact by TF
+        # the Z = 1 profile viewed at Z = delta/alpha is exact by TF
         # scaling; the majorant minus one must not cancel as Y -> 0, and once
         # W falls below the grid (near alpha = 1e-42) the closed-form head
         # takes over, so the secant slope between alpha and alpha/10 stays at
         # -(1+t)/2 = -0.75 all the way down
         def term(alpha):
-            sol = dataclasses.replace(
-                neutral_solution, params=tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha)
-            )
+            sol = tf.TFSolution(tf.TFParams(lam=1.0, Z=(2.0 / math.pi) / alpha),
+                                neutral_solution.profile)
             return sc.domain_change_error(sol, alpha, 0.5)
 
         vals = [term(10.0**-e) for e in range(20, 301)]
@@ -229,7 +236,7 @@ class TestDomainChange:
         # series, here integrated by quadrature in log t, next to the grid's
         # GL-12 sum and the quadrature of the Sommerfeld manifold beyond it
         delta, t = 2.0 / math.pi, 0.5
-        sol = dataclasses.replace(neutral_solution, params=tf.TFParams(lam=1.0, Z=delta / alpha))
+        sol = tf.TFSolution(tf.TFParams(lam=1.0, Z=delta / alpha), neutral_solution.profile)
         prof = sol.profile
         b1 = sol.params.gamma_kin * (4.0 * math.pi) ** (-2.0 / 3.0)
         lo = 0.25 * delta ** (1.0 / 3.0) * alpha ** (t - 1.0 / 3.0) / b1

@@ -57,6 +57,26 @@ class TestSolve:
             with pytest.raises(DomainError, match=re.escape(f"Z = {Z!r} is too large")):
                 tf.solve(tf.TFParams(lam=lam, Z=Z), tol=1e-4)
 
+    def test_scaled_view_refuses_its_density_lazily(self):
+        # the budget's reads stay finite at Z = 1e100; the density's PCHIP
+        # would leave float range, so reading rho is the typed refusal
+        sol = tf.TFSolution(tf.TFParams(lam=0.5, Z=1e100), tf._solve_universal(0.5))
+        assert all(map(math.isfinite, (sol.mu, sol.electron_count, tf.tf_energy(sol))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape("Z = 1e+100 is too large")):
+                sol.rho
+
+    @pytest.mark.parametrize("lam", (1.0, 0.5))
+    @pytest.mark.parametrize("Z", (10.0, 636.6, 1e4))
+    def test_scaled_view_is_the_solution_at_z(self, lam, Z):
+        view = tf.TFSolution(tf.TFParams(lam, Z), tf.solve(tf.TFParams(lam, 1.0)).profile)
+        sol = tf.solve(tf.TFParams(lam, Z), tol=1e-4)
+        assert (view.mu, view.energy_terms, view.electron_count) == (
+            sol.mu, sol.energy_terms, sol.electron_count)
+        assert np.array_equal(view.rho.values, sol.rho.values)
+        assert tf.tf_equation_residual(view) == tf.tf_equation_residual(sol)
+
     @pytest.mark.parametrize("lam", ION_LAMBDAS)
     def test_ion_mass_and_mu(self, lam):
         sol = tf.solve(tf.TFParams(lam=lam, Z=1.0))
@@ -124,7 +144,7 @@ class TestSolve:
         monkeypatch.setattr(numerics, "Pchip", Counting)
         for Z in (1.0, 10.0, 100.0):
             assert tf.solve(tf.TFParams(lam=lam, Z=Z)).phi is prof.phi_function
-        assert builds == [prof.xi.size] * 4  # phi once, then rho once per Z
+        assert builds == [prof.xi.size]  # phi once; no solve builds the density
 
     def test_repulsion_quadrature_runs_once_per_lambda(self, monkeypatch):
         prof = tf._solve_universal.__wrapped__(0.5)  # fresh: no integral cached yet
@@ -351,9 +371,15 @@ class TestSerialization:
         assert restored.params == ion_solution.params
         assert restored.energy_terms == ion_solution.energy_terms
 
-    @pytest.mark.parametrize("lam,tails", ((1.0, (-3.0, -6.0)), (0.5, (None, None))))
-    def test_text_round_trip_and_tails(self, lam, tails):
-        text = tf.solution_to_json(tf.solve(tf.TFParams(lam=lam, Z=1.0)))
+    @pytest.mark.parametrize("lam,Z,tails", (
+        (1.0, 1.0, (-3.0, -6.0)), (0.5, 1.0, (None, None)), (0.9, 137.0, (None, None)),
+        (0.01, 100.0, (None, None)), (1.0, 636.6, (-3.0, -6.0)),
+    ))
+    def test_text_round_trip_and_tails(self, lam, Z, tails):
+        # the file's mu, rho and energy terms are derived again on loading,
+        # from its grid and phi (and a refitted neutral tail amplitude);
+        # tol is tf-solve's default, which Z = 137 and 636.6 need
+        text = tf.solution_to_json(tf.solve(tf.TFParams(lam=lam, Z=Z), tol=1e-6))
         restored = tf.solution_from_json(text)
         assert tf.solution_to_json(restored) == text
         assert (restored.phi.tail_exponent, restored.rho.tail_exponent) == tails
