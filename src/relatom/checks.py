@@ -205,6 +205,8 @@ _LITERATURE_SLOPE0 = -1.588071022611375312718684509
 
 def check_thomas_fermi():
     out = []
+    unit = {lam: tf.solve(tf.TFParams(lam=lam, Z=1.0), tol=1e-5)
+            for lam in (0.2, 0.4, 0.5, 0.6, 0.8, 1.0)}
     base = {}
     for lam in (0.5, 1.0):
         for Z in (1.0, 2.0, 10.0, 100.0):
@@ -217,14 +219,10 @@ def check_thomas_fermi():
             worst = max(worst, abs(base[(lam, Z)] / (Z ** (7.0 / 3.0) * e1) - 1.0))
     out.append(_bound("E(lam, Z) = Z^{7/3} E(lam, 1) relative spread", worst, 1e-6))
 
-    worst = max(
-        tf.tf_equation_residual(tf.solve(tf.TFParams(lam=lam, Z=1.0), tol=1e-5))
-        for lam in (0.5, 1.0)
-    )
+    worst = max(tf.tf_equation_residual(unit[lam]) for lam in (0.5, 1.0))
     out.append(_bound("TF-equation residual of returned solutions", worst, 1e-5))
 
-    ctf = [-tf.tf_energy(tf.solve(tf.TFParams(lam=l, Z=1.0), tol=1e-5))
-           for l in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    ctf = [-tf.tf_energy(unit[l]) for l in (0.2, 0.4, 0.6, 0.8, 1.0)]
     mono = all(a <= b + 1e-12 for a, b in zip(ctf, ctf[1:]))
     out.append(_bound("C_TF(lambda) nondecreasing", 0.0 if mono else 1.0, 0.0))
 
@@ -234,8 +232,7 @@ def check_thomas_fermi():
 
     worst = 0.0
     for lam in (0.5, 1.0):
-        sol = tf.solve(tf.TFParams(lam=lam, Z=1.0), tol=1e-5)
-        rho = sol.rho
+        rho = unit[lam].rho
         mass = grid_quadrature(lambda v: rho(v) * v * v, rho.grid)
         mass += rho.head_integral(1.0, 2) + rho.tail_integral(1.0, 2)
         mass *= 4.0 * math.pi
@@ -247,9 +244,13 @@ def check_thomas_fermi():
     excess = float(np.max(pot.values - sol.params.Z / pot.grid))
     out.append(_bound("V_TF <= Z/r at every grid point", excess, 1e-12))
 
-    slope0 = tf.solve(tf.TFParams(lam=1.0, Z=1.0), tol=1e-5).slope0
     out.append(_bound("|slope0 - B| of the neutral atom, B from the literature",
-                      abs(slope0 - _LITERATURE_SLOPE0), 1e-11))
+                      abs(unit[1.0].slope0 - _LITERATURE_SLOPE0), 1e-11))
+
+    # the functional of the solved density against the (slope0, x0) closed form
+    worst = max(abs(tf.tf_functional(sol.params, sol.rho) / tf.tf_energy_slope_identity(sol) - 1.0)
+                for sol in (unit[1.0], unit[0.5], unit[0.2]))
+    out.append(_bound("tf_functional(rho) vs slope identity, lambda 1, 0.5, 0.2", worst, 1e-6))
     return out
 
 
@@ -415,6 +416,22 @@ def check_bounds():
           and b2.binding_term().name in ("coherent_kinetic", "localisation_gradient"))
     out.append(_bound("binding budget term matches the analytic ordering",
                       0.0 if ok else 1.0, 0.0))
+
+    # the gap the momentum-domain terms bound: alpha E_nr(V_TF) - E_rel(alpha V_TF)
+    # over |q| > alpha^t/4, t = 1/2, on the neutral atom at Z = delta/alpha
+    ratios = []
+    for alpha in (0.05, 1e-2, 1e-3, 1e-4):
+        s_a = tf.solve(tf.TFParams(lam=1.0, Z=delta / alpha), tol=1e-4)
+        q_min = 0.25 * alpha**0.5
+        gap = alpha * sc.phase_space_energy(s_a, q_min=q_min) - sc.phase_space_energy(s_a, alpha, q_min)
+        bound = (sc.domain_change_error(s_a, alpha, 0.5) / (2.0 * math.pi) ** 3
+                 + bd.quartic_correction_bound(delta, 0.5).value(alpha))
+        ratios.append(gap / bound)
+    # the largest gap/bound, or a negative one if the gap has the wrong sign
+    worst = min(ratios) if min(ratios) < 0.0 else max(ratios)
+    out.append(CheckResult("0 <= gap/bound <= 1, gap = alpha E_nr - E_rel, bound = "
+                           "dce/(2 pi)^3 + quartic, alpha 0.05..1e-4",
+                           worst, 1.0, 0.0, 0.0 <= worst <= 1.0))
     return out
 
 

@@ -31,7 +31,6 @@ from .errors import DivergentIntegral, DomainError, PreconditionFailure
 from .kinetic import Dispersion, pfaff_integral
 from .numerics import (
     QuadratureSpec,
-    RadialFunction,
     coulomb_pairing,
     gl_rule,
     grid_quadrature,
@@ -108,92 +107,43 @@ def momentum_integral_rel(disp: Dispersion, v):
     return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
-def phase_space_energy(
-    disp: Dispersion | None,
-    V: RadialFunction,
-    mu_shift: float = 0.0,
-    q_min: float = 0.0,
-) -> float:
-    """-(1/(2 pi)^3) iint_{|q| > q_min} [T(p) - ([V(q)]-mu_shift)]_- d^3p d^3q,
-    a signed energy (<= 0).
+def phase_space_energy(sol: TFSolution, alpha: float | None = None, q_min: float = 0.0) -> float:
+    """(1/(2 pi)^3) iint_{|q| > q_min} [T(p) - a V_TF(q)]_- d^3p d^3q, a
+    signed energy (<= 0), with V_TF = (Z/q) phi(q/b) the solved atom's
+    potential (mu inside it).
 
-    ``disp=None`` selects the non-relativistic dispersion p^2/2; either
-    inner momentum integral is a closed form, so one vectorized integrand
-    serves grid, head and tail.  The relativistic path with a
-    Coulomb-singular V requires q_min > 0 (hyper-relativistic collapse),
-    and mu_shift must be >= 0.  A V whose last sample is at or below
-    mu_shift contributes nothing beyond the grid.  No error estimate is
-    computed, so none is returned.
+    ``alpha=None`` takes T = p^2/2 and a = 1: one moment of the universal
+    profile, -PHASE_SPACE_COEFF 4 pi Z^{5/2} b^{1/2} int_{q_min/b}^inf
+    phi^{5/2} t^{-1/2} dt, its series head and Sommerfeld tail included.
+    Otherwise T = t_rel and a = alpha: the closed-form momentum integral on
+    the profile's grid from q_min/b, and past it alpha times the
+    non-relativistic tail, where alpha V_TF is tiny.  The relativistic sum
+    collapses at the nucleus, so q_min = 0 is DivergentIntegral there, and
+    a q_min below the grid DomainError.  A q_min at or beyond the last grid
+    point is DomainError on either route.  No error estimate is computed.
     """
-    if q_min < 0:
-        raise DomainError("q_min must be >= 0")
-    if not mu_shift >= 0:  # [V - mu_shift]_+ would tend to |mu_shift| at infinity
-        raise DomainError("mu_shift must be >= 0")
-
-    def w_of(u):
-        return np.maximum(np.asarray(V(u), dtype=float) - mu_shift, 0.0)
-
-    if disp is None:
-        def integrand(u):
-            return -NONREL_52_COEFF * w_of(u) ** 2.5 * u * u
-    else:
-        def integrand(u):
-            return momentum_integral_rel(disp, w_of(u)) * u * u
-
-    grid = V.grid[V.grid > q_min]
-    if grid.size < 2:
-        raise DomainError("q_min leaves fewer than two grid points")
-    if q_min > 0.0 and q_min < grid[0]:
-        grid = np.concatenate([[q_min], grid])
-    value = grid_quadrature(integrand, grid)
-    end_spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12, max_subdivisions=200)
-
-    # head: below the first grid point V follows its power-law head
-    if q_min == 0.0:
-        p_head = V.head_exponent
-        w0 = w_of(grid[0])
-        if w0 > 0:
-            if disp is None:
-                head_pow = 2.5 * p_head + 2.0
-                if head_pow <= -1.0:
-                    raise DivergentIntegral(
-                        "phase-space head diverges: V too singular at the origin"
-                    )
-                head = -NONREL_52_COEFF * w0**2.5 * grid[0] ** 3 / (head_pow + 1.0)
-            else:
-                # a growing head always reaches the linear-dispersion regime,
-                # where the inner integral scales like v^4: the Coulomb head
-                # collapses unless q_min > 0 cuts it off
-                if p_head < 0.0 and 4.0 * p_head + 2.0 <= -1.0:
-                    raise DivergentIntegral(
-                        "relativistic phase-space head diverges for this "
-                        "potential; use q_min > 0"
-                    )
-                head = integrate_1d(integrand, 0.0, grid[0], end_spec)[0]
-            value += head
-
-    # tail: beyond the grid V uses its declared tail model, which stays at or
-    # below mu_shift (so outside the allowed region) once its last sample is
-    if V.tail_exponent is not None and V.values[-1] > mu_shift:
-        R = grid[-1]
-        if mu_shift > 0.0:
-            # the allowed region ends where the tail crosses mu_shift, which
-            # a tail that does not decay never does
-            if V.tail_exponent >= 0.0:
-                raise DivergentIntegral(
-                    "phase-space tail diverges: V stays above mu_shift past the grid"
-                )
-            u_star = R * (mu_shift / V.values[-1]) ** (1.0 / V.tail_exponent)
-            if u_star > R:
-                value += integrate_1d(integrand, R, u_star, end_spec)[0]
-        elif disp is None:
-            value += -NONREL_52_COEFF * V.tail_integral(2.5, 2)
-        else:
-            if 2.5 * V.tail_exponent + 3.0 >= 0.0:
-                raise DivergentIntegral("phase-space tail diverges: V decays too slowly")
-            value += integrate_1d(integrand, R, math.inf, end_spec)[0]
-
-    return float(value / (2.0 * math.pi) ** 3 * 4.0 * math.pi)
+    prof, Z, b = sol.profile, sol.params.Z, sol.b
+    lo = q_min / b
+    if not 0.0 <= lo < prof.xi[-1]:
+        raise DomainError("q_min must lie in [0, the last grid radius)")
+    coeff = -PHASE_SPACE_COEFF * 4.0 * math.pi * Z**2.5 * math.sqrt(b)
+    if alpha is None:
+        return float(coeff * prof.moment(2.5, -0.5, lo))
+    if lo == 0.0:
+        raise DivergentIntegral("relativistic phase-space energy collapses at the nucleus; "
+                                "use q_min > 0")
+    if lo < prof.xi[0]:
+        raise DomainError("q_min below the profile's grid")
+    disp = Dispersion(alpha)
+    grid = grid_quadrature(
+        lambda t: momentum_integral_rel(disp, alpha * Z / (b * t) * prof.phi(t)) * t * t,
+        np.concatenate([[lo], prof.xi[prof.xi > lo]]),
+    )
+    # the tail's next order, a factor 1 + (15/28) alpha^2 V_TF, moves it by
+    # 2e-12 of itself at alpha = 0.05, Z = (2/pi)/alpha, where the tail is
+    # 4e-17 of the total
+    tail = alpha * coeff * prof.tail_moment(2.5, -0.5)
+    return float(4.0 * math.pi / (2.0 * math.pi) ** 3 * b**3 * grid + tail)
 
 
 def domain_change_error(sol: TFSolution, alpha: float, t_exponent: float) -> float:

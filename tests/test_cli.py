@@ -52,12 +52,8 @@ def test_every_exported_name_resolves(name):
 
 # exported names that no package code reads yet, each kept for a reason
 UNREAD_EXPORTS = {
-    # perfbench's atoms check reads these three from the tf-solve output
-    "thomas_fermi.tf_functional",
-    "thomas_fermi.tf_energy_slope_identity",
+    # perfbench's atoms check reads it from the tf-solve output
     "thomas_fermi.solution_from_json",
-    # kept for the planned verify line on the budget's bounded quantity
-    "semiclassics.phase_space_energy",
 }
 
 

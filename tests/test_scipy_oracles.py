@@ -6,9 +6,10 @@ slope at one fixed argmax.  scipy is their oracle here: each port must
 agree with it to the last bit, each closed form to 2e-15, and the argmax
 with scipy's bounded minimiser to 1e-8.  The neutral TF profile's two
 pinned roots are re-derived here, bit for bit, by scipy's bisect and
-brentq.  The adaptive Gauss-Kronrod rule behind ``integrate_1d`` is no
-port: it must land within ten times its tolerance of scipy's ``quad``,
-or raise NonConvergence."""
+brentq, and the relativistic phase-space energy to 1e-10 by scipy's quad.
+The adaptive Gauss-Kronrod rule behind ``integrate_1d`` is no port: it
+must land within ten times its tolerance of scipy's ``quad``, or raise
+NonConvergence."""
 
 import math
 import warnings
@@ -182,6 +183,44 @@ def test_tail_moment_is_the_manifold_integral(p, e):
     assert abs(tail - manifold) <= 1e-10 * prof.moment(p, e, 0.0 if e > -1.0 else 1e-40)
     assert abs(tail / manifold - 1.0) <= (p * abs(a) * X**-tf._S1) ** 3
     assert tf._solve_universal(0.5).tail_moment(p, e) == 0.0
+
+
+def rel_phase_space_by_quad(sol, alpha, q_min):
+    """(1/(2 pi)^3) iint_{|q| > q_min} [t_rel(p) - alpha V_TF(q)]_- d^3p d^3q
+    by scipy's quad in the physical radius q, with V_TF = (Z/q) phi(q/b),
+    phi scipy's PCHIP of the profile on the grid and the Sommerfeld manifold
+    past it, and the momentum integral -(4 pi/15) alpha^-4 X^5
+    hyp2f1(1/2, 5/2; 7/2; -X^2), X^2 = w (w + 2), w = alpha^2 V_TF.  The
+    grid's knots are quad's breakpoints, a hundred to a call."""
+    prof, Z, b = sol.profile, sol.params.Z, sol.b
+    pchip = PchipInterpolator(prof.xi, prof.phi_values)
+
+    def integrand(q):
+        t = q / b
+        phi = float(pchip(t)) if t <= prof.xi[-1] else tf._tail_phi(prof.tail_amplitude, t)[0]
+        w = alpha * alpha * Z / q * max(phi, 0.0)
+        X2 = w * (w + 2.0)
+        return -4.0 * math.pi / 15.0 * alpha**-4 * X2**2.5 * hyp2f1(0.5, 2.5, 3.5, -X2) * q * q
+
+    knots = np.concatenate([[q_min], b * prof.xi[b * prof.xi > q_min]])
+    total = 0.0
+    for k in range(0, knots.size - 1, 100):
+        seg = knots[k:k + 101]
+        total += scipy.integrate.quad(integrand, seg[0], seg[-1], points=seg[1:-1],
+                                      epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    if prof.x_edge is None:
+        total += scipy.integrate.quad(integrand, knots[-1], math.inf, epsabs=0.0, epsrel=1e-12)[0]
+    return 4.0 * math.pi * total / (2.0 * math.pi) ** 3
+
+
+@pytest.mark.parametrize("alpha", (0.05, 1e-3))
+@pytest.mark.parametrize("lam", (1.0, 0.5))
+def test_rel_phase_space_energy_matches_quad(lam, alpha):
+    # the budget's region |q| > alpha^t/4 at t = 1/2
+    sol = tf.solve(tf.TFParams(lam=lam, Z=1.0))
+    q_min = 0.25 * math.sqrt(alpha)
+    oracle = rel_phase_space_by_quad(sol, alpha, q_min)
+    assert abs(sc.phase_space_energy(sol, alpha, q_min) / oracle - 1.0) <= 1e-10
 
 
 def _miss_functions(monkeypatch, lam):

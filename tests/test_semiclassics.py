@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
 from relatom.errors import DivergentIntegral, DomainError, PreconditionFailure
 from relatom.kinetic import Dispersion, t_rel
-from relatom.numerics import RadialFunction, grid_quadrature, radial_fourier
+from relatom.numerics import grid_quadrature, radial_fourier
 
 from conftest import gaussian
 
@@ -77,24 +76,18 @@ class TestMomentumIntegrals:
 
 
 class TestPhaseSpaceEnergy:
-    def test_zero_potential(self):
-        grid = np.geomspace(0.01, 10.0, 50)
-        V0 = RadialFunction(grid, np.zeros_like(grid))
-        assert sc.phase_space_energy(None, V0) == 0.0
-
-    def test_matches_identity_chain_value(self, neutral_eq_solution):
-        # nonrel dispersion, q_min = 0, V = V_TF: the 5/2-closed-form route
-        ch = sc.tf_identity_chain(neutral_eq_solution)
-        pot = tf.tf_potential(neutral_eq_solution)
-        value = sc.phase_space_energy(None, pot, mu_shift=0.0, q_min=0.0)
-        assert abs(value / ch["phase_space"] - 1.0) < 1e-5
+    def test_matches_identity_chain_value(self, neutral_eq_solution, ion_eq_solution):
+        # nonrel dispersion, q_min = 0: one profile moment against the chain,
+        # whose V_TF comes from coulomb_potential(rho)
+        for sol in (neutral_eq_solution, ion_eq_solution):
+            ch = sc.tf_identity_chain(sol)
+            assert abs(sc.phase_space_energy(sol) / ch["phase_space"] - 1.0) < 1e-6
 
     def test_cutoff_monotone_and_bounded_by_tail(self, neutral_eq_solution):
         sol = neutral_eq_solution
-        pot = tf.tf_potential(sol)
         q_min = 0.05
-        full = sc.phase_space_energy(None, pot, 0.0, 0.0)
-        cut = sc.phase_space_energy(None, pot, 0.0, q_min)
+        full = sc.phase_space_energy(sol)
+        cut = sc.phase_space_energy(sol, q_min=q_min)
         assert cut >= full  # dropping negative mass can only raise the value
         # the dropped piece is controlled by V <= Z/u on (0, q_min)
         Z = sol.params.Z
@@ -102,62 +95,33 @@ class TestPhaseSpaceEnergy:
         tail_bound = coeff * Z**2.5 * 2.0 * math.sqrt(q_min)
         assert cut - full <= tail_bound
 
-    def test_mu_shift_monotone_and_continuous(self, neutral_eq_solution):
-        pot = tf.tf_potential(neutral_eq_solution)
-        v0 = sc.phase_space_energy(None, pot, 0.0, 0.0)
-        prev = v0
-        for mu in (1e-12, 1e-6, 1e-3, 0.1):
-            v = sc.phase_space_energy(None, pot, mu, 0.0)
-            assert v >= prev - 1e-12  # shrinking allowed region raises the value
-            prev = v
-        tiny = sc.phase_space_energy(None, pot, 1e-12, 0.0)
-        assert abs(tiny - v0) < 1e-8 * abs(v0)
-
     def test_rel_path_rejects_coulomb_collapse(self, neutral_eq_solution):
-        pot = tf.tf_potential(neutral_eq_solution)
         with pytest.raises(DivergentIntegral):
-            sc.phase_space_energy(Dispersion(0.05), pot, 0.0, q_min=0.0)
+            sc.phase_space_energy(neutral_eq_solution, 0.05, q_min=0.0)
 
     def test_rel_path_with_cutoff(self, neutral_eq_solution):
-        sol = neutral_eq_solution
-        alpha = 0.05
-        pot = tf.tf_potential(sol)
-        scaled = RadialFunction(pot.grid, alpha * pot.values, pot.tail_exponent)
-        assert sc.phase_space_energy(Dispersion(alpha), scaled, 0.0, q_min=0.1) < 0.0
+        assert sc.phase_space_energy(neutral_eq_solution, 0.05, q_min=0.1) < 0.0
 
-    @pytest.mark.parametrize("disp,q_min", ((None, 0.0), (Dispersion(0.05), 0.2)))
-    @pytest.mark.parametrize("mu_shift", (0.0, 0.05))
-    def test_tail_below_mu_shift_adds_nothing(self, disp, q_min, mu_shift):
-        # V = 2/u on [0.1, 5), -0.1/u^4 beyond: the decaying negative tail
-        # stays below mu_shift, so [V - mu_shift]_+ vanishes past the grid
-        # and the declared tail must change nothing
-        grid = np.geomspace(0.1, 10.0, 60)
-        values = np.where(grid < 5.0, 2.0 / grid, -0.1 / grid**4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tailed = sc.phase_space_energy(disp, RadialFunction(grid, values, -4.0), mu_shift, q_min)
-            bare = sc.phase_space_energy(disp, RadialFunction(grid, values), mu_shift, q_min)
-        assert tailed == bare
-        assert tailed < 0.0
+    @pytest.mark.parametrize("alpha", (None, 0.05))
+    def test_negative_cutoff_is_refused(self, neutral_solution, alpha):
+        with pytest.raises(DomainError):
+            sc.phase_space_energy(neutral_solution, alpha, q_min=-1e-3)
 
-    @pytest.mark.parametrize("disp,q_min", ((None, 0.0), (Dispersion(0.05), 0.2)))
-    @pytest.mark.parametrize("tail_exponent", (1.0, 0.0))
-    def test_tail_above_mu_shift_that_does_not_decay_diverges(self, disp, q_min, tail_exponent):
-        # V = 1/u + 1 on [0.1, 10]: the last sample 1.1 is above mu_shift = 0.5
-        # and the tail does not decay, so the allowed region reaches infinity
-        # (exponent 1.0 used to return -28.41, 0.0 a ZeroDivisionError)
-        grid = np.geomspace(0.1, 10.0, 50)
-        V = RadialFunction(grid, 1.0 / grid + 1.0, tail_exponent)
-        with pytest.raises(DivergentIntegral):
-            sc.phase_space_energy(disp, V, 0.5, q_min)
+    @pytest.mark.parametrize("alpha", (None, 0.05))
+    @pytest.mark.parametrize("sol_name", ("neutral_solution", "ion_solution"))
+    def test_cutoff_at_or_beyond_the_grid_is_refused(self, request, sol_name, alpha):
+        sol = request.getfixturevalue(sol_name)
+        last = sol.b * sol.profile.xi[-1]
+        for q_min in (last, 2.0 * last):
+            with pytest.raises(DomainError):
+                sc.phase_space_energy(sol, alpha, q_min)
 
-    def test_negative_mu_shift_is_refused(self):
-        # [V - mu_shift]_+ tends to 0.5 at infinity: the allowed region is
-        # unbounded (the tail branch integrated V^{5/2} and returned -19.78)
-        grid = np.geomspace(0.1, 10.0, 50)
-        V = RadialFunction(grid, grid**-2.0, -2.0)
-        with pytest.raises(DomainError, match="mu_shift"):
-            sc.phase_space_energy(None, V, -0.5, 0.2)
+    def test_rel_cutoff_below_the_grid_is_refused(self, neutral_solution):
+        sol = neutral_solution
+        with pytest.raises(DomainError):
+            sc.phase_space_energy(sol, 0.05, q_min=0.5 * sol.b * sol.profile.xi[0])
+        # the non-relativistic route closes that gap with the series head
+        assert sc.phase_space_energy(sol, q_min=0.5 * sol.b * sol.profile.xi[0]) < 0.0
 
 
 class TestQuarticCorrection:

@@ -243,6 +243,13 @@ class TestEnergy:
         e_slope = tf.tf_energy_slope_identity(ion_solution)
         assert abs(e_func / e_slope - 1.0) < 1e-4
 
+    def test_functional_matches_slope_identity_far_ion(self):
+        # the verify line's two routes at lambda = 1e-3, which verify leaves
+        # out to spare every request a fresh ion solve (measured 1.6e-7)
+        sol = tf.solve(tf.TFParams(lam=1e-3, Z=1.0))
+        e_func = tf.tf_functional(sol.params, sol.rho)
+        assert abs(e_func / tf.tf_energy_slope_identity(sol) - 1.0) <= 1e-6
+
     def test_energy_negative(self, neutral_solution, ion_solution):
         assert tf.tf_energy(neutral_solution) < 0.0
         assert tf.tf_energy(ion_solution) < 0.0

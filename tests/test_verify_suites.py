@@ -1,11 +1,25 @@
 """Every invariant suite must pass wholesale; these are the same checks the
-``verify`` command runs, so `verify all` stays green iff this module does."""
+``verify`` command runs, so `verify all` stays green iff this module does.
+
+A line must also be able to fail.  Each mutation below is planted by
+monkeypatching and must turn its line to FAIL:
+
+| line | mutation |
+| --- | --- |
+| bounds: 0 <= gap/bound <= 1 | a second (2 pi)^3 under the whole bound |
+| bounds: 0 <= gap/bound <= 1 | the gap's sign swapped, E_rel - alpha E_nr |
+| thomas_fermi: tf_functional(rho) vs slope identity | the repulsion without its 1/2 |
+"""
+
+import math
 
 import numpy as np
 import pytest
 
+from relatom import bounds as bd
 from relatom import checks, numerics
 from relatom import semiclassics as sc
+from relatom import thomas_fermi as tf
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
@@ -67,3 +81,38 @@ def test_smeared_coulomb_transform_budget(monkeypatch):
     monkeypatch.setattr(sc, "radial_fourier", counting)
     sc.coherent_potential_check(checks._gaussian(1.0), sc.CoherentSpec.reference(0.5), 0.3, 1.0)
     assert 0 < pairs[0] <= 120_000
+
+
+def line(suite, prefix):
+    return next(r for r in checks.SUITES[suite]() if r.name.startswith(prefix))
+
+
+def test_gap_line_fails_on_a_units_slip(monkeypatch):
+    # a second (2 pi)^3 under both terms; under the domain change alone the
+    # largest gap/bound is 0.517, which the line cannot tell from a pass
+    slip = (2.0 * math.pi) ** 3
+    dce, quartic = sc.domain_change_error, bd.quartic_correction_bound
+    monkeypatch.setattr(sc, "domain_change_error", lambda *args: dce(*args) / slip)
+    monkeypatch.setattr(bd, "quartic_correction_bound", lambda delta, t: bd.PowerSum(tuple(
+        (sign, log_c - math.log(slip), e) for sign, log_c, e in quartic(delta, t).monomials)))
+    r = line("bounds", "0 <= gap/bound <= 1")
+    assert not r.passed and r.measured > 1.0
+
+
+def test_gap_line_fails_on_a_swapped_sign(monkeypatch):
+    real = sc.phase_space_energy
+    monkeypatch.setattr(sc, "phase_space_energy", lambda *args, **kw: -real(*args, **kw))
+    r = line("bounds", "0 <= gap/bound <= 1")
+    assert not r.passed and r.measured < 0.0
+
+
+def test_two_route_energy_line_fails_on_a_doubled_repulsion(monkeypatch):
+    # twice the Coulomb potential is the repulsion without its 1/2
+    real = tf.coulomb_potential
+
+    def doubled(rho):
+        pot = real(rho)
+        return lambda r: 2.0 * pot(r)
+
+    monkeypatch.setattr(tf, "coulomb_potential", doubled)
+    assert not line("thomas_fermi", "tf_functional(rho) vs slope identity").passed
