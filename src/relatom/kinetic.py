@@ -72,6 +72,8 @@ def pfaff_integral(x, a, closed_form):
     big = x > 1.0
     out[big] = closed_form(x[big])
     x = x[~big]
+    if not x.size:
+        return out
     u = x / (1.0 + x)
     term = np.ones_like(u)
     total = np.ones_like(u)

@@ -20,12 +20,21 @@ Shooting is on slope0 = phi'(0), with a port of scipy's Brent's method
 (same iterates).  Every shot is one :func:`numerics.shoot`: pure-Python
 DOP853 whose outward shots stop after the first accepted step where phi
 has hit zero or turned upward.  The whole solve path runs on numpy and
-plain floats.  For ions, Brent's method solves for the edge flux
+plain floats.  Ions are shot in u = sqrt(xi), where the equation reads
+(phi, phi')_u = (2u phi', 2 phi^{3/2}) with phi' = dphi/dxi.  That form is
+smooth at the origin, so each ion shot starts at u = 0 from (1, slope0)
+exactly, with no series start, and needs fewer steps than a shot in xi at
+a hundredth of its tolerance (83 against 140 at lambda = 0.5).  Brent's
+method solves for the edge flux
 -x0 phi'(x0) = 1 - lambda.  The edge comes from the stop step's end: the
-clamped right-hand side vanishes for phi < 0, so phi is linear past its
-zero and x0 = x - phi/phi' with phi'(x0) = phi' holds exactly.  A shot
-that never reaches phi = 0 counts as flux 0, the flux's limit at the
-critical (neutral) slope, so the miss is continuous.
+clamped right-hand side holds phi' fixed for phi < 0, so phi is linear in
+xi past its zero and x0 = u^2 - phi/phi' with phi'(x0) = phi' holds
+exactly.  A shot that never reaches phi = 0 counts as flux 0, the flux's
+limit at the critical (neutral) slope, so the miss is continuous.
+Brent's bracket comes from a few secant steps on logit(flux) against
+log(B_c - slope0), B_c = _NEUTRAL_SLOPE0, where the miss is nearly
+linear: the two closest trial slopes whose misses differ in sign, or
+[-60, -1.58] if none do.  No slope is shot twice.
 
 The neutral profile searches nothing: its two roots are pinned constants.
 An outward shot with slope0 = _NEUTRAL_SLOPE0 runs to xi = 20 and meets
@@ -42,22 +51,23 @@ of slope0.
 
 The profile's grid values come from the final shots themselves, so they
 lie on the trajectories of the roots.  Each accepted step of a shot gets
-one septic Hermite interpolant: phi and phi' at both step ends are
-recorded, phi'' = phi^{3/2}/sqrt(xi) and
-phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi) follow from the
-ODE, and all steps are evaluated as one Bernstein-form piecewise
-polynomial, term by term as scipy's BPoly does.  An ion's last step
-straddles the edge, where phi is not smooth (its fourth derivative
-diverges); the radii inside it are read off one more shot, from that
-step's start to the last of them.
+one septic Hermite interpolant in the shot's variable: phi and phi' at
+both step ends are recorded, and phi's next derivatives follow from the
+ODE (in xi, phi'' = phi^{3/2}/sqrt(xi) and
+phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi); in u, the three
+derivatives of :func:`_u_jets`).  All steps are evaluated as one
+Bernstein-form piecewise polynomial, term by term as scipy's BPoly does.
+An ion's last step straddles the edge, where phi is not smooth (its
+fourth derivative diverges); the radii inside it are read off one more
+shot, from that step's start to the last of them.
 :func:`solve` refuses a profile whose mass misses min(lambda, 1) by more
 than 1e-6 relative.
 
-The ODE is started at xi = 1e-8 from the series
+The neutral outward shot, in xi, starts at xi = 1e-8 from the series
 phi = 1 + B xi + (4/3) xi^{3/2} + (2B/5) xi^{5/2} + xi^3/3 to sidestep
-the sqrt singularity.  The profile has one continuation past its grid:
-that series below it, and the two-term Sommerfeld manifold (zero for
-ions) beyond it.  Every integral of phi^p t^e the package takes over the
+the sqrt singularity; every grid starts there too.  The profile has one
+continuation past its grid: that series below it, and the two-term
+Sommerfeld manifold (zero for ions) beyond it.  Every integral of phi^p t^e the package takes over the
 profile (mass, energy terms, Newton potential, the identity chain's
 phase-space sum, the budget's domain change) is one of its moments: a
 closed-form head (the series to first order), the composite GL-12 rule on
@@ -97,14 +107,24 @@ GAMMA_TF_PAPER = (3.0 * math.pi**2) ** (2.0 / 3.0)
 _S1 = (math.sqrt(73.0) - 7.0) / 2.0
 _C2 = 4.5 / (67.0 - 7.0 * math.sqrt(73.0))
 
-_XI0 = 1e-8            # series start
+_XI0 = 1e-8            # series start of the neutral shot, and every grid's first point
 _XI_FAR = 1000.0       # launch point of the inward neutral integration
 _XI_MATCH = 20.0       # outward/inward matching radius
+_U_END = math.sqrt(2000.0)  # ion shots run to xi = 2000 unless they stop first
 _ODE_TOL = 1e-12
+# DOP853 tolerance of the ion shots: at 1e-12 the step that crosses the
+# edge, where the clamped RHS has a kink, misses the edge flux by up to
+# 2e-11, and the septic readout of the long first steps misses the
+# trajectory by up to 5.5e-12
+_ION_TOL = 1e-14
 _MASS_TOL = 1e-6       # |int phi^{3/2} sqrt(t) / min(lambda, 1) - 1| that solve() accepts
 _PTS_PER_DECADE = 120
 _RTOL = 4.0 * np.finfo(float).eps  # relative bracket width the root-finders stop at
 _ROOT_ITER = 100
+_SLOPE_BRACKET = (-60.0, -1.58)  # every trial ion slope lies here; Brent's fallback bracket
+_SECANT_START = (-5.0, -2.0)     # log(B_c - B) of the first two trial ion slopes
+_SECANT_STEPS = 10
+_SECANT_TOL = 1e-6               # the secant step in log(B_c - B) that ends the search
 
 # The neutral slope0 and Sommerfeld tail amplitude: the exact roots of the
 # neutral search, bisection on [-1.7, -1.5] of whether the outward shot to
@@ -158,6 +178,13 @@ def _rhs(x, y):
     return (dphi, phi**1.5 / math.sqrt(x))
 
 
+def _rhs_u(u, y):
+    phi, dphi = y  # dphi = dphi/dxi, as in _rhs, at u = sqrt(xi)
+    if phi < 0.0:
+        phi = 0.0
+    return (2.0 * u * dphi, 2.0 * phi**1.5)
+
+
 def _tail_phi(a, xi):
     """Two-term decaying Sommerfeld manifold and its derivative."""
     eta = xi ** (-_S1)
@@ -184,41 +211,54 @@ def _shoot_in(a):
     return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL)
 
 
-def _readout(shot, xi):
-    """phi at the ascending radii ``xi`` inside the shot's span, on the
-    shot's own trajectory: each accepted step is one septic Hermite
-    interpolant of phi, phi' and the ODE's phi'', phi''' at its two ends,
+def _shoot_ion(B):
+    """Outward ion shot in u = sqrt(xi) from (phi, phi') = (1, B) at u = 0,
+    stopped like :func:`_shoot`."""
+    return shoot(_rhs_u, (1.0, B), 0.0, _U_END, _ION_TOL, stop=_escapes)
+
+
+def _xi_jets(x, phi, dphi):
+    """phi's first three xi-derivatives at the step ends of a shot in xi."""
+    clamped = np.maximum(phi, 0.0)  # as in _rhs
+    d2 = clamped**1.5 / np.sqrt(x)
+    return dphi, d2, 1.5 * np.sqrt(clamped) * dphi / np.sqrt(x) - d2 / (2.0 * x)
+
+
+def _u_jets(u, phi, dphi):
+    """phi's first three u-derivatives at the step ends of a shot in u:
+    2u phi', 2 phi' + 4u phi^{3/2} and 8 phi^{3/2} + 12 u^2 phi^{1/2} phi'."""
+    clamped = np.maximum(phi, 0.0)  # as in _rhs_u
+    p32 = clamped**1.5
+    return (2.0 * u * dphi, 2.0 * dphi + 4.0 * u * p32,
+            8.0 * p32 + 12.0 * u * u * np.sqrt(clamped) * dphi)
+
+
+def _readout(steps, t, jets):
+    """phi at the ascending points ``t`` of a shot's variable inside the
+    span of its accepted ``steps``, on the shot's own trajectory: each step
+    is one septic Hermite interpolant of phi and its first three
+    derivatives in that variable at its two ends, ``jets(t, phi, phi')``,
     all evaluated as one piecewise polynomial in Bernstein form."""
-    steps = shot.steps
-    if shot.y_end[0] <= 0.0:
-        # the last step straddles the edge, where phi is not smooth: radii
-        # inside it are read off one shot from its start to the last radius
-        x_start, y_start = steps[-2]
-        steps = steps[:-1]
-        if xi[-1] > x_start:
-            steps += shoot(_rhs, y_start, x_start, xi[-1], _ODE_TOL).steps[1:]
     x = np.array([step[0] for step in steps])
     y = np.array([step[1] for step in steps])
     if x[0] > x[-1]:
         x, y = x[::-1], y[::-1]
-    if not x[0] <= xi[0] <= xi[-1] <= x[-1]:
-        raise ShootingFailure(f"shot from {shot.steps[0][0]!r} to {shot.x_end!r} misses the grid")
-    phi, dphi = y[:, 0], y[:, 1]
-    clamped = np.maximum(phi, 0.0)  # as in _rhs
-    d2 = clamped**1.5 / np.sqrt(x)
-    d3 = 1.5 * np.sqrt(clamped) * dphi / np.sqrt(x) - d2 / (2.0 * x)
+    if not x[0] <= t[0] <= t[-1] <= x[-1]:
+        raise ShootingFailure(f"shot from {steps[0][0]!r} to {steps[-1][0]!r} misses the grid")
+    phi = y[:, 0]
+    d1, d2, d3 = jets(x, phi, y[:, 1])
     # degree-7 Bernstein coefficients from the derivatives at both step ends
     h = np.diff(x)
     c = np.empty((8, h.size))
     c[0] = phi[:-1]
-    c[1] = c[0] + h * dphi[:-1] / 7.0
+    c[1] = c[0] + h * d1[:-1] / 7.0
     c[2] = 2.0 * c[1] - c[0] + h**2 * d2[:-1] / 42.0
     c[3] = 3.0 * (c[2] - c[1]) + c[0] + h**3 * d3[:-1] / 210.0
     c[7] = phi[1:]
-    c[6] = c[7] - h * dphi[1:] / 7.0
+    c[6] = c[7] - h * d1[1:] / 7.0
     c[5] = 2.0 * c[6] - c[7] + h**2 * d2[1:] / 42.0
     c[4] = 3.0 * (c[5] - c[6]) + c[7] - h**3 * d3[1:] / 210.0
-    return _bernstein(c, x, xi)
+    return _bernstein(c, x, t)
 
 
 def _bernstein(c, x, xi):
@@ -243,13 +283,14 @@ def _bernstein(c, x, xi):
 
 
 def _edge(shot):
-    """(x_e, phi'(x_e)) where the shot hit zero, or None if it never did.
-    The clamped RHS vanishes for phi < 0, so past the zero phi is linear and
-    the step end continues back to it exactly."""
-    x, (phi, dphi) = shot.x_end, shot.y_end
+    """(x_e, phi'(x_e)) where the ion shot hit zero, or None if it never
+    did.  The clamped RHS holds phi' fixed for phi < 0, so past the zero
+    phi is linear in xi = u^2 and the step end continues back to it
+    exactly."""
+    u, (phi, dphi) = shot.x_end, shot.y_end
     if phi > 0.0:
         return None
-    return x - phi / dphi, dphi
+    return u * u - phi / dphi, dphi
 
 
 def _root(f, lo, hi, what):
@@ -424,8 +465,8 @@ def _solve_neutral():
     xi = _log_grid(_XI0, _XI_FAR)
     near = xi <= _XI_MATCH
     phi_vals = np.empty_like(xi)
-    phi_vals[near] = _readout(_shoot(_NEUTRAL_SLOPE0, _XI_MATCH), xi[near])
-    phi_vals[~near] = _readout(_shoot_in(_NEUTRAL_TAIL_AMPLITUDE), xi[~near])
+    phi_vals[near] = _readout(_shoot(_NEUTRAL_SLOPE0, _XI_MATCH).steps, xi[near], _xi_jets)
+    phi_vals[~near] = _readout(_shoot_in(_NEUTRAL_TAIL_AMPLITUDE).steps, xi[~near], _xi_jets)
     return _UniversalProfile(
         lam_eff=1.0,
         slope0=_NEUTRAL_SLOPE0,
@@ -437,22 +478,55 @@ def _solve_neutral():
     )
 
 
+def _ion_bracket(flux, lam):
+    """Brent's bracket for the ion slope: the two closest trial slopes whose
+    flux misses differ in sign, or _SLOPE_BRACKET if no two do.
+
+    The trials are secant steps on logit(flux) - logit(1 - lambda) against
+    s = log(B_c - B), B_c = _NEUTRAL_SLOPE0, where the miss is nearly
+    linear (near B_c the flux goes like a power of B_c - B).  Once a step
+    falls below _SECANT_TOL, one more trial at twice that step lands past
+    the root.  Every trial slope is kept inside _SLOPE_BRACKET."""
+    target = math.log((1.0 - lam) / lam)
+    tried = set()
+
+    def logit_miss(s):
+        B = max(_NEUTRAL_SLOPE0 - math.exp(s), _SLOPE_BRACKET[0])
+        tried.add(B)
+        f = flux(B)
+        return math.log(f / (1.0 - f)) - target if 0.0 < f < 1.0 else None
+
+    sa, sb = _SECANT_START
+    ga, gb = logit_miss(sa), logit_miss(sb)
+    for _ in range(_SECANT_STEPS):
+        if ga is None or gb is None or ga == gb:
+            break
+        step = -gb * (sb - sa) / (gb - ga)
+        if abs(step) < _SECANT_TOL:
+            logit_miss(sb + 2.0 * step)
+            break
+        sa, ga, sb = sb, gb, sb + step
+        gb = logit_miss(sb)
+    slopes = sorted(tried)
+    below = [flux(B) < 1.0 - lam for B in slopes]  # the sign of each miss
+    pairs = [(b - a, a, b) for a, b, below_a, below_b in zip(slopes, slopes[1:], below, below[1:])
+             if below_a != below_b]
+    return min(pairs)[1:] if pairs else _SLOPE_BRACKET
+
+
 def _solve_ion(lam):
-    latest = {}  # sign of the miss -> (slope, shot) of the latest shot with it
+    shots = {}  # slope0 -> its shot: no slope is shot twice
 
-    def flux_miss(B):
-        shot = _shoot(B, 2000.0)
+    def flux(B):
+        if B not in shots:
+            shots[B] = _shoot_ion(B)
         # no hit: edge flux 0, its limit at the critical slope, so the miss is continuous
-        x_e, dphi_e = _edge(shot) or (0.0, 0.0)
-        miss = -x_e * dphi_e - (1.0 - lam)
-        latest[miss < 0.0] = B, shot
-        return miss
+        x_e, dphi_e = _edge(shots[B]) or (0.0, 0.0)
+        return -x_e * dphi_e
 
-    slope0 = _root(flux_miss, -60.0, -1.58, f"ion slope for lambda = {lam}")
-    # Brent's method returns a bracket end, the latest slope of one sign of
-    # the miss, so the root's shot is kept; only a miss of exactly 0 at the
-    # first bracket end could leave it to be shot again
-    shot = dict(latest.values()).get(slope0) or _shoot(slope0, 2000.0)
+    slope0 = _root(lambda B: flux(B) - (1.0 - lam), *_ion_bracket(flux, lam),
+                   f"ion slope for lambda = {lam}")
+    shot = shots[slope0]  # Brent's method returns a slope it has shot
     edge = _edge(shot)
     if edge is None:
         raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")
@@ -461,8 +535,15 @@ def _solve_ion(lam):
     base = _log_grid(_XI0, x_e * (1.0 - 1e-3))
     cluster = x_e * (1.0 - np.geomspace(1e-3, 1e-12, 28)[1:])
     xi = np.concatenate([base, cluster, [x_e]])
+    u = np.sqrt(xi[:-1])
+    # the last step straddles the edge, where phi is not smooth: the points
+    # inside it are read off one more shot, from its start to the last point
+    u_start, y_start = shot.steps[-2]
+    steps = shot.steps[:-1]
+    if u[-1] > u_start:
+        steps += shoot(_rhs_u, y_start, u_start, u[-1], _ION_TOL).steps[1:]
     phi_vals = np.zeros_like(xi)
-    phi_vals[:-1] = np.maximum(_readout(shot, xi[:-1]), 0.0)
+    phi_vals[:-1] = np.maximum(_readout(steps, u, _u_jets), 0.0)
     return _UniversalProfile(
         lam_eff=lam,
         slope0=slope0,

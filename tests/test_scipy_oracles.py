@@ -61,6 +61,12 @@ def test_dop853_outward_tf_shots_match_scipy(slope0):
     assert shoot(*args, stop=tf._escapes).steps == scipy_shoot(*args, stop=tf._escapes).steps
 
 
+@pytest.mark.parametrize("slope0", (-1.6, -1.588071022611, -1.55, -3.0, -50.0))
+def test_dop853_outward_tf_u_shots_match_scipy(slope0):
+    args = (tf._rhs_u, (1.0, slope0), 0.0, tf._U_END, tf._ION_TOL)
+    assert shoot(*args, stop=tf._escapes).steps == scipy_shoot(*args, stop=tf._escapes).steps
+
+
 def test_dop853_inward_tf_shot_matches_scipy():
     a = tf._solve_universal(1.0).tail_amplitude
     args = (tf._rhs, tf._tail_phi(a, tf._XI_FAR), tf._XI_FAR, tf._XI_MATCH, tf._ODE_TOL)

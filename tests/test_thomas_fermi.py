@@ -20,6 +20,10 @@ SLOPE0_ORACLE = -1.5880710
 
 ION_LAMBDAS = (1e-3, 0.01, 0.5, 0.9, 0.99)
 
+# slope0 of the lambda = 0.5 ion from a 22-digit mpmath solution of
+# (phi, phi')_u = (2u phi', 2 phi^{3/2}), u = sqrt(xi), with edge flux 1/2
+SLOPE0_HALF_MPMATH = -1.60740991140427877
+
 
 def rho_mass(rho: RadialFunction):
     mass = grid_quadrature(lambda v: rho(v) * v * v, rho.grid)
@@ -91,11 +95,16 @@ class TestSolve:
         x0 = sol.edge_radius
         assert abs(-x0 * sol.profile.edge_slope - (1.0 - lam)) < 1e-9
 
-    @pytest.mark.parametrize("lam, max_shots", ((0.5, 30), (1.0, 2)))
+    @pytest.mark.parametrize("lam, max_shots", (
+        (0.2, 12), (0.4, 12), (0.5, 12), (0.6, 12), (0.8, 12), (0.99, 12), (1e-3, 30), (1.0, 2)))
     def test_shot_budget(self, monkeypatch, lam, max_shots):
-        # Brent's method needs far fewer shots than fixed 80-step bisection;
-        # the neutral roots are pinned, so its profile searches nothing and
-        # is read off one outward and one inward shot
+        # secant steps on logit(flux) find Brent's bracket: 8 to 11 trial
+        # shots from lambda = 0.2 to 0.99, plus the shot that re-reads the
+        # edge step (20 to 30 shots in all when Brent's method started from
+        # [-60, -1.58]); at 1e-3 the miss is flat and noisy near the root and
+        # Brent's method bisects through the noise, 27 in all; the neutral
+        # roots are pinned, so its profile searches nothing and is read off
+        # one outward and one inward shot
         shots = []
         real = tf.shoot
 
@@ -107,25 +116,32 @@ class TestSolve:
         tf._solve_universal.__wrapped__(lam)
         assert 0 < len(shots) <= max_shots
         # no slope is shot twice: the root's profile is read off its Brent shot
-        outward = [args[1] for args in shots if args[2] == tf._XI0]
-        assert len(set(outward)) == len(outward)
+        starts = [args[1] for args in shots if args[2] in (0.0, tf._XI0)]
+        assert len(set(starts)) == len(starts)
         if lam == 1.0:
             ends = [(tf._XI0, tf._XI_MATCH), (tf._XI_FAR, tf._XI_MATCH)]
             assert [args[2:4] for args in shots] == ends
+        else:
+            # every trial is a u-shot from the origin; the last shot re-reads
+            # the step that straddles the edge
+            assert all(args[0] is tf._rhs_u for args in shots)
+            assert len(starts) == len(shots) - 1
 
-    @pytest.mark.parametrize("lam, max_rhs", ((0.5, 40_000), (1.0, 2_863)))
+    @pytest.mark.parametrize("lam, max_rhs", ((0.5, 11_500), (1.0, 2_863)))
     def test_rhs_budget(self, monkeypatch, lam, max_rhs):
         # the grid values are read off the recorded steps: re-integrating
         # every radius from its step start cost 51,572 and 122,607 calls;
-        # the neutral search behind the pinned roots cost 94,409
+        # the neutral search behind the pinned roots cost 94,409; the ion's
+        # 21 xi-shots from a series start cost 31,910, its 10 u-shots 11,243
         calls = [0]
-        real = tf._rhs
+        rhs = "_rhs" if lam == 1.0 else "_rhs_u"
+        real = getattr(tf, rhs)
 
         def counting(x, y):
             calls[0] += 1
             return real(x, y)
 
-        monkeypatch.setattr(tf, "_rhs", counting)
+        monkeypatch.setattr(tf, rhs, counting)
         tf._solve_universal.__wrapped__(lam)
         assert 0 < calls[0] <= max_rhs
 
@@ -192,16 +208,27 @@ class TestSolve:
         with pytest.raises(ShootingFailure):
             tf.solve(tf.TFParams(lam=1e-7, Z=1.0))
 
+    def test_slope_bracket_bounds_the_ion_domain(self):
+        # slope0 = -53.74 at 5e-4 lies inside [-60, -1.58]; -75.48 at 3e-4 does not
+        assert tf.solve(tf.TFParams(lam=5e-4, Z=1.0)).slope0 > -60.0
+        with pytest.raises(ShootingFailure, match=re.escape("in [-60.0, -1.58]")):
+            tf.solve(tf.TFParams(lam=3e-4, Z=1.0))
 
-def _reintegrated(shot, radii):
-    """Oracle: phi at each radius re-integrated from the last accepted step
-    start at or before it, in the direction of the shot."""
+    def test_ion_slope_matches_the_mpmath_solution(self):
+        # the xi-shot from the series start at 1e-8 missed it by 1.45e-12
+        assert abs(tf._solve_universal(0.5).slope0 - SLOPE0_HALF_MPMATH) <= 1e-14
+
+
+def _reintegrated(shot, points, rhs, tol):
+    """Oracle: phi at each point of the shot's variable re-integrated from
+    the last accepted step start at or before it, in the direction of the
+    shot."""
     sign = 1.0 if shot.x_end > shot.steps[0][0] else -1.0
     starts = sign * np.array([x for x, _ in shot.steps])
     values = []
-    for r, k in zip(radii, np.searchsorted(starts, sign * radii, side="right") - 1):
+    for r, k in zip(points, np.searchsorted(starts, sign * points, side="right") - 1):
         xk, yk = shot.steps[k]
-        values.append(yk[0] if xk == r else tf.shoot(tf._rhs, yk, xk, r, tf._ODE_TOL).y_end[0])
+        values.append(yk[0] if xk == r else tf.shoot(rhs, yk, xk, r, tol).y_end[0])
     return np.maximum(values, 0.0)
 
 
@@ -213,15 +240,17 @@ class TestReadout:
         if prof.x_edge is None:
             near = xi <= tf._XI_MATCH
             out = tf._shoot(prof.slope0, tf._XI_MATCH)
-            oracle = np.concatenate([_reintegrated(out, xi[near]),
-                                     _reintegrated(tf._shoot_in(prof.tail_amplitude), xi[~near])])
+            inward = tf._shoot_in(prof.tail_amplitude)
+            oracle = np.concatenate([_reintegrated(out, xi[near], tf._rhs, tf._ODE_TOL),
+                                     _reintegrated(inward, xi[~near], tf._rhs, tf._ODE_TOL)])
         else:
-            shot = tf._shoot(prof.slope0, 2000.0)
+            shot = tf._shoot_ion(prof.slope0)
             assert tf._edge(shot) == (prof.x_edge, prof.edge_slope)
-            oracle = np.append(_reintegrated(shot, xi[:-1]), 0.0)
+            u = np.sqrt(xi)
+            oracle = np.append(_reintegrated(shot, u[:-1], tf._rhs_u, tf._ION_TOL), 0.0)
             # phi falls to ~1e-15 inside the step that straddles the edge;
             # a Hermite fit across the edge misses it by 4e-5 relative
-            edge_step = slice(np.searchsorted(xi, shot.steps[-2][0], side="right"), -1)
+            edge_step = slice(np.searchsorted(u, shot.steps[-2][0], side="right"), -1)
             assert xi[edge_step].size > 10
             assert np.max(np.abs(prof.phi_values[edge_step] / oracle[edge_step] - 1.0)) <= 1e-6
         assert np.max(np.abs(prof.phi_values - oracle)) <= 1e-12
@@ -229,7 +258,7 @@ class TestReadout:
     def test_grid_beyond_the_shot_is_refused(self):
         shot = tf._shoot(tf._solve_universal(1.0).slope0, 5.0)
         with pytest.raises(ShootingFailure):
-            tf._readout(shot, np.array([1.0, 10.0]))
+            tf._readout(shot.steps, np.array([1.0, 10.0]), tf._xi_jets)
 
 
 class TestEnergy:

@@ -66,6 +66,23 @@ def test_quadrature_budget(monkeypatch):
     assert evals[0] <= 54_600
 
 
+def test_shot_budget(monkeypatch):
+    # the TF solver's DOP853 shots in `verify all`, at the measured count:
+    # two neutral shots and five ion profiles (lambda 0.2 ... 0.8), 106
+    # when each ion searched by Brent's method on [-60, -1.58]
+    shots = [0]
+    real = tf.shoot
+
+    def counting(*args, **kwargs):
+        shots[0] += 1
+        return real(*args, **kwargs)
+
+    tf._solve_universal.cache_clear()
+    monkeypatch.setattr(tf, "shoot", counting)
+    checks.run_suite("all")
+    assert shots[0] == 55
+
+
 def test_smeared_coulomb_transform_budget(monkeypatch):
     # (k, segment) pairs of the radial transforms behind the
     # "smeared-Coulomb routes" line, at its arguments: the Parseval pairing
