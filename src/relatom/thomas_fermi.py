@@ -34,7 +34,8 @@ limit at the critical (neutral) slope, so the miss is continuous.
 Brent's bracket comes from a few secant steps on logit(flux) against
 log(B_c - slope0), B_c = _NEUTRAL_SLOPE0, where the miss is nearly
 linear: the two closest trial slopes whose misses differ in sign, or
-[-60, -1.58] if none do.  No slope is shot twice.
+[-60, -1.58] if none do.  Trials far from the root only steer the
+secant, at a coarse tolerance.  No slope is shot twice at one tolerance.
 
 The neutral profile searches nothing: its two roots are pinned constants.
 An outward shot with slope0 = _NEUTRAL_SLOPE0 runs to xi = 20 and meets
@@ -125,6 +126,8 @@ _SLOPE_BRACKET = (-60.0, -1.58)  # every trial ion slope lies here; Brent's fall
 _SECANT_START = (-5.0, -2.0)     # log(B_c - B) of the first two trial ion slopes
 _SECANT_STEPS = 10
 _SECANT_TOL = 1e-6               # the secant step in log(B_c - B) that ends the search
+_COARSE_STEP = 1e-2              # a secant step above this lands far from the root
+_COARSE_TOL = 1e-8               # tolerance of far trials: logit(flux) to about 1e-7
 
 # The neutral slope0 and Sommerfeld tail amplitude: the exact roots of the
 # neutral search, bisection on [-1.7, -1.5] of whether the outward shot to
@@ -211,10 +214,10 @@ def _shoot_in(a):
     return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL)
 
 
-def _shoot_ion(B):
+def _shoot_ion(B, tol=_ION_TOL):
     """Outward ion shot in u = sqrt(xi) from (phi, phi') = (1, B) at u = 0,
     stopped like :func:`_shoot`."""
-    return shoot(_rhs_u, (1.0, B), 0.0, _U_END, _ION_TOL, stop=_escapes)
+    return shoot(_rhs_u, (1.0, B), 0.0, _U_END, tol, stop=_escapes)
 
 
 def _xi_jets(x, phi, dphi):
@@ -486,27 +489,32 @@ def _ion_bracket(flux, lam):
     s = log(B_c - B), B_c = _NEUTRAL_SLOPE0, where the miss is nearly
     linear (near B_c the flux goes like a power of B_c - B).  Once a step
     falls below _SECANT_TOL, one more trial at twice that step lands past
-    the root.  Every trial slope is kept inside _SLOPE_BRACKET."""
+    the root.  The two starts, and a trial a step above _COARSE_STEP away
+    that is no nearer B_c than the first start (where the flux is well
+    conditioned), only steer the secant: they run at _COARSE_TOL and bound
+    no bracket.  Every trial slope is kept inside _SLOPE_BRACKET."""
     target = math.log((1.0 - lam) / lam)
-    tried = set()
+    s_max = math.log(_NEUTRAL_SLOPE0 - _SLOPE_BRACKET[0])
+    tried = set()  # the slopes shot at _ION_TOL
 
-    def logit_miss(s):
+    def logit_miss(s, coarse):
         B = max(_NEUTRAL_SLOPE0 - math.exp(s), _SLOPE_BRACKET[0])
-        tried.add(B)
-        f = flux(B)
+        if not coarse:
+            tried.add(B)
+        f = flux(B, _COARSE_TOL if coarse else _ION_TOL)
         return math.log(f / (1.0 - f)) - target if 0.0 < f < 1.0 else None
 
     sa, sb = _SECANT_START
-    ga, gb = logit_miss(sa), logit_miss(sb)
+    ga, gb = logit_miss(sa, True), logit_miss(sb, True)
     for _ in range(_SECANT_STEPS):
         if ga is None or gb is None or ga == gb:
             break
         step = -gb * (sb - sa) / (gb - ga)
         if abs(step) < _SECANT_TOL:
-            logit_miss(sb + 2.0 * step)
+            logit_miss(sb + 2.0 * step, False)
             break
-        sa, ga, sb = sb, gb, sb + step
-        gb = logit_miss(sb)
+        sa, ga, sb = sb, gb, min(sb + step, s_max)
+        gb = logit_miss(sb, abs(step) > _COARSE_STEP and sb >= _SECANT_START[0])
     slopes = sorted(tried)
     below = [flux(B) < 1.0 - lam for B in slopes]  # the sign of each miss
     pairs = [(b - a, a, b) for a, b, below_a, below_b in zip(slopes, slopes[1:], below, below[1:])
@@ -515,18 +523,18 @@ def _ion_bracket(flux, lam):
 
 
 def _solve_ion(lam):
-    shots = {}  # slope0 -> its shot: no slope is shot twice
+    shots = {}  # (slope0, tol) -> its shot: no slope is shot twice at one tolerance
 
-    def flux(B):
-        if B not in shots:
-            shots[B] = _shoot_ion(B)
+    def flux(B, tol=_ION_TOL):
+        if (B, tol) not in shots:
+            shots[B, tol] = _shoot_ion(B, tol)
         # no hit: edge flux 0, its limit at the critical slope, so the miss is continuous
-        x_e, dphi_e = _edge(shots[B]) or (0.0, 0.0)
+        x_e, dphi_e = _edge(shots[B, tol]) or (0.0, 0.0)
         return -x_e * dphi_e
 
     slope0 = _root(lambda B: flux(B) - (1.0 - lam), *_ion_bracket(flux, lam),
                    f"ion slope for lambda = {lam}")
-    shot = shots[slope0]  # Brent's method returns a slope it has shot
+    shot = shots[slope0, _ION_TOL]  # Brent's method returns a slope it has shot
     edge = _edge(shot)
     if edge is None:
         raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")

@@ -80,7 +80,7 @@ def test_shot_budget(monkeypatch):
     tf._solve_universal.cache_clear()
     monkeypatch.setattr(tf, "shoot", counting)
     checks.run_suite("all")
-    assert shots[0] == 55
+    assert shots[0] == 52
 
 
 def test_smeared_coulomb_transform_budget(monkeypatch):
