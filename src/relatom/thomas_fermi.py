@@ -16,26 +16,26 @@ and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 ions and 0 otherwise.  A :class:`TFSolution` is the profile of lambda seen
 at one Z: every per-Z quantity is an exact rescaling of it, taken on read.
 
-Shooting is on slope0 = phi'(0), with a port of scipy's Brent's method
-(same iterates).  Every shot is one :func:`numerics.shoot`: pure-Python
-DOP853 whose outward shots stop after the first accepted step where phi
-has hit zero or turned upward.  The whole solve path runs on numpy and
-plain floats.  Ions are shot in u = sqrt(xi), where the equation reads
-(phi, phi')_u = (2u phi', 2 phi^{3/2}) with phi' = dphi/dxi.  That form is
-smooth at the origin, so each ion shot starts at u = 0 from (1, slope0)
-exactly, with no series start, and needs fewer steps than a shot in xi at
-a hundredth of its tolerance (83 against 140 at lambda = 0.5).  Brent's
-method solves for the edge flux
--x0 phi'(x0) = 1 - lambda.  The edge comes from the stop step's end: the
-clamped right-hand side holds phi' fixed for phi < 0, so phi is linear in
-xi past its zero and x0 = u^2 - phi/phi' with phi'(x0) = phi' holds
-exactly.  A shot that never reaches phi = 0 counts as flux 0, the flux's
-limit at the critical (neutral) slope, so the miss is continuous.
-Brent's bracket comes from a few secant steps on logit(flux) against
-log(B_c - slope0), B_c = _NEUTRAL_SLOPE0, where the miss is nearly
-linear: the two closest trial slopes whose misses differ in sign, or
-[-60, -1.58] if none do.  Trials far from the root only steer the
-secant, at a coarse tolerance.  No slope is shot twice at one tolerance.
+Every shot is one :func:`numerics.shoot`, pure-Python DOP853, and every
+root is a port of scipy's Brent's method (same iterates); the whole solve
+path runs on numpy and plain floats.
+
+An ion comes from the TF homology: the equation is invariant under
+phi(x) -> k^3 phi(kx) (E. H. Lieb, Rev. Mod. Phys. 53, 603 (1981)), so
+every ion rescales a solution f with a unit edge, f(1) = 0, f'(1) = -c.
+With A = f(0), phi(xi) = f(xi/x0)/A is the ion with edge x0 = A^{1/3},
+edge flux -x0 phi'(x0) = c/A = 1 - lambda and slope0 = A^{-4/3} f'(0).
+A trial shoots g = f/c (so that the state is of order one at any c)
+inward in u = sqrt(x), (g, g')_u = (2u g', 2 sqrt(c) g^{3/2}), from
+(0, -1) at u = 1 to u = 0; past c* = _C_STAR it blows up first, and as
+c -> c* the ions tend to the neutral atom.  logit lambda = log(g(0) - 1)
+rises with t = log(c / (c* - c)), nearly linearly at both ends:
+lambda ~ (pi/16) sqrt(c) as c -> 0 and 1 - lambda ~ (c* - c)^{3/s1} as
+c -> c*.  Newton's method on those two laws gives the first trial, a
+secant on shots at a coarse tolerance closes in, and Brent's method
+finishes on shots at _ION_TOL, from a bracket whose far end lies past the
+root by about as much as the secant's root falls short of it.  No trial
+is shot twice at one tolerance, and the profile is read off the root's.
 
 The neutral profile searches nothing: its two roots are pinned constants.
 An outward shot with slope0 = _NEUTRAL_SLOPE0 runs to xi = 20 and meets
@@ -58,9 +58,9 @@ ODE (in xi, phi'' = phi^{3/2}/sqrt(xi) and
 phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi); in u, the three
 derivatives of :func:`_u_jets`).  All steps are evaluated as one
 Bernstein-form piecewise polynomial, term by term as scipy's BPoly does.
-An ion's last step straddles the edge, where phi is not smooth (its
-fourth derivative diverges); the radii inside it are read off one more
-shot, from that step's start to the last of them.
+An ion's shot starts at its edge, where phi is not smooth (its fourth
+u-derivative diverges): in that first step the readout misses the
+trajectory by up to 2.2e-8 relative, and nowhere by more than 5.1e-14.
 :func:`solve` refuses a profile whose mass misses min(lambda, 1) by more
 than 1e-6 relative.
 
@@ -80,7 +80,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -111,23 +111,18 @@ _C2 = 4.5 / (67.0 - 7.0 * math.sqrt(73.0))
 _XI0 = 1e-8            # series start of the neutral shot, and every grid's first point
 _XI_FAR = 1000.0       # launch point of the inward neutral integration
 _XI_MATCH = 20.0       # outward/inward matching radius
-_U_END = math.sqrt(2000.0)  # ion shots run to xi = 2000 unless they stop first
 _ODE_TOL = 1e-12
-# DOP853 tolerance of the ion shots: at 1e-12 the step that crosses the
-# edge, where the clamped RHS has a kink, misses the edge flux by up to
-# 2e-11, and the septic readout of the long first steps misses the
-# trajectory by up to 5.5e-12
-_ION_TOL = 1e-14
+_ION_TOL = 1e-14       # tolerance of the ion trials Brent's method takes, the root's among them
+_COARSE_TOL = 1e-8     # tolerance of the ion search's secant trials: logit lambda to about 1e-8
+_NEAR = 1e-3           # the secant stops once its step in t falls below this
 _MASS_TOL = 1e-6       # |int phi^{3/2} sqrt(t) / min(lambda, 1) - 1| that solve() accepts
 _PTS_PER_DECADE = 120
 _RTOL = 4.0 * np.finfo(float).eps  # relative bracket width the root-finders stop at
 _ROOT_ITER = 100
-_SLOPE_BRACKET = (-60.0, -1.58)  # every trial ion slope lies here; Brent's fallback bracket
-_SECANT_START = (-5.0, -2.0)     # log(B_c - B) of the first two trial ion slopes
-_SECANT_STEPS = 10
-_SECANT_TOL = 1e-6               # the secant step in log(B_c - B) that ends the search
-_COARSE_STEP = 1e-2              # a secant step above this lands far from the root
-_COARSE_TOL = 1e-8               # tolerance of far trials: logit(flux) to about 1e-7
+# The unit-edge slope c* past which the inward ion shot at _ION_TOL blows up
+# before u = 0: at c*(1 - 1e-12) it reaches g(0) = 1.96e48, at c*(1 + 1e-12)
+# DOP853's step underflows (tests/test_scipy_oracles.py re-derives both)
+_C_STAR = 1071.214679305575
 
 # The neutral slope0 and Sommerfeld tail amplitude: the exact roots of the
 # neutral search, bisection on [-1.7, -1.5] of whether the outward shot to
@@ -181,13 +176,6 @@ def _rhs(x, y):
     return (dphi, phi**1.5 / math.sqrt(x))
 
 
-def _rhs_u(u, y):
-    phi, dphi = y  # dphi = dphi/dxi, as in _rhs, at u = sqrt(xi)
-    if phi < 0.0:
-        phi = 0.0
-    return (2.0 * u * dphi, 2.0 * phi**1.5)
-
-
 def _tail_phi(a, xi):
     """Two-term decaying Sommerfeld manifold and its derivative."""
     eta = xi ** (-_S1)
@@ -214,10 +202,17 @@ def _shoot_in(a):
     return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL)
 
 
-def _shoot_ion(B, tol=_ION_TOL):
-    """Outward ion shot in u = sqrt(xi) from (phi, phi') = (1, B) at u = 0,
-    stopped like :func:`_shoot`."""
-    return shoot(_rhs_u, (1.0, B), 0.0, _U_END, tol, stop=_escapes)
+def _ion_shot(c, tol):
+    """Inward ion shot of g = f/c in u = sqrt(x), from the unit edge
+    (g, g') = (0, -1) at u = 1 to u = 0, g' = dg/dx: f solves the TF equation
+    with f(1) = 0, f'(1) = -c, so (g, g')_u = (2u g', 2 sqrt(c) g^{3/2})."""
+    k = 2.0 * math.sqrt(c)
+
+    def rhs(u, y):
+        g, dg = y  # g >= 1 - x inward of the edge: g is convex, with g(1) = 0 and g'(1) = -1
+        return (2.0 * u * dg, k * g**1.5)
+
+    return shoot(rhs, (0.0, -1.0), 1.0, 0.0, tol)
 
 
 def _xi_jets(x, phi, dphi):
@@ -227,13 +222,13 @@ def _xi_jets(x, phi, dphi):
     return dphi, d2, 1.5 * np.sqrt(clamped) * dphi / np.sqrt(x) - d2 / (2.0 * x)
 
 
-def _u_jets(u, phi, dphi):
-    """phi's first three u-derivatives at the step ends of a shot in u:
-    2u phi', 2 phi' + 4u phi^{3/2} and 8 phi^{3/2} + 12 u^2 phi^{1/2} phi'."""
-    clamped = np.maximum(phi, 0.0)  # as in _rhs_u
-    p32 = clamped**1.5
-    return (2.0 * u * dphi, 2.0 * dphi + 4.0 * u * p32,
-            8.0 * p32 + 12.0 * u * u * np.sqrt(clamped) * dphi)
+def _u_jets(k, u, g, dg):
+    """g's first three u-derivatives at the step ends of an ion shot,
+    (g, g')_u = (2u g', k g^{3/2}): 2u g', 2 g' + 2u k g^{3/2} and
+    4k g^{3/2} + 6 u^2 k g^{1/2} g'."""
+    kp = k * g**1.5
+    return (2.0 * u * dg, 2.0 * dg + 2.0 * u * kp,
+            4.0 * kp + 6.0 * u * u * k * np.sqrt(g) * dg)
 
 
 def _readout(steps, t, jets):
@@ -285,24 +280,13 @@ def _bernstein(c, x, xi):
     return out
 
 
-def _edge(shot):
-    """(x_e, phi'(x_e)) where the ion shot hit zero, or None if it never
-    did.  The clamped RHS holds phi' fixed for phi < 0, so past the zero
-    phi is linear in xi = u^2 and the step end continues back to it
-    exactly."""
-    u, (phi, dphi) = shot.x_end, shot.y_end
-    if phi > 0.0:
-        return None
-    return u * u - phi / dphi, dphi
-
-
-def _root(f, lo, hi, what):
-    """Root of f on [lo, hi] by Brent's method; a bracket without a sign
-    change, or no convergence, is a ShootingFailure.  _brentq is scipy's C
+def _root(f, lo, hi, xtol, what):
+    """Root of f on [lo, hi] by Brent's method, to xtol + _RTOL |root|; a
+    bracket without a sign change, or no convergence, is a ShootingFailure.  _brentq is scipy's C
     routine (zeros.c) line for line, with the same error messages, so it
     visits the same iterates as scipy's brentq and returns the same root."""
     try:
-        return _brentq(f, lo, hi, xtol=1e-16, rtol=_RTOL)
+        return _brentq(f, lo, hi, xtol=xtol, rtol=_RTOL)
     except (ValueError, RuntimeError) as exc:
         raise ShootingFailure(f"{what} in [{lo}, {hi}]: {exc}") from None
 
@@ -359,7 +343,6 @@ class _UniversalProfile:
     lam_eff: float                  # min(lambda, 1)
     slope0: float
     x_edge: float | None            # None for the neutral branch
-    edge_slope: float | None        # phi'(x_edge) for ions
     tail_amplitude: float | None    # Sommerfeld correction amplitude (neutral)
     xi: np.ndarray
     phi_values: np.ndarray
@@ -474,92 +457,71 @@ def _solve_neutral():
         lam_eff=1.0,
         slope0=_NEUTRAL_SLOPE0,
         x_edge=None,
-        edge_slope=None,
         tail_amplitude=_NEUTRAL_TAIL_AMPLITUDE,
         xi=xi,
         phi_values=np.maximum(phi_vals, 0.0),
     )
 
 
-def _ion_bracket(flux, lam):
-    """Brent's bracket for the ion slope: the two closest trial slopes whose
-    flux misses differ in sign, or _SLOPE_BRACKET if no two do.
-
-    The trials are secant steps on logit(flux) - logit(1 - lambda) against
-    s = log(B_c - B), B_c = _NEUTRAL_SLOPE0, where the miss is nearly
-    linear (near B_c the flux goes like a power of B_c - B).  Once a step
-    falls below _SECANT_TOL, one more trial at twice that step lands past
-    the root.  The two starts, and a trial a step above _COARSE_STEP away
-    that is no nearer B_c than the first start (where the flux is well
-    conditioned), only steer the secant: they run at _COARSE_TOL and bound
-    no bracket.  Every trial slope is kept inside _SLOPE_BRACKET."""
-    target = math.log((1.0 - lam) / lam)
-    s_max = math.log(_NEUTRAL_SLOPE0 - _SLOPE_BRACKET[0])
-    tried = set()  # the slopes shot at _ION_TOL
-
-    def logit_miss(s, coarse):
-        B = max(_NEUTRAL_SLOPE0 - math.exp(s), _SLOPE_BRACKET[0])
-        if not coarse:
-            tried.add(B)
-        f = flux(B, _COARSE_TOL if coarse else _ION_TOL)
-        return math.log(f / (1.0 - f)) - target if 0.0 < f < 1.0 else None
-
-    sa, sb = _SECANT_START
-    ga, gb = logit_miss(sa, True), logit_miss(sb, True)
-    for _ in range(_SECANT_STEPS):
-        if ga is None or gb is None or ga == gb:
-            break
-        step = -gb * (sb - sa) / (gb - ga)
-        if abs(step) < _SECANT_TOL:
-            logit_miss(sb + 2.0 * step, False)
-            break
-        sa, ga, sb = sb, gb, min(sb + step, s_max)
-        gb = logit_miss(sb, abs(step) > _COARSE_STEP and sb >= _SECANT_START[0])
-    slopes = sorted(tried)
-    below = [flux(B) < 1.0 - lam for B in slopes]  # the sign of each miss
-    pairs = [(b - a, a, b) for a, b, below_a, below_b in zip(slopes, slopes[1:], below, below[1:])
-             if below_a != below_b]
-    return min(pairs)[1:] if pairs else _SLOPE_BRACKET
+def _logit_law(t):
+    """logit lambda at the trial t = log(c / (c* - c)) by the two end laws,
+    lambda ~ (pi/16) sqrt(c) as c -> 0 and 1 - lambda ~ (c* - c)^{3/s1} as
+    c -> c*, joined as lambda/(1 - lambda) = (pi/16) sqrt(c) (1 - c/c*)^{-3/s1};
+    and its t-derivative, which rises from 1/2 to 3/s1."""
+    k = 3.0 / _S1
+    law = (math.log(math.pi / 16.0) + 0.5 * math.log(_C_STAR)
+           - 0.5 * math.log1p(math.exp(-t)) + k * math.log1p(math.exp(t)))
+    return law, 0.5 / (1.0 + math.exp(t)) + k / (1.0 + math.exp(-t))
 
 
 def _solve_ion(lam):
-    shots = {}  # (slope0, tol) -> its shot: no slope is shot twice at one tolerance
+    """The ion of lambda by the TF homology (module docstring): the trial
+    from the unit edge with slope c is the ion lambda = 1 - 1/g(0),
+    x0 = (c g(0))^{1/3}, slope0 = g'(0)/(g(0) x0) and
+    phi(xi) = g(sqrt(xi/x0))/g(0)."""
+    target = math.log(lam / (1.0 - lam))
+    shots = {}  # (t, tol) -> its shot
 
-    def flux(B, tol=_ION_TOL):
-        if (B, tol) not in shots:
-            shots[B, tol] = _shoot_ion(B, tol)
-        # no hit: edge flux 0, its limit at the critical slope, so the miss is continuous
-        x_e, dphi_e = _edge(shots[B, tol]) or (0.0, 0.0)
-        return -x_e * dphi_e
+    def miss(t, tol=_ION_TOL):
+        if (t, tol) not in shots:
+            shots[t, tol] = _ion_shot(_C_STAR / (1.0 + math.exp(-t)), tol)
+        return math.log(shots[t, tol].y_end[0] - 1.0) - target
 
-    slope0 = _root(lambda B: flux(B) - (1.0 - lam), *_ion_bracket(flux, lam),
-                   f"ion slope for lambda = {lam}")
-    shot = shots[slope0, _ION_TOL]  # Brent's method returns a slope it has shot
-    edge = _edge(shot)
-    if edge is None:
-        raise ShootingFailure(f"ion shot with slope0 = {slope0} never reaches phi = 0")
-    x_e, dphi_e = edge
+    c = (16.0 * lam / math.pi) ** 2  # the small-c law starts Newton's method on both laws
+    t, step = math.log(c / (_C_STAR - c)), math.inf
+    while abs(step) > _NEAR:
+        law, slope = _logit_law(t)
+        step = (target - law) / slope
+        t += step
+    m = miss(t, _COARSE_TOL)
+    while abs(m / slope) > _NEAR:
+        t_prev, m_prev = t, m
+        t -= m / slope
+        m = miss(t, _COARSE_TOL)
+        slope = max((m - m_prev) / (t - t_prev), 0.5)  # logit lambda rises at least as t/2
+    t -= m / slope
+    m = miss(t)
+    # t's resolution: logit lambda carries g(0)'s error divided by lambda;
+    # the far end lies past the root by about as much as t falls short of it
+    xtol = 2.0 * _ION_TOL / lam
+    far = t - math.copysign(2.0 * (abs(m) / slope + xtol), m)
+    t = _root(miss, min(t, far), max(t, far), xtol, f"ion trial for lambda = {lam}")
+    shot = shots[t, _ION_TOL]  # Brent's method returns a t it has shot
+    c = _C_STAR / (1.0 + math.exp(-t))
+    g0, dg0 = shot.y_end
+    x_e = (c * g0) ** (1.0 / 3.0)
 
     base = _log_grid(_XI0, x_e * (1.0 - 1e-3))
     cluster = x_e * (1.0 - np.geomspace(1e-3, 1e-12, 28)[1:])
     xi = np.concatenate([base, cluster, [x_e]])
-    u = np.sqrt(xi[:-1])
-    # the last step straddles the edge, where phi is not smooth: the points
-    # inside it are read off one more shot, from its start to the last point
-    u_start, y_start = shot.steps[-2]
-    steps = shot.steps[:-1]
-    if u[-1] > u_start:
-        steps += shoot(_rhs_u, y_start, u_start, u[-1], _ION_TOL).steps[1:]
-    phi_vals = np.zeros_like(xi)
-    phi_vals[:-1] = np.maximum(_readout(steps, u, _u_jets), 0.0)
+    jets = partial(_u_jets, 2.0 * math.sqrt(c))
     return _UniversalProfile(
         lam_eff=lam,
-        slope0=slope0,
+        slope0=dg0 / (g0 * x_e),
         x_edge=x_e,
-        edge_slope=dphi_e,
         tail_amplitude=None,
         xi=xi,
-        phi_values=phi_vals,
+        phi_values=np.maximum(_readout(shot.steps, np.sqrt(xi / x_e), jets) / g0, 0.0),
     )
 
 
@@ -639,7 +601,10 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     ``density_samples``, which refuse a Z whose density leaves float range."""
     if not (1e-12 < tol < 1e-3):
         raise DomainError("tol must lie in (1e-12, 1e-3)")
-    prof = _solve_universal(round(min(params.lam, 1.0), 12))
+    lam_key = round(min(params.lam, 1.0), 12)
+    if lam_key == 0.0:
+        raise DomainError(f"lambda = {params.lam!r} rounds to 0 at the cache key's 12 decimals")
+    prof = _solve_universal(lam_key)
     mass_error = prof.mass / prof.lam_eff - 1.0
     if not abs(mass_error) <= _MASS_TOL:
         raise ToleranceFailure(
@@ -788,7 +753,6 @@ def solution_from_json(text: str) -> TFSolution:
         lam_eff=min(params.lam, 1.0),
         slope0=doc["slope0"],
         x_edge=None if neutral else float(edge),
-        edge_slope=None if neutral else -(1.0 - params.lam) / float(edge),
         tail_amplitude=_fit_tail_amplitude(xi, phi_vals) if neutral else None,
         xi=xi,
         phi_values=phi_vals,

@@ -482,10 +482,10 @@ class TestAsymptotics:
 10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000341,0.0022745699164481684,23124778.722755972,-23177497.561447788,-52718.838691819925,ok
 """,
         ("--lambda", "0.7"): """\
-10.0,0.06366197723675814,-148261.09707626922,-82.02409735640515,0.0005532408634087599,9433.372770947472,-9438.594587166239,-5.2218162187690975,ok
-100.0,0.006366197723675814,-18742206.286650676,-17671.55607631918,0.000942874910565141,119204.09037867122,-119316.59099873807,-112.50062006687266,ok
-1000.0,0.0006366197723675814,-2443947128.05455,-3807221.3437665766,0.0015578165746970274,1553441.3119552704,-1555865.064340492,-2423.7523852216755,ok
-10000.0,6.366197723675813e-05,-328558090903.6446,-820240973.5640516,0.0024964869113650945,20864439.541872844,-20916657.704060532,-52218.162187690985,ok
+10.0,0.06366197723675814,-148261.09707626922,-82.02409735640401,0.0005532408634087522,9433.372770947472,-9438.594587166239,-5.221816218769026,ok
+100.0,0.006366197723675814,-18742206.286650676,-17671.556076318942,0.0009428749105651283,119204.0903786712,-119316.59099873807,-112.50062006687115,ok
+1000.0,0.0006366197723675814,-2443947128.05455,-3807221.3437665226,0.0015578165746970053,1553441.3119552704,-1555865.064340492,-2423.752385221641,ok
+10000.0,6.366197723675813e-05,-328558090903.6446,-820240973.5640402,0.00249648691136506,20864439.541872844,-20916657.704060532,-52218.16218769026,ok
 """,
     }
 

@@ -61,10 +61,20 @@ def test_dop853_outward_tf_shots_match_scipy(slope0):
     assert shoot(*args, stop=tf._escapes).steps == scipy_shoot(*args, stop=tf._escapes).steps
 
 
-@pytest.mark.parametrize("slope0", (-1.6, -1.588071022611, -1.55, -3.0, -50.0))
-def test_dop853_outward_tf_u_shots_match_scipy(slope0):
-    args = (tf._rhs_u, (1.0, slope0), 0.0, tf._U_END, tf._ION_TOL)
-    assert shoot(*args, stop=tf._escapes).steps == scipy_shoot(*args, stop=tf._escapes).steps
+# unit-edge slopes of ions from lambda = 1e-7 to 1 - 7e-11
+@pytest.mark.parametrize("c", (2.6e-13, 0.06, 6.5, 535.6, 1064.0))
+def test_dop853_inward_ion_shots_match_scipy(monkeypatch, c):
+    tols = (tf._ION_TOL, tf._COARSE_TOL)
+    ours = [tf._ion_shot(c, tol).steps for tol in tols]
+    monkeypatch.setattr(tf, "shoot", scipy_shoot)
+    assert [tf._ion_shot(c, tol).steps for tol in tols] == ours
+
+
+def test_c_star_is_where_the_inward_ion_shot_blows_up():
+    # just below c* the ions tend to the neutral atom, lambda = 1 - 1/g(0)
+    assert tf._ion_shot(tf._C_STAR * (1.0 - 1e-12), tf._ION_TOL).y_end[0] > 1e48
+    with pytest.raises(StepFailure):
+        tf._ion_shot(tf._C_STAR * (1.0 + 1e-12), tf._ION_TOL)
 
 
 def test_dop853_inward_tf_shot_matches_scipy():
@@ -123,7 +133,7 @@ def test_universal_profile_matches_the_scipy_pipeline(monkeypatch, lam):
         monkeypatch.setattr(tf, "_NEUTRAL_SLOPE0", slope0)
         monkeypatch.setattr(tf, "_NEUTRAL_TAIL_AMPLITUDE", a)
     theirs = tf._solve_universal.__wrapped__(lam)
-    for field in ("slope0", "x_edge", "edge_slope", "tail_amplitude"):
+    for field in ("slope0", "x_edge", "tail_amplitude"):
         assert getattr(ours, field) == getattr(theirs, field), field
     assert np.array_equal(ours.xi, theirs.xi)
     assert np.array_equal(ours.phi_values, theirs.phi_values)
@@ -256,7 +266,7 @@ def _iterates(find, f, lo, hi):
 
 @pytest.mark.parametrize("lam", (1.0, 0.9, 0.5, 1e-3))
 def test_root_finders_take_scipys_iterates_on_the_tf_misses(monkeypatch, lam):
-    # ion: the edge flux of the solve; neutral: the solve searches nothing,
+    # ion: the logit miss of the solve's trials; neutral: the solve searches nothing,
     # so the tail amplitude miss of the search behind its pinned roots
     roots = _miss_functions(monkeypatch, lam)
     if lam == 1.0:
@@ -276,7 +286,7 @@ def test_bracket_without_sign_change_fails_as_scipy_does(monkeypatch, find, orac
     for method in (find, oracle):
         monkeypatch.setattr(tf, "_brentq", method)
         with pytest.raises(ShootingFailure) as info:
-            tf._root(f, -1.0, 2.0, "test root")
+            tf._root(f, -1.0, 2.0, 1e-16, "test root")
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 

@@ -90,59 +90,68 @@ class TestSolve:
 
     @pytest.mark.parametrize("lam", ION_LAMBDAS)
     def test_ion_edge_flux(self, lam):
-        # -x0 phi'(x0) = 1 - lambda defines the free boundary
-        sol = tf.solve(tf.TFParams(lam=lam, Z=1.0))
-        x0 = sol.edge_radius
-        assert abs(-x0 * sol.profile.edge_slope - (1.0 - lam)) < 1e-9
+        # -x0 phi'(x0) = 1 - lambda defines the free boundary; phi'' = 0 at
+        # the edge, so phi = (1 - lambda)(1 - xi/x0) + O((1 - xi/x0)^{7/2})
+        # on the grid points that cluster there
+        prof = tf.solve(tf.TFParams(lam=lam, Z=1.0)).profile
+        depth = 1.0 - prof.xi / prof.x_edge
+        near = (depth > 1e-7) & (depth < 1e-5)
+        assert np.count_nonzero(near) >= 5
+        assert np.max(np.abs(prof.phi_values[near] / depth[near] - (1.0 - lam))) < 1e-9
 
     @pytest.mark.parametrize("lam, max_shots", (
-        (0.2, 12), (0.4, 12), (0.5, 12), (0.6, 12), (0.8, 12), (0.99, 12), (1e-3, 30), (1.0, 2)))
+        (0.2, 12), (0.4, 12), (0.5, 12), (0.6, 12), (0.8, 12), (0.99, 12), (1e-3, 6),
+        (1.0 - 1e-5, 8), (1.0, 2)))
     def test_shot_budget(self, monkeypatch, lam, max_shots):
-        # secant steps on logit(flux) find Brent's bracket: 8 to 10 trial
-        # shots from lambda = 0.2 to 0.99, plus the shot that re-reads the
-        # edge step (20 to 30 shots in all when Brent's method started from
-        # [-60, -1.58]); at 1e-3 the miss is flat and noisy near the root and
-        # Brent's method bisects through the noise, 27 in all; the neutral
-        # roots are pinned, so its profile searches nothing and is read off
-        # one outward and one inward shot
-        shots = []
-        real = tf.shoot
+        # 7 to 9 trial shots from lambda = 0.2 to 0.99, 5 at 1e-3 and 7 at
+        # 1 - 1e-5 (the outward search took 9 to 11 with a secant bracket, 27
+        # at 1e-3, where Brent's method bisected through the noise of the
+        # flux, and 88 at 1 - 1e-5, which fell back to [-60, -1.58]); the
+        # neutral roots are pinned, so its profile searches nothing and is
+        # read off one outward and one inward shot
+        shots, trials = [], []
+        real_shoot, real_trial = tf.shoot, tf._ion_shot
 
         def counting(*args, **kwargs):
             shots.append(args)
-            return real(*args, **kwargs)
+            return real_shoot(*args, **kwargs)
+
+        def trial(c, tol):
+            trials.append((c, tol))
+            return real_trial(c, tol)
 
         monkeypatch.setattr(tf, "shoot", counting)
+        monkeypatch.setattr(tf, "_ion_shot", trial)
         tf._solve_universal.__wrapped__(lam)
         assert 0 < len(shots) <= max_shots
-        # no slope is shot twice: the root's profile is read off its Brent shot
-        starts = [args[1] for args in shots if args[2] in (0.0, tf._XI0)]
-        assert len(set(starts)) == len(starts)
         if lam == 1.0:
             ends = [(tf._XI0, tf._XI_MATCH), (tf._XI_FAR, tf._XI_MATCH)]
             assert [args[2:4] for args in shots] == ends
         else:
-            # every trial is a u-shot from the origin; the last shot re-reads
-            # the step that straddles the edge
-            assert all(args[0] is tf._rhs_u for args in shots)
-            assert len(starts) == len(shots) - 1
+            # every shot is a trial from the unit edge, none shot twice at one
+            # tolerance: the profile is read off the root's trial
+            assert len(set(trials)) == len(trials) == len(shots)
+            assert all(args[1:4] == ((0.0, -1.0), 1.0, 0.0) for args in shots)
 
-    @pytest.mark.parametrize("lam, max_rhs", ((0.5, 6_400), (1.0, 2_863)))
+    @pytest.mark.parametrize("lam, max_rhs", ((0.5, 3_700), (1.0, 2_863)))
     def test_rhs_budget(self, monkeypatch, lam, max_rhs):
         # the grid values are read off the recorded steps: re-integrating
         # every radius from its step start cost 51,572 and 122,607 calls;
         # the neutral search behind the pinned roots cost 94,409; the ion's
-        # 21 xi-shots from a series start cost 31,910, its 10 u-shots 6,189
-        # (the five far from the root at the coarse tolerance)
+        # 21 xi-shots from a series start cost 31,910, its 10 outward u-shots
+        # 6,189, its 8 trials from the unit edge 3,658 (the four of the
+        # secant at the coarse tolerance)
         calls = [0]
-        rhs = "_rhs" if lam == 1.0 else "_rhs_u"
-        real = getattr(tf, rhs)
+        real = tf.shoot
 
-        def counting(x, y):
-            calls[0] += 1
-            return real(x, y)
+        def counting(rhs, *args, **kwargs):
+            def counted(x, y):
+                calls[0] += 1
+                return rhs(x, y)
 
-        monkeypatch.setattr(tf, rhs, counting)
+            return real(counted, *args, **kwargs)
+
+        monkeypatch.setattr(tf, "shoot", counting)
         tf._solve_universal.__wrapped__(lam)
         assert 0 < calls[0] <= max_rhs
 
@@ -204,16 +213,29 @@ class TestSolve:
         with pytest.raises(ToleranceFailure):
             tf.solve(tf.TFParams(lam=1.0, Z=137.0), tol=2e-12)
 
-    def test_extreme_ionization_bracket_failure(self):
-        # target edge flux 1 - lambda -> 1 escapes the bisection bracket
-        with pytest.raises(ShootingFailure):
-            tf.solve(tf.TFParams(lam=1e-7, Z=1.0))
+    @pytest.mark.parametrize("lam, refusal", (
+        (1e-13, DomainError), (1e-10, ToleranceFailure), (1e-7, None), (1e-5, None),
+        (3e-4, None), (1.0 - 1e-4, None), (1.0 - 1e-5, None), (1.0 - 3e-6, None),
+        (1.0 - 1e-9, None)))
+    def test_ion_domain_ends(self, lam, refusal):
+        # each lambda meets the mass gate or raises a typed error: 3e-4 and
+        # 1e-7 found no sign change in the outward search's [-60, -1.58],
+        # and 1 - 3e-6 and 1 - 1e-9 never reached phi = 0; at 1e-10 the
+        # miss log(g(0) - 1) cancels, and the profile misses the gate by
+        # 1.6e-5; below 5e-13 lambda rounds to the cache key 0
+        if refusal is not None:
+            with pytest.raises(refusal):
+                tf.solve(tf.TFParams(lam=lam, Z=1.0))
+            return
+        prof = tf.solve(tf.TFParams(lam=lam, Z=1.0)).profile
+        assert abs(prof.mass / lam - 1.0) <= 1e-6
 
-    def test_slope_bracket_bounds_the_ion_domain(self):
-        # slope0 = -53.74 at 5e-4 lies inside [-60, -1.58]; -75.48 at 3e-4 does not
-        assert tf.solve(tf.TFParams(lam=5e-4, Z=1.0)).slope0 > -60.0
-        with pytest.raises(ShootingFailure, match=re.escape("in [-60.0, -1.58]")):
-            tf.solve(tf.TFParams(lam=3e-4, Z=1.0))
+    def test_ions_do_not_read_the_neutral_slope(self, monkeypatch):
+        ion = tf._solve_universal.__wrapped__(0.5)
+        monkeypatch.setattr(tf, "_NEUTRAL_SLOPE0", math.nan)
+        again = tf._solve_universal.__wrapped__(0.5)
+        assert again.slope0 == ion.slope0
+        assert np.array_equal(again.phi_values, ion.phi_values)
 
     def test_ion_slope_matches_the_mpmath_solution(self):
         # the xi-shot from the series start at 1e-8 missed it by 1.45e-12
@@ -235,8 +257,16 @@ def _reintegrated(shot, points, rhs, tol):
 
 class TestReadout:
     @pytest.mark.parametrize("lam", (1.0, 0.5, 0.01))
-    def test_matches_per_radius_reintegration(self, lam):
-        prof = tf._solve_universal(lam)
+    def test_matches_per_radius_reintegration(self, monkeypatch, lam):
+        trials = {}
+        real = tf._ion_shot
+
+        def recording(c, tol):
+            trials[c, tol] = real(c, tol)
+            return trials[c, tol]
+
+        monkeypatch.setattr(tf, "_ion_shot", recording)
+        prof = tf._solve_universal.__wrapped__(lam)
         xi = prof.xi
         if prof.x_edge is None:
             near = xi <= tf._XI_MATCH
@@ -245,15 +275,23 @@ class TestReadout:
             oracle = np.concatenate([_reintegrated(out, xi[near], tf._rhs, tf._ODE_TOL),
                                      _reintegrated(inward, xi[~near], tf._rhs, tf._ODE_TOL)])
         else:
-            shot = tf._shoot_ion(prof.slope0)
-            assert tf._edge(shot) == (prof.x_edge, prof.edge_slope)
-            u = np.sqrt(xi)
-            oracle = np.append(_reintegrated(shot, u[:-1], tf._rhs_u, tf._ION_TOL), 0.0)
-            # phi falls to ~1e-15 inside the step that straddles the edge;
-            # a Hermite fit across the edge misses it by 4e-5 relative
-            edge_step = slice(np.searchsorted(u, shot.steps[-2][0], side="right"), -1)
-            assert xi[edge_step].size > 10
-            assert np.max(np.abs(prof.phi_values[edge_step] / oracle[edge_step] - 1.0)) <= 1e-6
+            # the root's trial: the edge x0 = (c g(0))^{1/3} it gives is the profile's
+            (c, shot), = [(c, shot) for (c, tol), shot in trials.items() if tol == tf._ION_TOL
+                          and (c * shot.y_end[0]) ** (1.0 / 3.0) == prof.x_edge]
+            k = 2.0 * math.sqrt(c)
+
+            def rhs(u, y):  # (g, g')_u = (2u g', 2 sqrt(c) g^{3/2}), g = f/c
+                return (2.0 * u * y[1], k * y[0] ** 1.5)
+
+            u = np.sqrt(xi / prof.x_edge)
+            oracle = _reintegrated(shot, u, rhs, tf._ION_TOL) / shot.y_end[0]
+            # the shot starts at the edge, where phi is not smooth (its fourth
+            # u-derivative diverges): in the first step the readout misses
+            # re-integration by 1.2e-8 relative at lambda = 0.01
+            edge_step = u > shot.steps[1][0]
+            assert np.count_nonzero(edge_step) > 10
+            assert np.max(np.abs(prof.phi_values[edge_step][:-1] / oracle[edge_step][:-1]
+                                 - 1.0)) <= 1e-6
         assert np.max(np.abs(prof.phi_values - oracle)) <= 1e-12
 
     def test_grid_beyond_the_shot_is_refused(self):
