@@ -245,7 +245,7 @@ def check_thomas_fermi():
     out.append(_bound("V_TF <= Z/r at every grid point", excess, 1e-12))
 
     out.append(_bound("|slope0 - B| of the neutral atom, B from the literature",
-                      abs(unit[1.0].slope0 - _LITERATURE_SLOPE0), 1e-11))
+                      abs(unit[1.0].slope0 - _LITERATURE_SLOPE0), 1e-14))
 
     # the functional of the solved density against the (slope0, x0) closed form
     worst = max(abs(tf.tf_functional(sol.params, sol.rho) / tf.tf_energy_slope_identity(sol) - 1.0)

@@ -16,63 +16,64 @@ and a free boundary x0, phi(x0) = 0, -x0 phi'(x0) = 1 - lambda, for ions
 ions and 0 otherwise.  A :class:`TFSolution` is the profile of lambda seen
 at one Z: every per-Z quantity is an exact rescaling of it, taken on read.
 
-Every shot is one :func:`numerics.shoot`, pure-Python DOP853, and every
-root is a port of scipy's Brent's method (same iterates); the whole solve
-path runs on numpy and plain floats.
+Every shot is one :func:`numerics.shoot`, pure-Python DOP853 at _SHOT_TOL,
+of the one right-hand side :func:`_u_rhs`, the ODE in u = sqrt(xi) for
+(g, g'), g' = dg/dxi: (g, g')_u = (2u g', k g^{3/2}), g clamped at 0,
+k = 2 for phi itself.  u = 0 is a regular point: no shot needs a series
+start.  Every root is a port of scipy's Brent's method (same iterates).
 
 An ion comes from the TF homology: the equation is invariant under
 phi(x) -> k^3 phi(kx) (E. H. Lieb, Rev. Mod. Phys. 53, 603 (1981)), so
 every ion rescales a solution f with a unit edge, f(1) = 0, f'(1) = -c.
 With A = f(0), phi(xi) = f(xi/x0)/A is the ion with edge x0 = A^{1/3},
 edge flux -x0 phi'(x0) = c/A = 1 - lambda and slope0 = A^{-4/3} f'(0).
-A trial shoots g = f/c (so that the state is of order one at any c)
-inward in u = sqrt(x), (g, g')_u = (2u g', 2 sqrt(c) g^{3/2}), from
-(0, -1) at u = 1 to u = 0; past c* = _C_STAR it blows up first, and as
-c -> c* the ions tend to the neutral atom.  logit lambda = log(g(0) - 1)
-rises with t = log(c / (c* - c)), nearly linearly at both ends:
-lambda ~ (pi/16) sqrt(c) as c -> 0 and 1 - lambda ~ (c* - c)^{3/s1} as
-c -> c*.  Newton's method on those two laws gives the first trial, a
-secant on shots at a coarse tolerance closes in, and Brent's method
-finishes on shots at _ION_TOL, from a bracket whose far end lies past the
-root by about as much as the secant's root falls short of it.  No trial
-is shot twice at one tolerance, and the profile is read off the root's.
+A trial shoots g = f/c (k = 2 sqrt(c)) inward from (0, -1) at u = 1 to
+u = 0; past c* = _C_STAR it blows up first, and as c -> c* the ions tend
+to the neutral atom.  logit lambda = log(g(0) - 1) rises with
+t = log(c / (c* - c)), nearly linearly at both ends: lambda ~ (pi/16)
+sqrt(c) as c -> 0 and 1 - lambda ~ (c* - c)^{3/s1} as c -> c*.  Newton's
+method on those two laws gives the first trial, a secant on shots at a
+coarse tolerance closes in, and Brent's method finishes at _SHOT_TOL,
+from a bracket whose far end lies past the root by about as much as the
+secant's root falls short of it.  No trial is shot twice at one
+tolerance, and the profile is read off the root's.
 
 The neutral profile searches nothing: its two roots are pinned constants.
-An outward shot with slope0 = _NEUTRAL_SLOPE0 runs to xi = 20 and meets
-an inward shot launched from xi = 1000 on the two-term decaying
+An outward shot from (phi, phi') = (1, _NEUTRAL_SLOPE0) at u = 0 to
+xi = 20 meets an inward shot from xi = 1000 on the two-term decaying
 Sommerfeld manifold phi = 144 xi^-3 (1 + a eta + c2 (a eta)^2),
 eta = xi^(-s1), a = _NEUTRAL_TAIL_AMPLITUDE.  Both are the exact roots of
 the search in tests/test_scipy_oracles.py, which must reproduce them bit
-for bit: slope0 bisects the discrete classification of outward shots to
-xi = 150 into those that hit zero and those that turn upward, and a is
-Brent's root of the inward shot's miss of the outward phi at xi = 20.
-Outward shooting alone cannot carry the profile far enough for 1e-6 mass
-accuracy because the growing perturbation mode amplifies the last digit
-of slope0.
+for bit: slope0 bisects the classification of outward shots to xi = 2000
+into those that hit zero and those that turn upward (each shot does one),
+and a is Brent's root of the inward shot's miss of the outward phi at
+xi = 20; slope0 lies 2.2e-16 from Boyd's B.  The xi-shots from a series
+start that this replaced pinned a slope0 2.06e-12 off B: classified to
+xi = 150, that slope0 did neither, and bisection returned on the
+"neither"; classified to 2000, the xi-shot still missed B by 1.41e-12.
+That offset took 8.96e-9 off the mass, and so cancelled most of the
++7.7e-9 bias of the PCHIP that then read phi between grid points.
 
-The profile's grid values come from the final shots themselves, so they
-lie on the trajectories of the roots.  Each accepted step of a shot gets
-one septic Hermite interpolant in the shot's variable: phi and phi' at
-both step ends are recorded, and phi's next derivatives follow from the
-ODE (in xi, phi'' = phi^{3/2}/sqrt(xi) and
-phi''' = (3/2) phi^{1/2} phi'/sqrt(xi) - phi''/(2 xi); in u, the three
-derivatives of :func:`_u_jets`).  All steps are evaluated as one
-Bernstein-form piecewise polynomial, term by term as scipy's BPoly does.
-An ion's shot starts at its edge, where phi is not smooth (its fourth
-u-derivative diverges): in that first step the readout misses the
-trajectory by up to 2.2e-8 relative, and nowhere by more than 5.1e-14.
-:func:`solve` refuses a profile whose mass misses min(lambda, 1) by more
-than 1e-6 relative.
+The grid's phi and phi' come off the final shots, on the trajectories of
+the roots: each accepted step is one septic Hermite interpolant in u of
+phi and its first three derivatives at both step ends (the ODE's jets,
+:func:`_u_jets`), and all steps, with their derivative, are evaluated as
+one Bernstein-form piecewise polynomial, term by term as scipy's BPoly
+does.  Between grid points phi is the same construction in xi: the septic
+Hermite of (phi, phi') with the jets of phi'' = phi^{3/2}/sqrt(xi)
+(:func:`_xi_jets`), evaluated by numpy.  An ion's shot starts at its
+edge, where phi is not smooth (its fourth u-derivative diverges): the
+readout misses the trajectory by up to 2.2e-8 relative there, and by at
+most 5.1e-14 elsewhere.  :func:`solve` refuses a mass error above 1e-6.
 
-The neutral outward shot, in xi, starts at xi = 1e-8 from the series
-phi = 1 + B xi + (4/3) xi^{3/2} + (2B/5) xi^{5/2} + xi^3/3 to sidestep
-the sqrt singularity; every grid starts there too.  The profile has one
-continuation past its grid: that series below it, and the two-term
-Sommerfeld manifold (zero for ions) beyond it.  Every integral of phi^p t^e the package takes over the
-profile (mass, energy terms, Newton potential, the identity chain's
-phase-space sum, the budget's domain change) is one of its moments: a
-closed-form head (the series to first order), the composite GL-12 rule on
-the grid, and a closed-form tail (the manifold to second order in a eta).
+Every grid starts at xi = 1e-8.  The profile continues below it as the
+series phi = 1 + B xi + (4/3) xi^{3/2} + (2B/5) xi^{5/2} + xi^3/3 and
+beyond it as the two-term Sommerfeld manifold (zero for ions).  Every
+integral of phi^p t^e the package takes over the profile (mass, energy
+terms, Newton potential, the identity chain's phase-space sum, the
+budget's domain change) is one of its moments: a closed-form head (the
+series to first order), the composite GL-12 rule on the grid, and a
+closed-form tail (the manifold to second order in a eta).
 """
 
 from __future__ import annotations
@@ -108,32 +109,28 @@ GAMMA_TF_PAPER = (3.0 * math.pi**2) ** (2.0 / 3.0)
 _S1 = (math.sqrt(73.0) - 7.0) / 2.0
 _C2 = 4.5 / (67.0 - 7.0 * math.sqrt(73.0))
 
-_XI0 = 1e-8            # series start of the neutral shot, and every grid's first point
-_XI_FAR = 1000.0       # launch point of the inward neutral integration
+_XI0 = 1e-8            # every grid's first point: the series continues phi below it
+_XI_FAR = 1000.0       # launch point of the inward neutral shot
 _XI_MATCH = 20.0       # outward/inward matching radius
-_ODE_TOL = 1e-12
-_ION_TOL = 1e-14       # tolerance of the ion trials Brent's method takes, the root's among them
+_SHOT_TOL = 1e-14      # every shot's tolerance but the ion search's secant trials
 _COARSE_TOL = 1e-8     # tolerance of the ion search's secant trials: logit lambda to about 1e-8
 _NEAR = 1e-3           # the secant stops once its step in t falls below this
 _MASS_TOL = 1e-6       # |int phi^{3/2} sqrt(t) / min(lambda, 1) - 1| that solve() accepts
 _PTS_PER_DECADE = 120
 _RTOL = 4.0 * np.finfo(float).eps  # relative bracket width the root-finders stop at
 _ROOT_ITER = 100
-# The unit-edge slope c* past which the inward ion shot at _ION_TOL blows up
+# The unit-edge slope c* past which the inward ion shot at _SHOT_TOL blows up
 # before u = 0: at c*(1 - 1e-12) it reaches g(0) = 1.96e48, at c*(1 + 1e-12)
 # DOP853's step underflows (tests/test_scipy_oracles.py re-derives both)
 _C_STAR = 1071.214679305575
 
 # The neutral slope0 and Sommerfeld tail amplitude: the exact roots of the
-# neutral search, bisection on [-1.7, -1.5] of whether the outward shot to
-# xi = 150 hits zero or turns upward, then Brent's method on [-40, -1] for
-# the inward shot from _XI_FAR that meets the outward one's phi at
-# _XI_MATCH, both to xtol 1e-16 and _RTOL.  They depend on _XI0, _XI_MATCH,
-# _XI_FAR, _ODE_TOL, _RTOL and the two brackets; re-pin them from the reprs
-# that tests/test_scipy_oracles.py::test_pinned_neutral_roots_are_the_search_roots
-# prints when it fails.
-_NEUTRAL_SLOPE0 = -1.5880710226134398
-_NEUTRAL_TAIL_AMPLITUDE = -13.292467649087229
+# neutral search (module docstring), bisection on [-1.7, -1.5], then Brent's
+# method on [-40, -1], both to xtol 1e-16 and _RTOL.  They depend on
+# _XI_MATCH, _XI_FAR, _SHOT_TOL, _RTOL and the two brackets; re-pin them from
+# the reprs that test_pinned_neutral_roots_are_the_search_roots prints.
+_NEUTRAL_SLOPE0 = -1.588071022611375
+_NEUTRAL_TAIL_AMPLITUDE = -13.29246812130286
 
 
 @dataclass(frozen=True)
@@ -169,13 +166,6 @@ def _series_init(B, x0):
     return (phi, dphi)
 
 
-def _rhs(x, y):
-    phi, dphi = y  # plain floats: shoot calls this twelve times a step
-    if phi < 0.0:
-        phi = 0.0
-    return (dphi, phi**1.5 / math.sqrt(x))
-
-
 def _tail_phi(a, xi):
     """Two-term decaying Sommerfeld manifold and its derivative."""
     eta = xi ** (-_S1)
@@ -186,66 +176,53 @@ def _tail_phi(a, xi):
     return phi, dphi
 
 
-def _escapes(x, y):
-    """Stop condition of an outward shot: phi has hit zero or turned upward."""
-    return y[0] <= 0.0 or y[1] > 0.0
+def _u_rhs(k):
+    """(g, g')_u = (2u g', k g^{3/2}), g clamped at 0 (module docstring)."""
+
+    def rhs(u, y):
+        g, dg = y  # plain floats: shoot calls this twelve times a step
+        return (2.0 * u * dg, k * (g if g > 0.0 else 0.0) ** 1.5)
+
+    return rhs
 
 
-def _shoot(B, x_end):
-    """Outward shot with slope0 = B, stopped after the step where phi hits
-    zero or turns upward."""
-    return shoot(_rhs, _series_init(B, _XI0), _XI0, x_end, _ODE_TOL, stop=_escapes)
+def _neutral_out(B):
+    """Outward neutral shot from (phi, phi') = (1, B) at u = 0 to _XI_MATCH."""
+    return shoot(_u_rhs(2.0), (1.0, B), 0.0, math.sqrt(_XI_MATCH), _SHOT_TOL)
 
 
-def _shoot_in(a):
-    """Inward shot from the Sommerfeld manifold at _XI_FAR down to _XI_MATCH."""
-    return shoot(_rhs, _tail_phi(a, _XI_FAR), _XI_FAR, _XI_MATCH, _ODE_TOL)
+def _neutral_in(a):
+    """Inward neutral shot from the Sommerfeld manifold at _XI_FAR to _XI_MATCH."""
+    u_far, u_match = math.sqrt(_XI_FAR), math.sqrt(_XI_MATCH)
+    return shoot(_u_rhs(2.0), _tail_phi(a, _XI_FAR), u_far, u_match, _SHOT_TOL)
 
 
 def _ion_shot(c, tol):
-    """Inward ion shot of g = f/c in u = sqrt(x), from the unit edge
-    (g, g') = (0, -1) at u = 1 to u = 0, g' = dg/dx: f solves the TF equation
-    with f(1) = 0, f'(1) = -c, so (g, g')_u = (2u g', 2 sqrt(c) g^{3/2})."""
-    k = 2.0 * math.sqrt(c)
-
-    def rhs(u, y):
-        g, dg = y  # g >= 1 - x inward of the edge: g is convex, with g(1) = 0 and g'(1) = -1
-        return (2.0 * u * dg, k * g**1.5)
-
-    return shoot(rhs, (0.0, -1.0), 1.0, 0.0, tol)
+    """Inward ion shot of g = f/c, f(1) = 0 and f'(1) = -c, from the unit
+    edge (g, g') = (0, -1) at u = 1 to u = 0."""
+    return shoot(_u_rhs(2.0 * math.sqrt(c)), (0.0, -1.0), 1.0, 0.0, tol)
 
 
 def _xi_jets(x, phi, dphi):
-    """phi's first three xi-derivatives at the step ends of a shot in xi."""
-    clamped = np.maximum(phi, 0.0)  # as in _rhs
+    """phi's first three xi-derivatives at the grid points."""
+    clamped = np.maximum(phi, 0.0)  # as in _u_rhs
     d2 = clamped**1.5 / np.sqrt(x)
     return dphi, d2, 1.5 * np.sqrt(clamped) * dphi / np.sqrt(x) - d2 / (2.0 * x)
 
 
 def _u_jets(k, u, g, dg):
-    """g's first three u-derivatives at the step ends of an ion shot,
+    """g's first three u-derivatives at the step ends of a shot,
     (g, g')_u = (2u g', k g^{3/2}): 2u g', 2 g' + 2u k g^{3/2} and
     4k g^{3/2} + 6 u^2 k g^{1/2} g'."""
+    g = np.maximum(g, 0.0)  # as in _u_rhs
     kp = k * g**1.5
     return (2.0 * u * dg, 2.0 * dg + 2.0 * u * kp,
             4.0 * kp + 6.0 * u * u * k * np.sqrt(g) * dg)
 
 
-def _readout(steps, t, jets):
-    """phi at the ascending points ``t`` of a shot's variable inside the
-    span of its accepted ``steps``, on the shot's own trajectory: each step
-    is one septic Hermite interpolant of phi and its first three
-    derivatives in that variable at its two ends, ``jets(t, phi, phi')``,
-    all evaluated as one piecewise polynomial in Bernstein form."""
-    x = np.array([step[0] for step in steps])
-    y = np.array([step[1] for step in steps])
-    if x[0] > x[-1]:
-        x, y = x[::-1], y[::-1]
-    if not x[0] <= t[0] <= t[-1] <= x[-1]:
-        raise ShootingFailure(f"shot from {steps[0][0]!r} to {steps[-1][0]!r} misses the grid")
-    phi = y[:, 0]
-    d1, d2, d3 = jets(x, phi, y[:, 1])
-    # degree-7 Bernstein coefficients from the derivatives at both step ends
+def _septic(x, phi, d1, d2, d3):
+    """Bernstein coefficients, one column per interval of the knots ``x``, of
+    the septic Hermite of phi and its first three derivatives there."""
     h = np.diff(x)
     c = np.empty((8, h.size))
     c[0] = phi[:-1]
@@ -256,28 +233,59 @@ def _readout(steps, t, jets):
     c[6] = c[7] - h * d1[1:] / 7.0
     c[5] = 2.0 * c[6] - c[7] + h**2 * d2[1:] / 42.0
     c[4] = 3.0 * (c[5] - c[6]) + c[7] - h**3 * d3[1:] / 210.0
-    return _bernstein(c, x, t)
+    return c
 
 
-def _bernstein(c, x, xi):
-    """The piecewise polynomial with Bernstein coefficients c[:, i] on
-    [x[i], x[i+1]] at the radii ``xi`` in [x[0], x[-1]]:
+def _readout(steps, t, jets):
+    """(phi, dphi/dt) at the ascending points ``t`` of a shot's variable
+    inside the span of its ``steps``: the septic Hermite of each step's ends
+    and their ``jets(t, phi, phi')``, as one Bernstein-form polynomial."""
+    x = np.array([step[0] for step in steps])
+    y = np.array([step[1] for step in steps])
+    if x[0] > x[-1]:
+        x, y = x[::-1], y[::-1]
+    if not x[0] <= t[0] <= t[-1] <= x[-1]:
+        raise ShootingFailure(f"shot from {steps[0][0]!r} to {steps[-1][0]!r} misses the grid")
+    c = _septic(x, y[:, 0], *jets(x, y[:, 0], y[:, 1]))
+    return _bernstein(x, t, c, 7.0 * np.diff(c, axis=0) / np.diff(x))
+
+
+def _bernstein(x, xi, *cs):
+    """Each piecewise polynomial with Bernstein coefficients c[:, i] on
+    [x[i], x[i+1]], c in ``cs``, at the radii ``xi`` in [x[0], x[-1]]:
     sum_j binom(k, j) s^j (1-s)^(k-j) c[j] with s the local coordinate in
     [0, 1].  The terms are summed in the order scipy's BPoly sums them, and
-    every power is one math.pow, so the values agree with BPoly to the last
-    bit (numpy's vectorized power does not)."""
-    k = c.shape[0] - 1
+    every power is one math.pow, shared by all of ``cs``, so the values
+    agree with BPoly to the last bit (numpy's vectorized power does not)."""
     i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, x.size - 2)
     s = (xi - x[i]) / (x[i + 1] - x[i])
-    s_list, s1_list = s.tolist(), (1.0 - s).tolist()
-    out = np.zeros_like(s)
-    comb = 1.0
-    for j in range(k + 1):
-        sj = np.array([math.pow(v, j) for v in s_list])
-        s1j = np.array([math.pow(v, k - j) for v in s1_list])
-        out += comb * sj * s1j * c[j, i]
-        comb *= 1.0 * (k - j) / (j + 1.0)
-    return out
+    powers = [[np.array([math.pow(v, j) for v in base.tolist()]) for j in range(max(map(len, cs)))]
+              for base in (s, 1.0 - s)]
+    outs = []
+    for c in cs:
+        k, out, comb = c.shape[0] - 1, np.zeros_like(s), 1.0
+        for j in range(k + 1):
+            out += comb * powers[0][j] * powers[1][k - j] * c[j, i]
+            comb *= 1.0 * (k - j) / (j + 1.0)
+        outs.append(out)
+    return outs
+
+
+def _septic_at(c, s):
+    """sum_j binom(7, j) s^j (1-s)^(7-j) c[j] at the local coordinates s,
+    by Horner's scheme for the Bernstein form: numpy, no power."""
+    s1 = 1.0 - s
+    sj = np.ones_like(s)
+    out = c[0] * s1
+    for j in range(1, 7):
+        sj = sj * s
+        out = (out + math.comb(7, j) * sj * c[j]) * s1
+    return out + sj * s * c[7]
+
+
+# the septic's Bernstein basis at the 12 local coordinates of the GL-12
+# nodes, where every grid interval has its nodes: one row per node
+_GL_SEPTIC = _septic_at(np.eye(8)[:, None, :], gl_rule([0.0, 1.0])[0][:, None])
 
 
 def _root(f, lo, hi, xtol, what):
@@ -346,25 +354,31 @@ class _UniversalProfile:
     tail_amplitude: float | None    # Sommerfeld correction amplitude (neutral)
     xi: np.ndarray
     phi_values: np.ndarray
+    dphi_values: np.ndarray         # phi' = dphi/dxi at the grid points
 
     @cached_property
-    def phi_function(self):
-        """phi on the grid as the TFSolution's RadialFunction, with the
-        tail phi ~ xi^-3 on the neutral branch and zero past an ion's edge."""
-        return RadialFunction(self.xi, self.phi_values, -3.0 if self.x_edge is None else None)
+    def _hermite(self):
+        """Bernstein coefficients of phi between grid points: the septic
+        Hermite of (phi, phi') with the jets of phi'' = phi^{3/2}/sqrt(xi)."""
+        jets = _xi_jets(self.xi, self.phi_values, self.dphi_values)
+        return _septic(self.xi, self.phi_values, *jets)
 
     def phi(self, xi):
-        """phi_function's PCHIP inside the grid; below it the series of
-        _series_init, beyond it the two-term Sommerfeld manifold (neutral)
-        or zero."""
+        """The septic Hermite inside the grid, clamped at 0; below it the
+        series of _series_init, beyond it the two-term Sommerfeld manifold
+        (neutral) or zero."""
         xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
-        inside = (xi >= self.xi[0]) & (xi <= self.xi[-1])
-        out[inside] = np.maximum(self.phi_function(xi[inside]), 0.0)
-        below = xi < self.xi[0]
+        grid = self.xi
+        inside = (xi >= grid[0]) & (xi <= grid[-1])
+        t = xi[inside]
+        i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
+        s = (t - grid[i]) / (grid[i + 1] - grid[i])
+        out[inside] = np.maximum(_septic_at(self._hermite[:, i], s), 0.0)
+        below = xi < grid[0]
         if np.any(below):
             out[below] = _series_init(self.slope0, xi[below])[0]
-        beyond = xi > self.xi[-1]
+        beyond = xi > grid[-1]
         if np.any(beyond) and self.x_edge is None:
             out[beyond] = _tail_phi(self.tail_amplitude, xi[beyond])[0]
         return out
@@ -389,15 +403,21 @@ class _UniversalProfile:
                            + (p * _C2 + 0.5 * p * (p - 1.0)) * a * a
                            * X ** (-k - 2.0 * _S1) / (k + 2.0 * _S1))
 
+    def _grid_nodes(self):
+        """The grid's GL-12 nodes and weights, and phi there by _GL_SEPTIC."""
+        t, w = gl_rule(self.xi)
+        return t, w, np.maximum(_GL_SEPTIC @ self._hermite, 0.0).T.ravel()
+
     def moment(self, p, e, lo=0.0):
         """int_lo^inf phi^p t^e dt: the head below the grid, the grid from
         lo by the composite GL-12 rule, and the tail."""
         if lo < self.xi[0]:
-            head, knots = self.head_moment(p, e, lo), self.xi
+            t, w, ph = self._grid_nodes()
+            head = self.head_moment(p, e, lo)
         else:
-            head, knots = 0.0, np.concatenate([[lo], self.xi[self.xi > lo]])
-        grid = grid_quadrature(lambda t: self.phi(t) ** p * t**e, knots)
-        return head + grid + self.tail_moment(p, e)
+            t, w = gl_rule(np.concatenate([[lo], self.xi[self.xi > lo]]))
+            ph, head = self.phi(t), 0.0
+        return head + float(np.sum(w * (ph**p * t**e))) + self.tail_moment(p, e)
 
     @cached_property
     def _integrals(self):
@@ -411,20 +431,16 @@ class _UniversalProfile:
         head and tail included.  The repulsion is int phi^{3/2} sqrt(t) P(t)
         dt over the grid, P that potential: (Z^2/b)/2 times it is the
         repulsion inside the grid."""
-        t, w = gl_rule(self.xi)
-        ph = self.phi(t)
+        t, w, ph = self._grid_nodes()
 
         def moment(p, e):
             grid = float(np.sum(w * (ph**p * t**e)))
             return self.head_moment(p, e) + grid + self.tail_moment(p, e)
 
         # newton_potential samples its density at these same nodes
-        potential = newton_potential(
-            lambda nodes: ph**1.5 * nodes**-1.5,
-            self.xi,
-            m_head=self.head_moment(1.5, 0.5),
-            t_tail=self.tail_moment(1.5, -0.5),
-        )
+        potential = newton_potential(lambda nodes: ph**1.5 * nodes**-1.5, self.xi,
+                                     m_head=self.head_moment(1.5, 0.5),
+                                     t_tail=self.tail_moment(1.5, -0.5))
         repulsion = float(np.sum(w * (ph**1.5 * np.sqrt(t) * potential(t))))
         return moment(1.5, 0.5), moment(1.5, -0.5), moment(2.5, -0.5), potential, repulsion
 
@@ -449,18 +465,15 @@ def _solve_universal(lam_key: float) -> _UniversalProfile:
 
 def _solve_neutral():
     xi = _log_grid(_XI0, _XI_FAR)
+    u = np.sqrt(xi)
     near = xi <= _XI_MATCH
-    phi_vals = np.empty_like(xi)
-    phi_vals[near] = _readout(_shoot(_NEUTRAL_SLOPE0, _XI_MATCH).steps, xi[near], _xi_jets)
-    phi_vals[~near] = _readout(_shoot_in(_NEUTRAL_TAIL_AMPLITUDE).steps, xi[~near], _xi_jets)
-    return _UniversalProfile(
-        lam_eff=1.0,
-        slope0=_NEUTRAL_SLOPE0,
-        x_edge=None,
-        tail_amplitude=_NEUTRAL_TAIL_AMPLITUDE,
-        xi=xi,
-        phi_values=np.maximum(phi_vals, 0.0),
-    )
+    phi, dphi_u = np.empty_like(xi), np.empty_like(xi)
+    for part, shot in ((near, _neutral_out(_NEUTRAL_SLOPE0)),
+                       (~near, _neutral_in(_NEUTRAL_TAIL_AMPLITUDE))):
+        phi[part], dphi_u[part] = _readout(shot.steps, u[part], partial(_u_jets, 2.0))
+    return _UniversalProfile(lam_eff=1.0, slope0=_NEUTRAL_SLOPE0, x_edge=None,
+                             tail_amplitude=_NEUTRAL_TAIL_AMPLITUDE, xi=xi,
+                             phi_values=np.maximum(phi, 0.0), dphi_values=dphi_u / (2.0 * u))
 
 
 def _logit_law(t):
@@ -482,7 +495,7 @@ def _solve_ion(lam):
     target = math.log(lam / (1.0 - lam))
     shots = {}  # (t, tol) -> its shot
 
-    def miss(t, tol=_ION_TOL):
+    def miss(t, tol=_SHOT_TOL):
         if (t, tol) not in shots:
             shots[t, tol] = _ion_shot(_C_STAR / (1.0 + math.exp(-t)), tol)
         return math.log(shots[t, tol].y_end[0] - 1.0) - target
@@ -503,10 +516,10 @@ def _solve_ion(lam):
     m = miss(t)
     # t's resolution: logit lambda carries g(0)'s error divided by lambda;
     # the far end lies past the root by about as much as t falls short of it
-    xtol = 2.0 * _ION_TOL / lam
+    xtol = 2.0 * _SHOT_TOL / lam
     far = t - math.copysign(2.0 * (abs(m) / slope + xtol), m)
     t = _root(miss, min(t, far), max(t, far), xtol, f"ion trial for lambda = {lam}")
-    shot = shots[t, _ION_TOL]  # Brent's method returns a t it has shot
+    shot = shots[t, _SHOT_TOL]  # Brent's method returns a t it has shot
     c = _C_STAR / (1.0 + math.exp(-t))
     g0, dg0 = shot.y_end
     x_e = (c * g0) ** (1.0 / 3.0)
@@ -514,15 +527,11 @@ def _solve_ion(lam):
     base = _log_grid(_XI0, x_e * (1.0 - 1e-3))
     cluster = x_e * (1.0 - np.geomspace(1e-3, 1e-12, 28)[1:])
     xi = np.concatenate([base, cluster, [x_e]])
-    jets = partial(_u_jets, 2.0 * math.sqrt(c))
-    return _UniversalProfile(
-        lam_eff=lam,
-        slope0=dg0 / (g0 * x_e),
-        x_edge=x_e,
-        tail_amplitude=None,
-        xi=xi,
-        phi_values=np.maximum(_readout(shot.steps, np.sqrt(xi / x_e), jets) / g0, 0.0),
-    )
+    u = np.sqrt(xi / x_e)
+    g, dg_u = _readout(shot.steps, u, partial(_u_jets, 2.0 * math.sqrt(c)))
+    return _UniversalProfile(lam_eff=lam, slope0=dg0 / (g0 * x_e), x_edge=x_e,
+                             tail_amplitude=None, xi=xi, phi_values=np.maximum(g / g0, 0.0),
+                             dphi_values=dg_u / (2.0 * u * x_e * g0))
 
 
 @dataclass(frozen=True)
@@ -539,7 +548,7 @@ class TFSolution:
     profile: _UniversalProfile = field(repr=False)
 
     slope0 = property(lambda self: self.profile.slope0)
-    phi = property(lambda self: self.profile.phi_function)
+    phi = property(lambda self: self.profile.phi)
     b = property(lambda self: self.params.length_scale)
 
     @property
@@ -607,16 +616,13 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     prof = _solve_universal(lam_key)
     mass_error = prof.mass / prof.lam_eff - 1.0
     if not abs(mass_error) <= _MASS_TOL:
-        raise ToleranceFailure(
-            f"TF mass error {mass_error:.3e} misses {_MASS_TOL:g} at lambda = {prof.lam_eff!r}",
-            residual=abs(mass_error),
-        )
+        raise ToleranceFailure(f"TF mass error {mass_error:.3e} misses {_MASS_TOL:g} at "
+                               f"lambda = {prof.lam_eff!r}", residual=abs(mass_error))
     sol = TFSolution(params, prof)
     residual = tf_equation_residual(sol)
     if residual > tol:
-        raise ToleranceFailure(
-            f"TF residual {residual:.3e} misses tol {tol:.3e}", residual=residual
-        )
+        raise ToleranceFailure(f"TF residual {residual:.3e} misses tol {tol:.3e}",
+                               residual=residual)
     return sol
 
 
@@ -652,11 +658,8 @@ def tf_functional(params: TFParams, rho: RadialFunction) -> float:
     att += tail_moment
     # beyond the grid the potential is the far field pot(R) R / v
     rep += pot(grid[-1]) * grid[-1] * tail_moment
-    return float(
-        0.6 * gamma * 4.0 * math.pi * kin
-        - Z * 4.0 * math.pi * att
-        + 0.5 * 4.0 * math.pi * rep
-    )
+    return float(0.6 * gamma * 4.0 * math.pi * kin - Z * 4.0 * math.pi * att
+                 + 0.5 * 4.0 * math.pi * rep)
 
 
 def tf_energy_slope_identity(sol: TFSolution) -> float:
@@ -720,16 +723,13 @@ def tf_potential(sol: TFSolution) -> RadialFunction:
 
 def solution_to_json(sol: TFSolution) -> str:
     doc = {
-        "params": {
-            "lambda": sol.params.lam,
-            "Z": sol.params.Z,
-            "gamma_kin": sol.params.gamma_kin,
-        },
+        "params": {"lambda": sol.params.lam, "Z": sol.params.Z, "gamma_kin": sol.params.gamma_kin},
         "slope0": sol.slope0,
         "mu": sol.mu,
         "edge_radius": None if math.isinf(sol.edge_radius) else sol.edge_radius,
         "grid": sol.profile.xi.tolist(),
         "phi": sol.profile.phi_values.tolist(),
+        "dphi": sol.profile.dphi_values.tolist(),
         "rho": sol.density_samples[1].tolist(),
         "energy_terms": sol.energy_terms,
     }
@@ -738,25 +738,25 @@ def solution_to_json(sol: TFSolution) -> str:
 
 def solution_from_json(text: str) -> TFSolution:
     """The solution a :func:`solution_to_json` text records.  Only params,
-    slope0, edge_radius, grid and phi are read; mu, rho and the energy
-    terms are derived again from them (the neutral tail amplitude is
-    refitted from the last grid point)."""
+    slope0, edge_radius, grid, phi and dphi are read; mu, rho and the
+    energy terms are derived again from them (the neutral tail amplitude is
+    refitted from the last grid point).  A file without dphi, which phi's
+    interpolant needs, is a DomainError."""
     doc = json.loads(text)
+    if "dphi" not in doc:
+        raise DomainError("the solution file has no 'dphi' field (phi' on the grid); "
+                          "write it again with tf-solve")
     p = doc["params"]
     # files written before the spin_q field was dropped still carry it: ignored
     params = TFParams(lam=p["lambda"], Z=p["Z"], gamma_kin=p["gamma_kin"])
-    xi = np.asarray(doc["grid"], dtype=float)
-    phi_vals = np.asarray(doc["phi"], dtype=float)
+    xi, phi_vals, dphi_vals = (np.asarray(doc[k], dtype=float) for k in ("grid", "phi", "dphi"))
     edge = doc["edge_radius"]
     neutral = edge is None
     prof = _UniversalProfile(
-        lam_eff=min(params.lam, 1.0),
-        slope0=doc["slope0"],
+        lam_eff=min(params.lam, 1.0), slope0=doc["slope0"],
         x_edge=None if neutral else float(edge),
         tail_amplitude=_fit_tail_amplitude(xi, phi_vals) if neutral else None,
-        xi=xi,
-        phi_values=phi_vals,
-    )
+        xi=xi, phi_values=phi_vals, dphi_values=dphi_vals)
     return TFSolution(params, prof)
 
 

@@ -157,20 +157,28 @@ def test_verify_suites_run_with_scipy_blocked(monkeypatch):
     (0.5, ("tf-solve", "--lambda", "0.5", "--Z", "10", "--out", "{tmp}/sol.json")),
 ))
 def test_commands_build_one_interpolant(capsys, monkeypatch, tmp_path, lam, argv):
-    # from a fresh profile: phi's PCHIP, and no density PCHIP
+    # from a fresh profile, solved before counting: phi's septic Hermite on
+    # the grid, and no PCHIP, of phi or of the density
     fresh = functools.lru_cache(tf._solve_universal.__wrapped__)
     monkeypatch.setattr(tf, "_solve_universal", fresh)
-    builds = []
+    size = fresh(lam).xi.size
+    builds, septics = [], []
+    real_septic = tf._septic
 
     class Counting(numerics.Pchip):
         def __init__(self, x, y):
             builds.append(len(x))
             super().__init__(x, y)
 
+    def septic(x, *args):
+        septics.append(x.size)
+        return real_septic(x, *args)
+
     monkeypatch.setattr(numerics, "Pchip", Counting)
+    monkeypatch.setattr(tf, "_septic", septic)
     code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 0
-    assert builds == [fresh(lam).xi.size]
+    assert (septics, builds) == ([size], [])
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -278,7 +286,8 @@ class TestBudget:
         assert path.exists()  # the budget is still written, violation flagged
 
     # budget --alpha 1e-3 as written before its terms became power sums in
-    # log form: (value, exponent) per row, in row order
+    # log form: (value, exponent) per row, in row order; the domain change
+    # as written since phi between grid points is its septic Hermite
     RECORDED = {
         "mean_field_smearing": (26.230734487360753, -0.55),
         "inner_zone": (538105.8443493863, -1.1500000000000004),
@@ -286,7 +295,7 @@ class TestBudget:
         "localisation_gradient": (340194.37798581924, -1.0),
         "localisation_exp_small": (3044.2156915232595, -0.9445380331578046),
         "coherent_kinetic": (105883.3750742625, -1.1),
-        "momentum_domain_change": (29.683357694309755, -0.75),
+        "momentum_domain_change": (29.6833576936992, -0.75),
         "quartic_rest_correction": (18.83378040984943, -0.75),
         "mu_mass_bookkeeping": (0.0, 0.0),
     }
@@ -472,20 +481,21 @@ class TestAsymptotics:
 
     # the default sweep and its lambda = 0.7 sibling, with every ramp sup
     # taken at the slope's clipped argmax, every quadrature summed by
-    # numpy's pairwise sum, not a BLAS dot, and every end of the TF profile
-    # integrated on its one continuation
+    # numpy's pairwise sum, not a BLAS dot, every end of the TF profile
+    # integrated on its one continuation, and phi between grid points the
+    # septic Hermite of the u-shots' phi and phi'
     RECORDED = {
         (): """\
-10.0,0.06366197723675814,-178630.0890889783,-82.81055817000342,0.0004635868379864842,11366.672781513433,-11371.944665382614,-5.271883869181993,ok
-100.0,0.006366197723675814,-21912342.074829087,-17840.99392223586,0.0008141984029507268,139384.72294228684,-139498.3022371827,-113.57929489585196,ok
-1000.0,0.0006366197723675814,-2777815917.2761416,-3843725.6210712926,0.0013837222247759153,1765965.5452054518,-1768412.5369353816,-2446.9917299298468,ok
-10000.0,6.366197723675813e-05,-364071280338.1986,-828105581.7000341,0.0022745699164481684,23124778.722755972,-23177497.561447788,-52718.838691819925,ok
+10.0,0.06366197723675814,-178630.0890889776,-82.81055817000352,0.00046358683798648656,11366.672781513389,-11371.94466538257,-5.271883869181999,ok
+100.0,0.006366197723675814,-21912342.07482906,-17840.99392223588,0.0008141984029507288,139384.72294228667,-139498.30223718254,-113.5792948958521,ok
+1000.0,0.0006366197723675814,-2777815917.27614,-3843725.6210712967,0.0013837222247759175,1765965.5452054508,-1768412.5369353807,-2446.9917299298495,ok
+10000.0,6.366197723675813e-05,-364071280338.19855,-828105581.7000351,0.0022745699164481714,23124778.72275597,-23177497.561447784,-52718.83869181999,ok
 """,
         ("--lambda", "0.7"): """\
-10.0,0.06366197723675814,-148261.09707626922,-82.02409735640401,0.0005532408634087522,9433.372770947472,-9438.594587166239,-5.221816218769026,ok
-100.0,0.006366197723675814,-18742206.286650676,-17671.556076318942,0.0009428749105651283,119204.0903786712,-119316.59099873807,-112.50062006687115,ok
-1000.0,0.0006366197723675814,-2443947128.05455,-3807221.3437665226,0.0015578165746970053,1553441.3119552704,-1555865.064340492,-2423.752385221641,ok
-10000.0,6.366197723675813e-05,-328558090903.6446,-820240973.5640402,0.00249648691136506,20864439.541872844,-20916657.704060532,-52218.16218769026,ok
+10.0,0.06366197723675814,-148261.0970762609,-82.02409735280982,0.0005532408633845409,9433.37277094717,-9438.59458716571,-5.221816218540212,ok
+100.0,0.006366197723675814,-18742206.28664908,-17671.55607554459,0.0009428749105238926,119204.09037866599,-119316.59099872792,-112.50062006194148,ok
+1000.0,0.0006366197723675814,-2443947128.054215,-3807221.343599696,0.0015578165746289578,1553441.311955163,-1555865.0643402787,-2423.752385115436,ok
+10000.0,6.366197723675813e-05,-328558090903.57275,-820240973.5280981,0.002496486911256212,20864439.541870557,-20916657.704055957,-52218.162185402114,ok
 """,
     }
 

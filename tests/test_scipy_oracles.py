@@ -29,7 +29,7 @@ from relatom import specfun as sf
 from relatom import thomas_fermi as tf
 from relatom.errors import NonConvergence, ShootingFailure, StepFailure
 from relatom.kinetic import Dispersion, daubechies_F
-from relatom.numerics import Pchip, Shot, gl_rule, shoot
+from relatom.numerics import Pchip, Shot, gl_rule
 
 PROFILE_LAMBDAS = (1.0, 0.99, 0.9, 0.5, 0.2, 0.01, 1e-3)
 
@@ -56,15 +56,17 @@ def scipy_shoot(rhs, y0, x0, x1, tol=1e-10, stop=None):
 
 
 @pytest.mark.parametrize("slope0", (-1.6, -1.588071022611, -1.55, -3.0, -50.0))
-def test_dop853_outward_tf_shots_match_scipy(slope0):
-    args = (tf._rhs, tf._series_init(slope0, tf._XI0), tf._XI0, 2000.0, tf._ODE_TOL)
-    assert shoot(*args, stop=tf._escapes).steps == scipy_shoot(*args, stop=tf._escapes).steps
+def test_dop853_outward_tf_shots_match_scipy(monkeypatch, slope0):
+    # the classification shots of the neutral search
+    ours = neutral_shot(slope0).steps
+    monkeypatch.setattr(tf, "shoot", scipy_shoot)
+    assert neutral_shot(slope0).steps == ours
 
 
 # unit-edge slopes of ions from lambda = 1e-7 to 1 - 7e-11
 @pytest.mark.parametrize("c", (2.6e-13, 0.06, 6.5, 535.6, 1064.0))
 def test_dop853_inward_ion_shots_match_scipy(monkeypatch, c):
-    tols = (tf._ION_TOL, tf._COARSE_TOL)
+    tols = (tf._SHOT_TOL, tf._COARSE_TOL)
     ours = [tf._ion_shot(c, tol).steps for tol in tols]
     monkeypatch.setattr(tf, "shoot", scipy_shoot)
     assert [tf._ion_shot(c, tol).steps for tol in tols] == ours
@@ -72,35 +74,47 @@ def test_dop853_inward_ion_shots_match_scipy(monkeypatch, c):
 
 def test_c_star_is_where_the_inward_ion_shot_blows_up():
     # just below c* the ions tend to the neutral atom, lambda = 1 - 1/g(0)
-    assert tf._ion_shot(tf._C_STAR * (1.0 - 1e-12), tf._ION_TOL).y_end[0] > 1e48
+    assert tf._ion_shot(tf._C_STAR * (1.0 - 1e-12), tf._SHOT_TOL).y_end[0] > 1e48
     with pytest.raises(StepFailure):
-        tf._ion_shot(tf._C_STAR * (1.0 + 1e-12), tf._ION_TOL)
+        tf._ion_shot(tf._C_STAR * (1.0 + 1e-12), tf._SHOT_TOL)
 
 
-def test_dop853_inward_tf_shot_matches_scipy():
-    a = tf._solve_universal(1.0).tail_amplitude
-    args = (tf._rhs, tf._tail_phi(a, tf._XI_FAR), tf._XI_FAR, tf._XI_MATCH, tf._ODE_TOL)
-    assert shoot(*args).steps == scipy_shoot(*args).steps
+def test_dop853_inward_tf_shot_matches_scipy(monkeypatch):
+    ours = tf._neutral_in(tf._NEUTRAL_TAIL_AMPLITUDE).steps
+    monkeypatch.setattr(tf, "shoot", scipy_shoot)
+    assert tf._neutral_in(tf._NEUTRAL_TAIL_AMPLITUDE).steps == ours
 
 
 # the search whose roots thomas_fermi pins as _NEUTRAL_SLOPE0 and
 # _NEUTRAL_TAIL_AMPLITUDE: bisection of the escape classification of
-# outward shots to xi = 150, then Brent's method for the tail amplitude
-# whose inward shot meets the outward phi at _XI_MATCH
+# outward shots to xi = 2000, then Brent's method for the tail amplitude
+# whose inward shot meets the outward phi at _XI_MATCH.  Classified to
+# xi = 150 instead, the slope0 a bisection converges on neither hits zero
+# nor turns upward, and bisect returns on that 0: the xi-shot's pinned
+# slope0 missed Boyd's B by 2.06e-12 that way
 NEUTRAL_SLOPE_BRACKET = (-1.7, -1.5)
 NEUTRAL_AMPLITUDE_BRACKET = (-40.0, -1.0)
+NEUTRAL_CLASSIFY_XI = 2000.0
+
+
+def neutral_shot(B):
+    """The outward neutral shot with slope0 = B in u = sqrt(xi), stopped
+    after the step where phi hits zero or turns upward."""
+    return tf.shoot(tf._u_rhs(2.0), (1.0, B), 0.0, math.sqrt(NEUTRAL_CLASSIFY_XI),
+                    tf._SHOT_TOL, stop=lambda u, y: y[0] <= 0.0 or y[1] > 0.0)
 
 
 def neutral_classification(B):
-    """-1 if the outward shot with slope0 = B hits zero by xi = 150, +1 if
-    it turns upward first, 0 if it does neither."""
-    phi, dphi = tf._shoot(B, 150.0).y_end
-    return -1.0 if phi <= 0.0 else 1.0 if dphi > 0.0 else 0.0
+    """-1 if the outward shot with slope0 = B hits zero by xi = 2000, +1 if
+    it turns upward first; a shot that does neither fails the search."""
+    phi, dphi = neutral_shot(B).y_end
+    assert phi <= 0.0 or dphi > 0.0, f"slope0 = {B!r} neither hits zero nor turns upward"
+    return -1.0 if phi <= 0.0 else 1.0
 
 
 def neutral_amplitude_miss(slope0):
-    target = tf._shoot(slope0, tf._XI_MATCH).y_end[0]
-    return lambda a: tf._shoot_in(a).y_end[0] - target
+    target = tf._neutral_out(slope0).y_end[0]
+    return lambda a: tf._neutral_in(a).y_end[0] - target
 
 
 def neutral_roots():
@@ -127,7 +141,7 @@ def test_universal_profile_matches_the_scipy_pipeline(monkeypatch, lam):
     ours = tf._solve_universal.__wrapped__(lam)
     monkeypatch.setattr(tf, "shoot", scipy_shoot)
     monkeypatch.setattr(tf, "_brentq", brentq)
-    monkeypatch.setattr(tf, "_bernstein", lambda c, x, xi: BPoly(c, x)(xi))
+    monkeypatch.setattr(tf, "_bernstein", lambda x, xi, *cs: [BPoly(c, x)(xi) for c in cs])
     if lam == 1.0:
         slope0, a = neutral_roots()
         monkeypatch.setattr(tf, "_NEUTRAL_SLOPE0", slope0)
@@ -137,31 +151,36 @@ def test_universal_profile_matches_the_scipy_pipeline(monkeypatch, lam):
         assert getattr(ours, field) == getattr(theirs, field), field
     assert np.array_equal(ours.xi, theirs.xi)
     assert np.array_equal(ours.phi_values, theirs.phi_values)
+    assert np.array_equal(ours.dphi_values, theirs.dphi_values)
 
 
 @pytest.mark.parametrize("lam", (1.0, 0.9, 0.5, 0.01))
 def test_pchip_matches_scipy_at_knots_and_gl_nodes(lam):
-    prof = tf._solve_universal(lam)
-    r = np.concatenate([prof.xi, gl_rule(prof.xi)[0]])
-    ours = Pchip(prof.xi, prof.phi_values)(r)
-    theirs = PchipInterpolator(prof.xi, prof.phi_values, extrapolate=False)(r)
+    # the density's PCHIP, the one the package builds
+    r, rho = tf.TFSolution(tf.TFParams(lam, 1.0), tf._solve_universal(lam)).density_samples
+    nodes = np.concatenate([r, gl_rule(r)[0]])
+    ours = Pchip(r, rho)(nodes)
+    theirs = PchipInterpolator(r, rho, extrapolate=False)(nodes)
     assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("lam", (1.0, 0.5, 0.01))
 def test_bernstein_readout_matches_bpoly(monkeypatch, lam):
+    # phi and its derivative on the grid, one call per shot read
     calls = []
     real = tf._bernstein
 
-    def recording(c, x, xi):
-        calls.append((c, x, xi))
-        return real(c, x, xi)
+    def recording(x, xi, *cs):
+        calls.append((x, xi, cs))
+        return real(x, xi, *cs)
 
     monkeypatch.setattr(tf, "_bernstein", recording)
     tf._solve_universal.__wrapped__(lam)
-    assert calls
-    for c, x, xi in calls:
-        assert np.array_equal(real(c, x, xi), BPoly(c, x)(xi))
+    assert len(calls) == (2 if lam == 1.0 else 1)
+    for x, xi, cs in calls:
+        assert [c.shape[0] for c in cs] == [8, 7]
+        for ours, c in zip(real(x, xi, *cs), cs):
+            assert np.array_equal(ours, BPoly(c, x)(xi))
 
 
 # every (p, e) at which the package integrates phi^p t^e past the grid: the
@@ -204,16 +223,21 @@ def test_tail_moment_is_the_manifold_integral(p, e):
 def rel_phase_space_by_quad(sol, alpha, q_min):
     """(1/(2 pi)^3) iint_{|q| > q_min} [t_rel(p) - alpha V_TF(q)]_- d^3p d^3q
     by scipy's quad in the physical radius q, with V_TF = (Z/q) phi(q/b),
-    phi scipy's PCHIP of the profile on the grid and the Sommerfeld manifold
-    past it, and the momentum integral -(4 pi/15) alpha^-4 X^5
-    hyp2f1(1/2, 5/2; 7/2; -X^2), X^2 = w (w + 2), w = alpha^2 V_TF.  The
-    grid's knots are quad's breakpoints, a hundred to a call."""
+    phi scipy's septic Hermite interpolant (BPoly.from_derivatives) of phi,
+    phi', phi'' = phi^{3/2} t^{-1/2} and its derivative on the grid, and
+    the Sommerfeld manifold past it, and the momentum integral
+    -(4 pi/15) alpha^-4 X^5 hyp2f1(1/2, 5/2; 7/2; -X^2), X^2 = w (w + 2),
+    w = alpha^2 V_TF.  The grid's knots are quad's breakpoints, a hundred
+    to a call."""
     prof, Z, b = sol.profile, sol.params.Z, sol.b
-    pchip = PchipInterpolator(prof.xi, prof.phi_values)
+    x, phi, dphi = prof.xi, prof.phi_values, prof.dphi_values
+    d2 = phi**1.5 / np.sqrt(x)
+    d3 = 1.5 * np.sqrt(phi) * dphi / np.sqrt(x) - 0.5 * d2 / x
+    hermite = BPoly.from_derivatives(x, np.stack([phi, dphi, d2, d3], axis=1))
 
     def integrand(q):
         t = q / b
-        phi = float(pchip(t)) if t <= prof.xi[-1] else tf._tail_phi(prof.tail_amplitude, t)[0]
+        phi = float(hermite(t)) if t <= x[-1] else tf._tail_phi(prof.tail_amplitude, t)[0]
         w = alpha * alpha * Z / q * max(phi, 0.0)
         X2 = w * (w + 2.0)
         return -4.0 * math.pi / 15.0 * alpha**-4 * X2**2.5 * hyp2f1(0.5, 2.5, 3.5, -X2) * q * q

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -39,9 +40,10 @@ class TestSolve:
         assert math.isinf(neutral_solution.edge_radius)
 
     def test_neutral_mass_error(self, neutral_solution):
-        # -1.27e-9 with the series head and the second-order Sommerfeld tail;
-        # a phi = 1 head and a first-order tail gave -3.33e-9
-        assert abs(neutral_solution.profile.mass - 1.0) <= 2e-9
+        # +1.6e-12 with phi's septic Hermite between grid points and the
+        # u-shots' slope0; -1.27e-9 with a PCHIP of phi, whose +7.7e-9 bias
+        # the xi-shots' 2.06e-12 slope0 offset cancelled
+        assert abs(neutral_solution.profile.mass - 1.0) <= 1e-11
 
     def test_over_charged_matches_neutral(self, neutral_solution):
         sol = tf.solve(tf.TFParams(lam=1.5, Z=1.0))
@@ -86,7 +88,9 @@ class TestSolve:
         sol = tf.solve(tf.TFParams(lam=lam, Z=1.0))
         assert sol.mu > 0.0
         assert abs(rho_mass(sol.rho) - lam) < 1e-6 * lam
-        assert abs(sol.electron_count - lam) < 1e-6 * lam
+        # the profile's mass: 1.5e-11 at 1e-3, at most 1.1e-12 elsewhere (a
+        # PCHIP of phi missed by 4.0e-9 at 0.9 and 7.1e-9 at 0.99)
+        assert abs(sol.electron_count - lam) <= 1e-10 * lam
 
     @pytest.mark.parametrize("lam", ION_LAMBDAS)
     def test_ion_edge_flux(self, lam):
@@ -108,7 +112,7 @@ class TestSolve:
         # at 1e-3, where Brent's method bisected through the noise of the
         # flux, and 88 at 1 - 1e-5, which fell back to [-60, -1.58]); the
         # neutral roots are pinned, so its profile searches nothing and is
-        # read off one outward and one inward shot
+        # read off one outward and one inward shot in u = sqrt(xi)
         shots, trials = [], []
         real_shoot, real_trial = tf.shoot, tf._ion_shot
 
@@ -125,8 +129,11 @@ class TestSolve:
         tf._solve_universal.__wrapped__(lam)
         assert 0 < len(shots) <= max_shots
         if lam == 1.0:
-            ends = [(tf._XI0, tf._XI_MATCH), (tf._XI_FAR, tf._XI_MATCH)]
-            assert [args[2:4] for args in shots] == ends
+            u_match = math.sqrt(tf._XI_MATCH)
+            ends = [((1.0, tf._NEUTRAL_SLOPE0), 0.0, u_match),
+                    (tf._tail_phi(tf._NEUTRAL_TAIL_AMPLITUDE, tf._XI_FAR),
+                     math.sqrt(tf._XI_FAR), u_match)]
+            assert [args[1:4] for args in shots] == ends
         else:
             # every shot is a trial from the unit edge, none shot twice at one
             # tolerance: the profile is read off the root's trial
@@ -137,7 +144,9 @@ class TestSolve:
     def test_rhs_budget(self, monkeypatch, lam, max_rhs):
         # the grid values are read off the recorded steps: re-integrating
         # every radius from its step start cost 51,572 and 122,607 calls;
-        # the neutral search behind the pinned roots cost 94,409; the ion's
+        # the neutral search behind the pinned roots cost 94,409; the
+        # neutral u-shots take 1,790, the xi-shots from a series start took
+        # 2,863; the ion's
         # 21 xi-shots from a series start cost 31,910, its 10 outward u-shots
         # 6,189, its 8 trials from the unit edge 3,658 (the four of the
         # secant at the coarse tolerance)
@@ -159,35 +168,41 @@ class TestSolve:
     def test_phi_interpolant_is_built_once_per_lambda(self, monkeypatch, lam):
         prof = tf._solve_universal.__wrapped__(lam)  # fresh: no interpolant cached yet
         monkeypatch.setattr(tf, "_solve_universal", lambda key: prof)
-        builds = []
-        real = numerics.Pchip
+        builds, septics = [], []
+        real, real_septic = numerics.Pchip, tf._septic
 
         class Counting(real):
             def __init__(self, x, y):
                 builds.append(x.size)
                 super().__init__(x, y)
 
+        def septic(x, *args):
+            septics.append(x.size)
+            return real_septic(x, *args)
+
         monkeypatch.setattr(numerics, "Pchip", Counting)
+        monkeypatch.setattr(tf, "_septic", septic)
         for Z in (1.0, 10.0, 100.0):
-            assert tf.solve(tf.TFParams(lam=lam, Z=Z)).phi is prof.phi_function
-        assert builds == [prof.xi.size]  # phi once; no solve builds the density
+            assert tf.solve(tf.TFParams(lam=lam, Z=Z)).phi == prof.phi
+        # phi's septic Hermite once; no PCHIP, of phi or of the density
+        assert (septics, builds) == ([prof.xi.size], [])
 
     def test_repulsion_quadrature_runs_once_per_lambda(self, monkeypatch):
         prof = tf._solve_universal.__wrapped__(0.5)  # fresh: no integral cached yet
         monkeypatch.setattr(tf, "_solve_universal", lambda key: prof)
         samples = []
-        real = tf._UniversalProfile.phi
+        real = tf.newton_potential
 
-        def counting(self, xi):
-            samples.append(np.size(xi))
-            return real(self, xi)
+        def counting(f, knots, **tails):
+            samples.append(knots.size)
+            return real(f, knots, **tails)
 
-        monkeypatch.setattr(tf._UniversalProfile, "phi", counting)
+        monkeypatch.setattr(tf, "newton_potential", counting)
         for Z in (1.0, 2.0, 10.0, 100.0):
             tf.solve(tf.TFParams(lam=0.5, Z=Z))
         # mass, I32, I52, the potential and the repulsion all come from one
         # sampling of phi at the grid's GL-12 nodes
-        assert samples == [12 * (prof.xi.size - 1)]
+        assert samples == [prof.xi.size]
 
     @pytest.mark.parametrize("lam", (0.5, 1.0))
     def test_mass_postcondition_is_enforced(self, monkeypatch, lam):
@@ -241,23 +256,34 @@ class TestSolve:
         # the xi-shot from the series start at 1e-8 missed it by 1.45e-12
         assert abs(tf._solve_universal(0.5).slope0 - SLOPE0_HALF_MPMATH) <= 1e-14
 
+    @pytest.mark.parametrize("lam, Z", ((0.9, 1e3), (1.0, 1e4)))
+    def test_residual_meets_tol_1e6_at_large_z(self, lam, Z):
+        # 2.4e-10 and 1.9e-9; a PCHIP of phi left 1.83e-6 and 1.55e-6,
+        # which tol = 1e-6 refused
+        assert tf.tf_equation_residual(tf.solve(tf.TFParams(lam, Z), tol=1e-6)) <= 1e-6
 
-def _reintegrated(shot, points, rhs, tol):
-    """Oracle: phi at each point of the shot's variable re-integrated from
-    the last accepted step start at or before it, in the direction of the
-    shot."""
+
+def _reintegrated(shot, points, k):
+    """Oracle: the state (g, g') at each point of the shot's variable
+    u = sqrt(x), (g, g')_u = (2u g', k g^{3/2}), re-integrated from the
+    last accepted step start at or before it, in the direction of the shot."""
+    def rhs(u, y):
+        return (2.0 * u * y[1], k * max(y[0], 0.0) ** 1.5)
+
     sign = 1.0 if shot.x_end > shot.steps[0][0] else -1.0
     starts = sign * np.array([x for x, _ in shot.steps])
-    values = []
-    for r, k in zip(points, np.searchsorted(starts, sign * points, side="right") - 1):
-        xk, yk = shot.steps[k]
-        values.append(yk[0] if xk == r else tf.shoot(rhs, yk, xk, r, tol).y_end[0])
-    return np.maximum(values, 0.0)
+    states = []
+    for r, i in zip(points, np.searchsorted(starts, sign * points, side="right") - 1):
+        xi, yi = shot.steps[i]
+        states.append(yi if xi == r else tf.shoot(rhs, yi, xi, r, tf._SHOT_TOL).y_end)
+    return np.array(states)
 
 
 class TestReadout:
     @pytest.mark.parametrize("lam", (1.0, 0.5, 0.01))
     def test_matches_per_radius_reintegration(self, monkeypatch, lam):
+        # phi and phi' on the grid against the shots re-integrated to each
+        # grid point in u = sqrt(xi): (phi, phi')_u = (2u phi', 2 phi^{3/2})
         trials = {}
         real = tf._ion_shot
 
@@ -269,35 +295,34 @@ class TestReadout:
         prof = tf._solve_universal.__wrapped__(lam)
         xi = prof.xi
         if prof.x_edge is None:
+            u = np.sqrt(xi)
             near = xi <= tf._XI_MATCH
-            out = tf._shoot(prof.slope0, tf._XI_MATCH)
-            inward = tf._shoot_in(prof.tail_amplitude)
-            oracle = np.concatenate([_reintegrated(out, xi[near], tf._rhs, tf._ODE_TOL),
-                                     _reintegrated(inward, xi[~near], tf._rhs, tf._ODE_TOL)])
+            oracle = np.concatenate([
+                _reintegrated(tf._neutral_out(prof.slope0), u[near], 2.0),
+                _reintegrated(tf._neutral_in(prof.tail_amplitude), u[~near], 2.0)])
         else:
-            # the root's trial: the edge x0 = (c g(0))^{1/3} it gives is the profile's
-            (c, shot), = [(c, shot) for (c, tol), shot in trials.items() if tol == tf._ION_TOL
+            # the root's trial: the edge x0 = (c g(0))^{1/3} it gives is the
+            # profile's; phi(xi) = g(u)/g(0), phi'(xi) = g'(u)/(g(0) x0)
+            (c, shot), = [(c, shot) for (c, tol), shot in trials.items() if tol == tf._SHOT_TOL
                           and (c * shot.y_end[0]) ** (1.0 / 3.0) == prof.x_edge]
-            k = 2.0 * math.sqrt(c)
-
-            def rhs(u, y):  # (g, g')_u = (2u g', 2 sqrt(c) g^{3/2}), g = f/c
-                return (2.0 * u * y[1], k * y[0] ** 1.5)
-
             u = np.sqrt(xi / prof.x_edge)
-            oracle = _reintegrated(shot, u, rhs, tf._ION_TOL) / shot.y_end[0]
+            oracle = _reintegrated(shot, u, 2.0 * math.sqrt(c)) / shot.y_end[0]
+            oracle[:, 1] /= prof.x_edge
             # the shot starts at the edge, where phi is not smooth (its fourth
             # u-derivative diverges): in the first step the readout misses
             # re-integration by 1.2e-8 relative at lambda = 0.01
             edge_step = u > shot.steps[1][0]
             assert np.count_nonzero(edge_step) > 10
-            assert np.max(np.abs(prof.phi_values[edge_step][:-1] / oracle[edge_step][:-1]
+            assert np.max(np.abs(prof.phi_values[edge_step][:-1] / oracle[edge_step][:-1, 0]
                                  - 1.0)) <= 1e-6
-        assert np.max(np.abs(prof.phi_values - oracle)) <= 1e-12
+        # phi' misses by at most 3.1e-11, the derivative of a septic in u
+        assert np.max(np.abs(prof.phi_values - np.maximum(oracle[:, 0], 0.0))) <= 1e-12
+        assert np.max(np.abs(prof.dphi_values - oracle[:, 1])) <= 1e-10
 
     def test_grid_beyond_the_shot_is_refused(self):
-        shot = tf._shoot(tf._solve_universal(1.0).slope0, 5.0)
+        shot = tf._neutral_out(tf._NEUTRAL_SLOPE0)
         with pytest.raises(ShootingFailure):
-            tf._readout(shot.steps, np.array([1.0, 10.0]), tf._xi_jets)
+            tf._readout(shot.steps, np.array([1.0, 10.0]), functools.partial(tf._u_jets, 2.0))
 
 
 class TestEnergy:
@@ -418,6 +443,36 @@ class TestMuIdentity:
         assert self.bookkeeping(sol) == 0.0
 
 
+class TestChemicalPotential:
+    # mu = -dE/dN (E. H. Lieb and B. Simon, Adv. Math. 23, 22 (1977)) by a
+    # Richardson step on central differences of tf_energy in N = lambda Z
+    # at Z = 1, h = 1e-3 and 5e-4: it meets mu to 1.5e-12 at lambda 0.5 and
+    # 2.2e-11 at 0.2, where one central difference at h = 1e-3 misses by
+    # 2.9e-6 and 7.3e-6
+
+    @staticmethod
+    def minus_dE_dN(lam, h=1e-3):
+        def central(h):
+            up, down = (tf.tf_energy(tf.solve(tf.TFParams(lam + s, 1.0))) for s in (h, -h))
+            return (up - down) / (2.0 * h)
+
+        return -(4.0 * central(h / 2.0) - central(h)) / 3.0
+
+    @pytest.mark.parametrize("lam", (0.5, 0.2))
+    def test_mu_is_minus_dE_dN(self, lam):
+        mu = tf.solve(tf.TFParams(lam, 1.0)).mu
+        assert abs(self.minus_dE_dN(lam) / mu - 1.0) <= 1e-6
+
+    def test_mu_without_its_one_minus_lambda_fails(self, monkeypatch):
+        def mu(sol):  # Z / (b x0): the (1 - lambda) dropped
+            return sol.params.Z / (sol.b * sol.profile.x_edge)
+
+        # planted after the solves: the residual gate reads mu too
+        sol, slope = tf.solve(tf.TFParams(0.5, 1.0)), self.minus_dE_dN(0.5)
+        monkeypatch.setattr(tf.TFSolution, "mu", property(mu))
+        assert abs(slope / sol.mu - 1.0) > 1e-6
+
+
 class TestSerialization:
     def test_round_trip(self, ion_solution):
         text = tf.solution_to_json(ion_solution)
@@ -426,8 +481,10 @@ class TestSerialization:
         assert restored.slope0 == ion_solution.slope0
         assert restored.mu == ion_solution.mu
         assert restored.edge_radius == ion_solution.edge_radius
-        assert np.array_equal(restored.phi.grid, ion_solution.phi.grid)
-        assert np.max(np.abs(restored.phi.values - ion_solution.phi.values)) <= 1e-15
+        prof, ours = restored.profile, ion_solution.profile
+        assert np.array_equal(prof.xi, ours.xi)
+        assert np.max(np.abs(prof.phi_values - ours.phi_values)) <= 1e-15
+        assert np.array_equal(prof.dphi_values, ours.dphi_values)
         assert np.max(np.abs(restored.rho.values - ion_solution.rho.values)) <= 1e-15 * np.max(
             ion_solution.rho.values
         )
@@ -447,24 +504,35 @@ class TestSerialization:
         assert restored.energy_terms == ion_solution.energy_terms
 
     @pytest.mark.parametrize("lam,Z,tails", (
-        (1.0, 1.0, (-3.0, -6.0)), (0.5, 1.0, (None, None)), (0.9, 137.0, (None, None)),
-        (0.01, 100.0, (None, None)), (1.0, 636.6, (-3.0, -6.0)),
+        (1.0, 1.0, (True, -6.0)), (0.5, 1.0, (False, None)), (0.9, 137.0, (False, None)),
+        (0.01, 100.0, (False, None)), (1.0, 636.6, (True, -6.0)),
     ))
     def test_text_round_trip_and_tails(self, lam, Z, tails):
         # the file's mu, rho and energy terms are derived again on loading,
-        # from its grid and phi (and a refitted neutral tail amplitude);
-        # tol is tf-solve's default, which Z = 137 and 636.6 need
+        # from its grid, phi and dphi (and a refitted neutral tail
+        # amplitude); tol is tf-solve's default, which Z = 137 and 636.6 need.
+        # phi's tail is the Sommerfeld manifold exactly when the atom is neutral
         text = tf.solution_to_json(tf.solve(tf.TFParams(lam=lam, Z=Z), tol=1e-6))
         restored = tf.solution_from_json(text)
         assert tf.solution_to_json(restored) == text
-        assert (restored.phi.tail_exponent, restored.rho.tail_exponent) == tails
+        prof = restored.profile
+        assert (prof.tail_amplitude is not None, restored.rho.tail_exponent) == tails
+        assert (prof.phi(np.array([2.0 * prof.xi[-1]]))[0] > 0.0) == tails[0]
 
     def test_json_is_plain(self, neutral_solution):
         doc = json.loads(tf.solution_to_json(neutral_solution))
         assert set(doc) == {
-            "params", "slope0", "mu", "edge_radius", "grid", "phi", "rho", "energy_terms",
+            "params", "slope0", "mu", "edge_radius", "grid", "phi", "dphi", "rho",
+            "energy_terms",
         }
         assert doc["edge_radius"] is None  # neutral: infinity encodes as null
+
+    def test_file_without_dphi_is_refused(self, ion_solution):
+        # phi's interpolant needs phi' on the grid, which older files lack
+        doc = json.loads(tf.solution_to_json(ion_solution))
+        del doc["dphi"]
+        with pytest.raises(DomainError, match="'dphi'"):
+            tf.solution_from_json(json.dumps(doc))
 
 
 class TestMonotonicity:
