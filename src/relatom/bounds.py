@@ -33,6 +33,7 @@ from .numerics import (
     QuadratureSpec,
     RadialFunction,
     coulomb_pairing,
+    gl_rule,
     grid_quadrature,
     integrate_1d,
     newton_potential,
@@ -282,10 +283,9 @@ def mean_field_constant(cs: CoherentSpec) -> float:
     by the radial Newton route (1/2) int phi (phi * 1/|.|)."""
     phi = _density(cs)
     knots = np.linspace(0.0, 1.0, 16)
-    pot = newton_potential(phi, knots)
-    return float(
-        0.5 * (4.0 * math.pi) ** 2 * grid_quadrature(lambda u: phi(u) * u * u * pot(u), knots)
-    )
+    u, w = gl_rule(knots)
+    pot = newton_potential(phi, knots)[1]
+    return float(0.5 * (4.0 * math.pi) ** 2 * np.sum(w * (phi(u) * u * u * pot)))
 
 
 def mean_field_constant_routes(cs: CoherentSpec):
@@ -365,8 +365,9 @@ def daubechies_eigenvalue_sum_bound(
     else:
         raise DomainError(f"unknown f_form {f_form!r}")
     lo, hi = support
-    knots = V.grid[(V.grid >= lo) & (V.grid <= hi)]
-    knots = np.unique(np.concatenate([[lo], knots, [hi]]))
+    if not lo < hi:
+        raise DomainError(f"support must have lo < hi, got {support!r}")
+    knots = np.concatenate([[lo], V.grid[(V.grid > lo) & (V.grid < hi)], [hi]])
     value = grid_quadrature(lambda u: F(disp, np.abs(V(u))) * u * u, knots)
     return -q_spin * DAUBECHIES_CONSTANT * 4.0 * math.pi * value
 

@@ -20,7 +20,10 @@ Four layers:
   whose integrand is built from a :class:`RadialFunction` goes through
   this instead.
   :func:`newton_potential` builds the radial shell split M(r)/r + T(r)
-  on the same rule, and :func:`radial_fourier` the 3-D Fourier transform
+  on the same rule, as a callable of the radius and as its values at the
+  rule's own nodes, where the partial Legendre basis is one constant
+  12x12 matrix (the integrals against the potential read those), and
+  :func:`radial_fourier` the 3-D Fourier transform
   of a radial function (its own inverse up to (2 pi)^3) on equally
   spaced knots, where sin(k v) factors segment by segment into sines and
   cosines of k times the segment midpoints and of k times the node
@@ -114,13 +117,19 @@ def _gk21(f, a, b):
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     fc = float(f(c))
     pairs = [(float(f(c - h * x)), float(f(c + h * x))) for x in _XK]
-    kronrod = _WK_CENTRE * fc + sum(w * (y1 + y2) for w, (y1, y2) in zip(_WK, pairs))
-    gauss = sum(w * (y1 + y2) for w, (y1, y2) in zip(_WG, pairs[1::2]))
+    kronrod = gauss = absolute = 0.0
+    for j, (w, (y1, y2)) in enumerate(zip(_WK, pairs)):
+        kronrod += w * (y1 + y2)
+        absolute += w * (abs(y1) + abs(y2))
+        if j % 2:  # a 10-point Gauss abscissa
+            gauss += _WG[j // 2] * (y1 + y2)
+    kronrod += _WK_CENTRE * fc
+    absolute = h * (_WK_CENTRE * abs(fc) + absolute)
     mean = 0.5 * kronrod
-    spread = h * (_WK_CENTRE * abs(fc - mean)
-                  + sum(w * (abs(y1 - mean) + abs(y2 - mean)) for w, (y1, y2) in zip(_WK, pairs)))
-    absolute = h * (_WK_CENTRE * abs(fc) + sum(w * (abs(y1) + abs(y2))
-                                                for w, (y1, y2) in zip(_WK, pairs)))
+    spread = 0.0
+    for w, (y1, y2) in zip(_WK, pairs):
+        spread += w * (abs(y1 - mean) + abs(y2 - mean))
+    spread = h * (_WK_CENTRE * abs(fc - mean) + spread)
     err = abs((kronrod - gauss) * h)
     if spread != 0.0 and err != 0.0:
         err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
@@ -236,6 +245,9 @@ def _partial_basis(s):
     return Q
 
 
+_GL_PARTIAL = _partial_basis(_GL_NODES)  # the same rows at the nodes themselves
+
+
 def newton_potential(f, knots, m_head=0.0, t_tail=0.0):
     """Newton potential of a radial density: r -> M(r)/r + T(r), with
 
@@ -247,10 +259,14 @@ def newton_potential(f, knots, m_head=0.0, t_tail=0.0):
     ``f`` is evaluated once, at the nodes of the composite 12-point
     Gauss-Legendre rule (:func:`gl_rule`).  At the knots M and T are the
     cumulative rule sums; between knots they are the exact integrals of
-    each segment's 12-node interpolant.  The returned callable is
-    vectorized; beyond knots[-1] it returns M_total/r if ``t_tail == 0``
-    (no density past the grid) and raises :class:`DomainError` for every
-    other radius outside [knots[0], knots[-1]].
+    each segment's 12-node interpolant.  Returns ``(potential, at_nodes)``:
+    the vectorized callable, which beyond knots[-1] returns M_total/r if
+    ``t_tail == 0`` (no density past the grid) and raises
+    :class:`DomainError` for every other radius outside
+    [knots[0], knots[-1]]; and its values at those same nodes, in
+    :func:`gl_rule`'s order, where the partial basis is one constant
+    12x12 matrix (they match the callable to a few ulp: its local
+    coordinate of a node rounds).
     """
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0):
@@ -284,7 +300,8 @@ def newton_potential(f, knots, m_head=0.0, t_tail=0.0):
             oc[~beyond] = m / ri + t
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
-    return potential
+    at_nodes = (M[:-1, None] + mom_m @ _GL_PARTIAL.T) / x + (T[:-1, None] - mom_t @ _GL_PARTIAL.T)
+    return potential, at_nodes.ravel()
 
 
 # entries per block of k, summed over the four live k-by-segment matrices:

@@ -196,17 +196,12 @@ def tf_identity_chain(sol: TFSolution) -> dict:
     """
     Z = sol.params.Z
     rho = sol.rho
-    pot = coulomb_potential(rho)
-    grid = rho.grid
-
-    def w_plus(u):
-        return np.maximum(Z / u - pot(u) - sol.mu, 0.0)
-
+    u, w = gl_rule(rho.grid)
+    w_plus = np.maximum(Z / u - coulomb_potential(rho)[1] - sol.mu, 0.0)
     prof = sol.profile
     ends = prof.head_moment(2.5, -0.5) + prof.tail_moment(2.5, -0.5)
     ps = -PHASE_SPACE_COEFF * 4.0 * math.pi * (
-        grid_quadrature(lambda u: w_plus(u) ** 2.5 * u * u, grid)
-        + Z**2.5 * math.sqrt(sol.b) * ends
+        float(np.sum(w * (w_plus ** 2.5 * u * u))) + Z**2.5 * math.sqrt(sol.b) * ends
     )
     repulsion = sol.energy_terms["repulsion"]
     mu_n = sol.mu * sol.params.N
@@ -360,7 +355,7 @@ def coherent_resolution_check(f, cs: CoherentSpec, alpha: float, width: float) -
 def smeared_coulomb(cs: CoherentSpec, alpha: float):
     """(1/|.| * g_alpha^2) as a vectorized callable: the Newton shell split
     of g_alpha^2 on its support [0, alpha^s]."""
-    pot = newton_potential(*_smearing_density(cs, alpha))
+    pot = newton_potential(*_smearing_density(cs, alpha))[0]
     return lambda r: 4.0 * math.pi * pot(r)
 
 

@@ -82,11 +82,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError, ShootingFailure, ToleranceFailure
-from .numerics import Pchip, RadialFunction, gl_rule, grid_quadrature, newton_potential, shoot
+from .numerics import Pchip, RadialFunction, gl_rule, newton_potential, shoot
 
 __all__ = [
     "GAMMA_TF_PAPER",
@@ -259,7 +260,10 @@ def _bernstein(x, xi, *cs):
     agree with BPoly to the last bit (numpy's vectorized power does not)."""
     i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, x.size - 2)
     s = (xi - x[i]) / (x[i + 1] - x[i])
-    powers = [[np.array([math.pow(v, j) for v in base.tolist()]) for j in range(max(map(len, cs)))]
+    # math.pow(v, 0) is 1 and math.pow(v, 1) is v, exactly
+    powers = [[np.ones_like(base), base]
+              + [np.array(list(map(math.pow, base.tolist(), repeat(float(j)))))
+                 for j in range(2, max(map(len, cs)))]
               for base in (s, 1.0 - s)]
     outs = []
     for c in cs:
@@ -348,7 +352,6 @@ def _brentq(f, xa, xb, xtol, rtol):
 class _UniversalProfile:
     """Solved universal screening problem for one value of lambda."""
 
-    lam_eff: float                  # min(lambda, 1)
     slope0: float
     x_edge: float | None            # None for the neutral branch
     tail_amplitude: float | None    # Sommerfeld correction amplitude (neutral)
@@ -425,12 +428,13 @@ class _UniversalProfile:
         the GL-12 nodes of the grid, dropped once they are built.  The three
         moments int_0^inf phi^p t^e dt, (p, e) = (3/2, 1/2), (3/2, -1/2),
         (5/2, -1/2), are summed as :meth:`moment` sums them; the mass equals
-        min(lambda, 1) exactly.  The potential is xi -> M(xi)/xi + T(xi),
-        M = int_0^xi phi^{3/2} sqrt(t) dt and T = int_xi^inf phi^{3/2}/sqrt(t)
-        dt: the Newton potential of the factored density phi^{3/2} t^{-3/2},
-        head and tail included.  The repulsion is int phi^{3/2} sqrt(t) P(t)
-        dt over the grid, P that potential: (Z^2/b)/2 times it is the
-        repulsion inside the grid."""
+        min(lambda, 1) exactly.  The potential is P(xi) = M(xi)/xi + T(xi) on
+        the grid, M = int_0^xi phi^{3/2} sqrt(t) dt and
+        T = int_xi^inf phi^{3/2}/sqrt(t) dt: the Newton potential of the
+        factored density phi^{3/2} t^{-3/2}, head and tail included.  The
+        repulsion is int phi^{3/2} sqrt(t) P(t) dt over the grid, with P
+        read at the nodes: (Z^2/b)/2 times it is the repulsion inside the
+        grid."""
         t, w, ph = self._grid_nodes()
 
         def moment(p, e):
@@ -438,11 +442,12 @@ class _UniversalProfile:
             return self.head_moment(p, e) + grid + self.tail_moment(p, e)
 
         # newton_potential samples its density at these same nodes
-        potential = newton_potential(lambda nodes: ph**1.5 * nodes**-1.5, self.xi,
-                                     m_head=self.head_moment(1.5, 0.5),
-                                     t_tail=self.tail_moment(1.5, -0.5))
-        repulsion = float(np.sum(w * (ph**1.5 * np.sqrt(t) * potential(t))))
-        return moment(1.5, 0.5), moment(1.5, -0.5), moment(2.5, -0.5), potential, repulsion
+        potential, at_nodes = newton_potential(lambda nodes: ph**1.5 * nodes**-1.5, self.xi,
+                                               m_head=self.head_moment(1.5, 0.5),
+                                               t_tail=self.tail_moment(1.5, -0.5))
+        repulsion = float(np.sum(w * (ph**1.5 * np.sqrt(t) * at_nodes)))
+        return (moment(1.5, 0.5), moment(1.5, -0.5), moment(2.5, -0.5), potential(self.xi),
+                repulsion)
 
     mass = property(lambda self: self._integrals[0])
     I32 = property(lambda self: self._integrals[1])
@@ -471,7 +476,7 @@ def _solve_neutral():
     for part, shot in ((near, _neutral_out(_NEUTRAL_SLOPE0)),
                        (~near, _neutral_in(_NEUTRAL_TAIL_AMPLITUDE))):
         phi[part], dphi_u[part] = _readout(shot.steps, u[part], partial(_u_jets, 2.0))
-    return _UniversalProfile(lam_eff=1.0, slope0=_NEUTRAL_SLOPE0, x_edge=None,
+    return _UniversalProfile(slope0=_NEUTRAL_SLOPE0, x_edge=None,
                              tail_amplitude=_NEUTRAL_TAIL_AMPLITUDE, xi=xi,
                              phi_values=np.maximum(phi, 0.0), dphi_values=dphi_u / (2.0 * u))
 
@@ -529,7 +534,7 @@ def _solve_ion(lam):
     xi = np.concatenate([base, cluster, [x_e]])
     u = np.sqrt(xi / x_e)
     g, dg_u = _readout(shot.steps, u, partial(_u_jets, 2.0 * math.sqrt(c)))
-    return _UniversalProfile(lam_eff=lam, slope0=dg0 / (g0 * x_e), x_edge=x_e,
+    return _UniversalProfile(slope0=dg0 / (g0 * x_e), x_edge=x_e,
                              tail_amplitude=None, xi=xi, phi_values=np.maximum(g / g0, 0.0),
                              dphi_values=dg_u / (2.0 * u * x_e * g0))
 
@@ -610,14 +615,16 @@ def solve(params: TFParams, tol: float = 1e-7) -> TFSolution:
     ``density_samples``, which refuse a Z whose density leaves float range."""
     if not (1e-12 < tol < 1e-3):
         raise DomainError("tol must lie in (1e-12, 1e-3)")
-    lam_key = round(min(params.lam, 1.0), 12)
+    lam = min(params.lam, 1.0)
+    lam_key = round(lam, 12)
     if lam_key == 0.0:
         raise DomainError(f"lambda = {params.lam!r} rounds to 0 at the cache key's 12 decimals")
     prof = _solve_universal(lam_key)
-    mass_error = prof.mass / prof.lam_eff - 1.0
+    # against the requested lambda: the cache key's rounding is part of the error
+    mass_error = prof.mass / lam - 1.0
     if not abs(mass_error) <= _MASS_TOL:
         raise ToleranceFailure(f"TF mass error {mass_error:.3e} misses {_MASS_TOL:g} at "
-                               f"lambda = {prof.lam_eff!r}", residual=abs(mass_error))
+                               f"lambda = {params.lam!r}", residual=abs(mass_error))
     sol = TFSolution(params, prof)
     residual = tf_equation_residual(sol)
     if residual > tol:
@@ -642,17 +649,15 @@ def tf_functional(params: TFParams, rho: RadialFunction) -> float:
     Z = params.Z
     gamma = params.gamma_kin
     grid = rho.grid
-
-    def clamped(v):
-        return np.maximum(rho(v), 0.0)
-
-    kin = grid_quadrature(lambda v: clamped(v) ** (5.0 / 3.0) * v * v, grid)
-    att = grid_quadrature(lambda v: clamped(v) * v, grid)
+    v, w = gl_rule(grid)
+    clamped = np.maximum(rho(v), 0.0)
+    kin = float(np.sum(w * (clamped ** (5.0 / 3.0) * v * v)))
+    att = float(np.sum(w * (clamped * v)))
     kin += rho.head_integral(5.0 / 3.0, 2)
     att += rho.head_integral(1.0, 1)
-    pot = coulomb_potential(rho)
+    pot, at_nodes = coulomb_potential(rho)
     # head of the repulsion integral is O(r0^{head_exponent+3}) ~ 1e-12 relative: dropped
-    rep = grid_quadrature(lambda v: clamped(v) * pot(v) * v * v, grid)
+    rep = float(np.sum(w * (clamped * at_nodes * v * v)))
     kin += rho.tail_integral(5.0 / 3.0, 2)
     tail_moment = rho.tail_integral(1.0, 1)
     att += tail_moment
@@ -684,15 +689,17 @@ def tf_energy_slope_identity(sol: TFSolution) -> float:
 def coulomb_potential(rho: RadialFunction):
     """(rho * 1/|.|) as a vectorized callable on the grid span of ``rho``:
     4 pi [ M(r)/r + T(r) ] with M(r) = int_0^r rho v^2 dv and
-    T(r) = int_r^inf rho v dv, by :func:`numerics.newton_potential`.
+    T(r) = int_r^inf rho v dv, by :func:`numerics.newton_potential`; with
+    its values at the GL-12 nodes of ``rho.grid`` (:func:`numerics.gl_rule`).
 
     The head of M and the tail of T are the RadialFunction's closed forms:
     a head steeper than v^-3 or a tail shallower than v^-2 raises
     DivergentIntegral.  Below the grid, and beyond it unless the tail is
     zero, the potential raises DomainError.
     """
-    pot = newton_potential(rho, rho.grid, rho.head_integral(1.0, 2), rho.tail_integral(1.0, 1))
-    return lambda r: 4.0 * math.pi * pot(r)
+    pot, at_nodes = newton_potential(rho, rho.grid, rho.head_integral(1.0, 2),
+                                     rho.tail_integral(1.0, 1))
+    return (lambda r: 4.0 * math.pi * pot(r)), 4.0 * math.pi * at_nodes
 
 
 def tf_equation_residual(sol: TFSolution) -> float:
@@ -707,7 +714,7 @@ def tf_equation_residual(sol: TFSolution) -> float:
     """
     Z = sol.params.Z
     r, rho = sol.density_samples
-    pot = (Z / sol.b) * sol.profile.potential(sol.profile.xi)
+    pot = (Z / sol.b) * sol.profile.potential
     lhs = sol.params.gamma_kin * rho ** (2.0 / 3.0)
     rhs = np.maximum(Z / r - pot - sol.mu, 0.0)
     return float(np.max(np.abs(lhs - rhs) / (1.0 + lhs)))
@@ -753,8 +760,7 @@ def solution_from_json(text: str) -> TFSolution:
     edge = doc["edge_radius"]
     neutral = edge is None
     prof = _UniversalProfile(
-        lam_eff=min(params.lam, 1.0), slope0=doc["slope0"],
-        x_edge=None if neutral else float(edge),
+        slope0=doc["slope0"], x_edge=None if neutral else float(edge),
         tail_amplitude=_fit_tail_amplitude(xi, phi_vals) if neutral else None,
         xi=xi, phi_values=phi_vals, dphi_values=dphi_vals)
     return TFSolution(params, prof)

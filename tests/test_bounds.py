@@ -140,6 +140,20 @@ class TestMeanField:
         # frozen dev oracle (mpmath-checked Newton-route quadrature)
         assert abs(newton - 0.9224234359) < 1e-8
 
+    def test_node_values_match_the_callable(self, monkeypatch, reference_bump):
+        built = []
+        real = bd.newton_potential
+
+        def recording(f, knots):
+            built.append((knots, *real(f, knots)))
+            return built[-1][1:]
+
+        monkeypatch.setattr(bd, "newton_potential", recording)
+        bd.mean_field_constant(reference_bump)
+        (knots, pot, at_nodes), = built
+        ref = pot(numerics.gl_rule(knots)[0])
+        assert np.max(np.abs(at_nodes - ref) / np.spacing(ref)) <= 4.0
+
     def test_uniform_ball(self):
         g_ball = lambda r: np.where(
             np.asarray(r) < 1.0, math.sqrt(3.0 / (4.0 * math.pi)), 0.0
@@ -242,6 +256,13 @@ class TestDaubechiesSum:
         b1 = bd.daubechies_eigenvalue_sum_bound(d, V1, 2, support=shell)
         b2 = bd.daubechies_eigenvalue_sum_bound(d, V2, 2, support=shell)
         assert 2.0**2.5 < b2 / b1 < 2.0**4.5
+
+    @pytest.mark.parametrize("shell", ((0.5, 0.5), (2.0, 0.5)))
+    def test_empty_shell_is_refused(self, shell):
+        grid = np.geomspace(0.1, 10.0, 50)
+        V = RadialFunction(grid, grid**-0.74)
+        with pytest.raises(DomainError, match="lo < hi"):
+            bd.daubechies_eigenvalue_sum_bound(Dispersion(0.1), V, 2, support=shell)
 
     def test_support_is_required(self):
         grid = np.geomspace(0.1, 10.0, 50)

@@ -24,15 +24,18 @@ def run(capsys, *argv):
 
 
 def scipy_modules_after(tmp_path, *argv):
-    """'<exit code> <scipy modules after the import> <after running argv>'
-    from a fresh interpreter; every '{tmp}' in argv names tmp_path."""
+    """'<exit code> <scipy and numpy.ma modules after the import> <after
+    running argv>' from a fresh interpreter; every '{tmp}' in argv names
+    tmp_path."""
     script = (
         "import sys\n"
         "import relatom, relatom.cli\n"
-        "before = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "def lazy():\n"
+        "    return [m for m in sys.modules if m.startswith(('scipy', 'numpy.ma.'))\n"
+        "            or m == 'numpy.ma']\n"
+        "before = lazy()\n"
         "code = relatom.cli.main(sys.argv[1:])\n"
-        "after = [m for m in sys.modules if m.startswith('scipy')]\n"
-        "print(code, before, after)\n"
+        "print(code, before, lazy())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -110,7 +113,8 @@ def test_import_and_tf_solve_load_no_scipy(tmp_path):
 ))
 def test_commands_load_no_scipy(tmp_path, argv):
     # no command needs scipy: verify's adaptive quadrature is the package's
-    # own Gauss-Kronrod rule, hyp2f1 and digamma are closed forms or ports
+    # own Gauss-Kronrod rule, hyp2f1 and digamma are closed forms or ports;
+    # nor numpy.ma, which np.unique imports (16 ms of a cold verify)
     assert scipy_modules_after(tmp_path, *argv) == "0 [] []"
 
 
@@ -179,6 +183,26 @@ def test_commands_build_one_interpolant(capsys, monkeypatch, tmp_path, lam, argv
     code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 0
     assert (septics, builds) == ([size], [])
+
+
+def test_tf_solve_reads_the_newton_potential_once_per_knot(capsys, monkeypatch, tmp_path):
+    # the repulsion reads the potential at its own GL-12 nodes through one
+    # constant basis; only the residual's read on the grid builds basis
+    # rows (13,573 for this profile when the nodes took the per-radius route)
+    fresh = functools.lru_cache(tf._solve_universal.__wrapped__)
+    monkeypatch.setattr(tf, "_solve_universal", fresh)
+    rows = []
+    real = numerics._partial_basis
+
+    def counting(s):
+        rows.append(s.size)
+        return real(s)
+
+    monkeypatch.setattr(numerics, "_partial_basis", counting)
+    code, _, _ = run(capsys, "tf-solve", "--lambda", "0.5", "--Z", "10",
+                     "--out", str(tmp_path / "sol.json"))
+    assert code == 0
+    assert sum(rows) <= fresh(0.5).xi.size
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -494,8 +518,8 @@ class TestAsymptotics:
         ("--lambda", "0.7"): """\
 10.0,0.06366197723675814,-148261.0970762609,-82.02409735280982,0.0005532408633845409,9433.37277094717,-9438.59458716571,-5.221816218540212,ok
 100.0,0.006366197723675814,-18742206.28664908,-17671.55607554459,0.0009428749105238926,119204.09037866599,-119316.59099872792,-112.50062006194148,ok
-1000.0,0.0006366197723675814,-2443947128.054215,-3807221.343599696,0.0015578165746289578,1553441.311955163,-1555865.0643402787,-2423.752385115436,ok
-10000.0,6.366197723675813e-05,-328558090903.57275,-820240973.5280981,0.002496486911256212,20864439.541870557,-20916657.704055957,-52218.162185402114,ok
+1000.0,0.0006366197723675814,-2443947128.054215,-3807221.3435996966,0.001557816574628958,1553441.311955163,-1555865.0643402787,-2423.7523851154365,ok
+10000.0,6.366197723675813e-05,-328558090903.57275,-820240973.5280982,0.0024964869112562124,20864439.541870557,-20916657.704055957,-52218.16218540212,ok
 """,
     }
 

@@ -338,31 +338,35 @@ class TestNewtonPotential:
     def test_uniform_ball(self):
         rho0 = 2.5
         knots = np.array([0.0, 0.2, 0.55, 1.0])
-        pot = newton_potential(lambda v: np.full_like(v, rho0), knots)
+        pot, at_nodes = newton_potential(lambda v: np.full_like(v, rho0), knots)
         r = self.probe(knots, np.array([1.5, 40.0]))
         exact = np.where(r <= 1.0, rho0 * (0.5 - r * r / 6.0), rho0 / (3.0 * r))
         assert np.max(np.abs(pot(r) - exact)) < 1e-15
         assert isinstance(pot(0.3), float)
+        x, _ = gl_rule(knots)
+        assert np.max(np.abs(at_nodes - rho0 * (0.5 - x * x / 6.0))) < 1e-15
 
     def test_truncated_gaussian(self):
         # e^{-v^2}: M/r + T = sqrt(pi) erf(r)/(4r); T carries the tail e^{-R^2}/2
         R = 6.0
         knots = np.geomspace(1e-3, R, 40)
         m_head = knots[0] ** 3 / 3.0   # e^{-v^2} = 1 to 1e-6 below the first knot
-        pot = newton_potential(lambda v: np.exp(-v * v), knots, m_head=m_head,
-                               t_tail=math.exp(-R * R) / 2.0)
+        pot, at_nodes = newton_potential(lambda v: np.exp(-v * v), knots, m_head=m_head,
+                                         t_tail=math.exp(-R * R) / 2.0)
         r = self.probe(knots, np.array([]))
         exact = math.sqrt(math.pi) * erf(r) / (4.0 * r)
         assert np.max(np.abs(pot(r) / exact - 1.0)) < 1e-12
+        x, _ = gl_rule(knots)
+        assert np.max(np.abs(at_nodes / (math.sqrt(math.pi) * erf(x) / (4.0 * x)) - 1.0)) < 1e-12
 
     def test_domain(self):
         knots = np.linspace(0.5, 2.0, 5)
-        tail_free = newton_potential(lambda v: np.ones_like(v), knots)
+        tail_free = newton_potential(lambda v: np.ones_like(v), knots)[0]
         with pytest.raises(DomainError):
             tail_free(0.4)
         m_total = (2.0**3 - 0.5**3) / 3.0
         assert abs(tail_free(3.0) - m_total / 3.0) < 1e-15
-        with_tail = newton_potential(lambda v: np.ones_like(v), knots, t_tail=0.1)
+        with_tail = newton_potential(lambda v: np.ones_like(v), knots, t_tail=0.1)[0]
         with pytest.raises(DomainError):
             with_tail(np.array([1.0, 2.5]))
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from relatom import numerics
 from relatom import semiclassics as sc
 from relatom import thomas_fermi as tf
 from relatom.errors import DivergentIntegral, DomainError, ShootingFailure, ToleranceFailure
-from relatom.numerics import RadialFunction, grid_quadrature
+from relatom.numerics import RadialFunction, gl_rule, grid_quadrature
 
 # independent fixed-step RK4 shooting oracle (dev run, u = sqrt(x) variable,
 # 54 bisections, Sommerfeld classification window x <= 50)
@@ -231,13 +231,14 @@ class TestSolve:
     @pytest.mark.parametrize("lam, refusal", (
         (1e-13, DomainError), (1e-10, ToleranceFailure), (1e-7, None), (1e-5, None),
         (3e-4, None), (1.0 - 1e-4, None), (1.0 - 1e-5, None), (1.0 - 3e-6, None),
-        (1.0 - 1e-9, None)))
+        (1.0 - 1e-9, None), (1.23456789e-9, ToleranceFailure)))
     def test_ion_domain_ends(self, lam, refusal):
         # each lambda meets the mass gate or raises a typed error: 3e-4 and
         # 1e-7 found no sign change in the outward search's [-60, -1.58],
         # and 1 - 3e-6 and 1 - 1e-9 never reached phi = 0; at 1e-10 the
         # miss log(g(0) - 1) cancels, and the profile misses the gate by
-        # 1.6e-5; below 5e-13 lambda rounds to the cache key 0
+        # 1.6e-5; below 5e-13 lambda rounds to the cache key 0; and
+        # 1.23456789e-9 keys the profile of 1.235e-9, 3.5e-4 too heavy
         if refusal is not None:
             with pytest.raises(refusal):
                 tf.solve(tf.TFParams(lam=lam, Z=1.0))
@@ -384,7 +385,31 @@ class TestEnergy:
             tf.tf_functional(neutral_solution.params, rho)
 
 
+def node_ulps(knots, pot, at_nodes):
+    """Largest distance, in ulp, of the node values from the callable there."""
+    ref = pot(gl_rule(knots)[0])
+    return float(np.max(np.abs(at_nodes - ref) / np.spacing(np.abs(ref))))
+
+
 class TestPotential:
+    @pytest.mark.parametrize("lam", (1.0, 0.5))
+    def test_profile_node_values_match_the_callable(self, monkeypatch, lam):
+        built = []
+        real = tf.newton_potential
+
+        def recording(f, knots, **tails):
+            built.append((knots, *real(f, knots, **tails)))
+            return built[-1][1:]
+
+        monkeypatch.setattr(tf, "newton_potential", recording)
+        assert tf._solve_universal.__wrapped__(lam).repulsion > 0.0
+        (knots, pot, at_nodes), = built
+        assert node_ulps(knots, pot, at_nodes) <= 4.0
+
+    def test_coulomb_node_values_match_the_callable(self, ion_solution):
+        rho = ion_solution.rho
+        assert node_ulps(rho.grid, *tf.coulomb_potential(rho)) <= 4.0
+
     def test_divergent_head_is_typed(self):
         grid = np.geomspace(0.1, 10.0, 50)
         with pytest.raises(DivergentIntegral):

@@ -125,12 +125,13 @@ def test_gap_line_fails_on_a_swapped_sign(monkeypatch):
 
 
 def test_two_route_energy_line_fails_on_a_doubled_repulsion(monkeypatch):
-    # twice the Coulomb potential is the repulsion without its 1/2
+    # twice the Coulomb potential is the repulsion without its 1/2; the
+    # functional reads the potential at its nodes, and past the grid
     real = tf.coulomb_potential
 
     def doubled(rho):
-        pot = real(rho)
-        return lambda r: 2.0 * pot(r)
+        pot, at_nodes = real(rho)
+        return (lambda r: 2.0 * pot(r)), 2.0 * at_nodes
 
     monkeypatch.setattr(tf, "coulomb_potential", doubled)
     assert not line("thomas_fermi", "tf_functional(rho) vs slope identity").passed
